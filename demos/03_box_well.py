@@ -14,7 +14,7 @@ Run:  python3 demos/03_box_well.py
 import numpy as np
 
 from qmasslab import boxwell as bw
-from qmasslab import qmass
+from qmasslab import qmass, wavecore
 
 # speed chosen so the envelope fits the second well mode (dk*W = 2*pi)
 v2 = bw.speed_for_mode(1.0, 100.0, 2)
@@ -35,7 +35,7 @@ a_c, a_s = bw.project_internal_states(cfg, t=0.0)
 print(f"Snapshot state amplitudes at t = 0: cosine {a_c:.4f}, sine {a_s:.4f}")
 
 trace = bw.trace_states_vs_position(cfg)
-p = qmass.four_momentum_of(cfg.forward_pair()).p
+p = qmass.four_momentum_of(wavecore.boost_standing_wave(cfg.omega0, cfg.v)).p
 modulus = np.hypot(trace.a_cos, trace.a_sin)
 print("State helix as the cavity crosses the well:")
 print(f"  fitted envelope wavenumber {trace.envelope_wavenumber:.9f} "

@@ -1,20 +1,18 @@
 """Numerical laboratory for the rest mass of interfering light.
 
-Subpackages: ``wavecore`` (plane waves, boosts, measurement oracles),
-``qmass`` (four-momentum algebra), ``doubleslit`` (two-slit local mass
-field and trajectories), ``boxwell`` (bidirectional waves in an infinite
-well), ``scenarios``/``cli`` (orchestration and export).
+Natural units throughout: c = hbar = 1.  Subpackages: ``wavecore`` (plane
+waves, boosts, measurement oracles), ``qmass`` (four-momentum algebra),
+``doubleslit`` (two-slit local mass field and trajectories), ``boxwell``
+(bidirectional waves in an infinite well), ``scenarios`` (orchestration and
+export); the ``qmass-lab`` command line lives in ``qmasslab.cli``.
 """
 
-from . import boxwell, cli, doubleslit, qmass, scenarios, wavecore
-from .units import NATURAL, UnitSystem
+from . import boxwell, doubleslit, qmass, scenarios, wavecore
 from .wavecore import BidirectionalWave, PlaneWave, Superposition
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "NATURAL",
-    "UnitSystem",
     "PlaneWave",
     "Superposition",
     "BidirectionalWave",
@@ -23,5 +21,4 @@ __all__ = [
     "doubleslit",
     "boxwell",
     "scenarios",
-    "cli",
 ]

@@ -1,13 +1,13 @@
 """Opposed bidirectional waves in an infinite well and the quantized modes.
 
 Superposing the +v and -v frequency pairs, phased to vanish at x = 0,
-gives the closed form (unit component amplitudes)
+gives the closed form (unit component amplitudes, natural units c = hbar = 1)
 
     F(x,t) = 4*[sin(kbar*x)*cos(dk*x)*cos(wbar*t)*cos(dw*t)
                - cos(kbar*x)*sin(dk*x)*sin(wbar*t)*sin(dw*t)]
 
-with kbar = (k+ + k-)/2, dk = (k+ - k-)/2 = gamma*m*v/hbar,
-wbar = gamma*omega0, dw = gamma*omega0*v/c.  The slow factors cos(dk*x),
+with kbar = (k+ + k-)/2 = wbar, dk = (k+ - k-)/2 = dw = gamma*m*v,
+wbar = gamma*omega0, dw = gamma*omega0*v.  The slow factors cos(dk*x),
 sin(dk*x) are the internal cosine/sine state envelopes; dk is the de
 Broglie wavenumber of the moving cavity, and requiring the odd envelope
 combination to vanish at both walls quantizes the cavity speed.
@@ -27,9 +27,7 @@ from .errors import (
     InvalidConfigError,
     ModeOutOfRangeError,
 )
-from .units import NATURAL, UnitSystem
 from .wavecore import (
-    BidirectionalWave,
     PlaneWave,
     Superposition,
     evaluate,
@@ -37,7 +35,7 @@ from .wavecore import (
     measure_temporal_frequencies,
 )
 
-#: Minimum carrier cycles across the well, enforcing omega0*W/c >> 1.
+#: Minimum carrier cycles across the well, enforcing omega0*W >> 1.
 MIN_CARRIER_PHASE = 20.0
 
 #: Cavity speeds are only searched up to this fraction of c.
@@ -52,23 +50,22 @@ class BoxConfig:
     L: float
     omega0: float
     v: float
-    units: UnitSystem = NATURAL
 
     def __post_init__(self):
         if not 0 < self.L <= self.W / 10.0:
             raise InvalidConfigError(
                 f"cavity must satisfy 0 < L <= W/10, got L={self.L}, W={self.W}"
             )
-        if not 0 < self.v < self.units.c:
-            raise InvalidConfigError(f"cavity speed must be in (0, c), got {self.v}")
-        if self.omega0 * self.W / self.units.c < MIN_CARRIER_PHASE:
+        if not 0 < self.v < 1.0:
+            raise InvalidConfigError(f"cavity speed must be in (0, 1), got {self.v}")
+        if self.omega0 * self.W < MIN_CARRIER_PHASE:
             raise InvalidConfigError(
-                f"carrier unresolved: omega0*W/c = {self.omega0 * self.W / self.units.c}"
+                f"carrier unresolved: omega0*W = {self.omega0 * self.W}"
             )
 
     @property
     def beta(self) -> float:
-        return self.v / self.units.c
+        return self.v
 
     @property
     def gamma(self) -> float:
@@ -84,27 +81,23 @@ class BoxConfig:
 
     @property
     def k_bar(self) -> float:
-        return self.omega_bar / self.units.c
+        return self.omega_bar
 
     @property
     def delta_k(self) -> float:
-        return self.delta_omega / self.units.c
-
-    def forward_pair(self) -> BidirectionalWave:
-        g = self.gamma
-        return BidirectionalWave(
-            g * self.omega0 * (1.0 + self.beta), g * self.omega0 * (1.0 - self.beta)
-        )
+        return self.delta_omega
 
 
 @dataclass(frozen=True)
 class BeatAnalysis:
-    """Fast/slow frequency pair extracted from a probe time series."""
+    """Fast/slow frequency pair extracted from the probe series ``values`` at ``times``."""
 
     fast: float
     slow: float
     predicted_fast: float
     predicted_slow: float
+    times: np.ndarray
+    values: np.ndarray
 
     @property
     def fast_rel_error(self) -> float:
@@ -165,31 +158,23 @@ def closed_form(cfg: BoxConfig, x, t):
 PROBE_AMPLITUDE_MIN = 0.02
 
 
-def analyze_beats(
-    cfg: BoxConfig,
-    probe: float,
-    duration: float | None = None,
-    dt: float | None = None,
-) -> BeatAnalysis:
-    """Extract the fast (gamma*omega0) and slow (gamma*omega0*v/c) frequencies.
+def analyze_beats(cfg: BoxConfig, probe: float) -> BeatAnalysis:
+    """Extract the fast (gamma*omega0) and slow (gamma*omega0*v) frequencies.
 
-    The probe time series is a two-tone signal at omega_pm; the spectral
-    oracle measures both peaks, and the fast/slow pair is their half-sum
-    and half-difference.
+    The probe time series, 8 slow periods sampled 16 times per fastest
+    period, is a two-tone signal at omega_pm; the spectral oracle measures
+    both peaks, and the fast/slow pair is their half-sum and half-difference.
     """
-    c = cfg.units.c
-    kp = (cfg.omega_bar + cfg.delta_omega) / c
-    km = (cfg.omega_bar - cfg.delta_omega) / c
+    kp = cfg.omega_bar + cfg.delta_omega
+    km = cfg.omega_bar - cfg.delta_omega
     if min(abs(math.sin(kp * probe)), abs(math.sin(km * probe))) < PROBE_AMPLITUDE_MIN:
         raise DegenerateProbeError(
             f"probe {probe} sits at a node of a component standing wave"
         )
-    if duration is None:
-        duration = 8.0 * 2.0 * math.pi / cfg.delta_omega
-    if dt is None:
-        dt = 2.0 * math.pi / (cfg.omega_bar + cfg.delta_omega) / 16.0
+    duration = 8.0 * 2.0 * math.pi / cfg.delta_omega
+    dt = 2.0 * math.pi / (cfg.omega_bar + cfg.delta_omega) / 16.0
     t = np.arange(0.0, duration, dt)
-    series = evaluate(build_field(cfg), probe, t, cfg.units)
+    series = evaluate(build_field(cfg), probe, t)
     peaks = measure_temporal_frequencies(t, series, count=2)
     if len(peaks) < 2:
         raise DegenerateProbeError("fewer than two spectral peaks at this probe")
@@ -199,6 +184,8 @@ def analyze_beats(
         slow=(hi - lo) / 2.0,
         predicted_fast=cfg.omega_bar,
         predicted_slow=cfg.delta_omega,
+        times=t,
+        values=series,
     )
 
 
@@ -215,7 +202,7 @@ def project_internal_states(
             f"near-degenerate basis: dk*W = {cfg.delta_k * cfg.W}"
         )
     x = np.linspace(0.0, cfg.W, n_points)
-    snapshot = evaluate(build_field(cfg), x, t, cfg.units)
+    snapshot = evaluate(build_field(cfg), x, t)
     basis = np.stack(
         [
             np.sin(cfg.k_bar * x) * np.cos(cfg.delta_k * x),
@@ -253,7 +240,7 @@ def trace_states_vs_position(
     to the cavity window is fitted over a few carrier periods to the local
     carrier model with known time factors, leaving the slow spatial
     envelope pair (cos(dk*x_c), sin(dk*x_c)).  The fitted envelope
-    wavenumber equals the de Broglie wavenumber gamma*m*v/hbar.
+    wavenumber equals the de Broglie wavenumber gamma*m*v.
     """
     global_window = cfg.L * cfg.delta_k < 0.05
     if global_window:
@@ -276,7 +263,7 @@ def trace_states_vs_position(
         else:
             x = np.linspace(xc - cfg.L / 2.0, xc + cfg.L / 2.0, window_points)[:, None]
         t = (xc / cfg.v + np.arange(n_t) * (t_span / n_t))[None, :]
-        values = evaluate(field, x, t, cfg.units).ravel()
+        values = evaluate(field, x, t).ravel()
         b1 = 4.0 * np.sin(kb * x) * np.cos(wb * t) * np.cos(dw * t)
         b2 = -4.0 * np.cos(kb * x) * np.sin(wb * t) * np.sin(dw * t)
         # Refer the slow envelope to the window center so the local model is
@@ -311,12 +298,11 @@ def _bisect_speed(target: float, omega0: float, tol: float = 1e-14) -> float:
     return 0.5 * (lo + hi)
 
 
-def speed_for_mode(cfg_W: float, omega0: float, n: int, units: UnitSystem = NATURAL) -> float:
+def speed_for_mode(cfg_W: float, omega0: float, n: int) -> float:
     """Cavity speed whose de Broglie wavenumber satisfies dk*W = n*pi."""
     if n < 1:
         raise ValueError(f"mode index must be >= 1, got {n}")
-    target = n * math.pi * units.c / cfg_W
-    return _bisect_speed(target, omega0) * units.c
+    return _bisect_speed(n * math.pi / cfg_W, omega0)
 
 
 def quantized_envelope(delta_k: float, x):
@@ -328,36 +314,31 @@ def quantize(cfg: BoxConfig, n_max: int) -> list[QuantizationReport]:
     """Well-quantized cavity speeds and the Schrodinger correspondence check.
 
     For each n the speed v_n is root-solved so the superposed +-v envelope
-    sin(dk*x) has nodes at both walls; the resulting momentum hbar*dk is
-    compared with n*pi*hbar/W, and the relativistic kinetic energy
-    (gamma-1)*m*c**2 with the infinite-well n**2*pi**2*hbar**2/(2*m*W**2).
+    sin(dk*x) has nodes at both walls; the resulting momentum dk is
+    compared with n*pi/W, and the relativistic kinetic energy (gamma-1)*m
+    with the infinite-well n**2*pi**2/(2*m*W**2), where m = omega0.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    units = cfg.units
-    c, hbar = units.c, units.hbar
-    m = hbar * cfg.omega0 / c**2
+    m = cfg.omega0
     reports = []
     for n in range(1, n_max + 1):
-        v_n = speed_for_mode(cfg.W, cfg.omega0, n, units)
-        beta = v_n / c
-        g = gamma_of(beta)
-        dk = g * cfg.omega0 * beta / c
-        p_n = hbar * dk
-        p_sch = n * math.pi * hbar / cfg.W
-        e_kin = (g - 1.0) * m * c**2
-        e_sch = n**2 * math.pi**2 * hbar**2 / (2.0 * m * cfg.W**2)
+        v_n = speed_for_mode(cfg.W, cfg.omega0, n)
+        g = gamma_of(v_n)
+        dk = g * cfg.omega0 * v_n
+        e_kin = (g - 1.0) * m
+        e_sch = n**2 * math.pi**2 / (2.0 * m * cfg.W**2)
         reports.append(
             QuantizationReport(
                 n=n,
                 v_n=v_n,
                 delta_k=dk,
-                p_n=p_n,
-                p_schrodinger=p_sch,
+                p_n=dk,
+                p_schrodinger=n * math.pi / cfg.W,
                 kinetic_energy=e_kin,
                 schrodinger_energy=e_sch,
                 energy_rel_discrepancy=abs(e_kin - e_sch) / e_sch,
-                relativistic_bound=(p_n / (m * c)) ** 2,
+                relativistic_bound=(dk / m) ** 2,
             )
         )
     return reports

@@ -38,10 +38,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--set", dest="overrides", action="append", default=[], metavar="KEY=VALUE",
         help="override a single parameter; flags win over the config file",
     )
-    parser.add_argument(
-        "--seed", type=int, default=None,
-        help="reserved; current scenarios are deterministic",
-    )
     return parser
 
 

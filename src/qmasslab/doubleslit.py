@@ -1,11 +1,12 @@
 """Two-slit interference in 2D: local mass field, trajectories, fringe spacing.
 
 Slits sit at (0, +d/2) and (0, -d/2) and radiate with a 1/r amplitude law.
-At each point the two wave vectors intersect at an angle theta, giving the
-local quantum rest mass m = (hbar*omega/c**2)*sin(theta/2), the local speed
-c*cos(theta/2) along the bisector, and the transverse local wavelength
-h/(m*v) = 4*pi*c/(omega*sin(theta)).  The fringe-spacing oracle integrates
-nothing of that: it locates maxima of the exact two-source intensity.
+At each point the two wave vectors intersect at an angle theta, giving (in
+natural units, c = hbar = 1) the local quantum rest mass
+m = omega*sin(theta/2), the local speed cos(theta/2) along the bisector, and
+the transverse local wavelength 2*pi/(m*v) = 4*pi/(omega*sin(theta)).  The
+fringe-spacing oracle integrates nothing of that: it locates maxima of the
+exact two-source intensity.
 """
 
 from __future__ import annotations
@@ -13,12 +14,11 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InsufficientSpanError, SingularPointError
-from .units import NATURAL, UnitSystem
 
 
 class Region(enum.Enum):
@@ -28,43 +28,52 @@ class Region(enum.Enum):
     TRANSITION = "transition"
 
 
+#: Amplitude ratio min(a_i)/max(a_i) at or above which a point is balanced.
+BALANCED_THRESHOLD = 0.9
+#: Amplitude ratio at or below which a point is near the stronger slit.
+NEAR_THRESHOLD = 0.1
+
+
 @dataclass(frozen=True)
 class SlitConfig:
-    """Two-slit scenario: separation d, source frequency omega, domain bounds."""
+    """Two-slit scenario: slit separation d and source frequency omega.
+
+    Trajectories stay inside x_min <= x <= x_max, |y| <= y_half; mass maps
+    blank out a disc of radius ``exclusion_radius`` about each slit.
+    """
 
     d: float
     omega: float
-    x_min: float | None = None
-    x_max: float | None = None
-    y_half: float | None = None
-    balanced_threshold: float = 0.9
-    near_threshold: float = 0.1
-    exclusion_radius: float | None = None
-    units: UnitSystem = NATURAL
 
     def __post_init__(self):
         if self.d <= 0:
             raise ValueError(f"slit separation must be positive, got {self.d}")
         if self.omega <= 0:
             raise ValueError(f"omega must be positive, got {self.omega}")
-        if not 0 < self.near_threshold < self.balanced_threshold <= 1:
-            raise ValueError("need 0 < near_threshold < balanced_threshold <= 1")
-        if self.x_min is None:
-            object.__setattr__(self, "x_min", 1e-3 * self.d)
-        if self.x_max is None:
-            object.__setattr__(self, "x_max", 50.0 * self.d)
-        if self.y_half is None:
-            object.__setattr__(self, "y_half", 50.0 * self.d)
-        if self.exclusion_radius is None:
-            object.__setattr__(self, "exclusion_radius", self.wavelength / 2.0)
 
     @property
     def wavelength(self) -> float:
-        return 2.0 * math.pi * self.units.c / self.omega
+        return 2.0 * math.pi / self.omega
 
     @property
     def slits(self) -> np.ndarray:
         return np.array([[0.0, self.d / 2.0], [0.0, -self.d / 2.0]])
+
+    @property
+    def x_min(self) -> float:
+        return 1e-3 * self.d
+
+    @property
+    def x_max(self) -> float:
+        return 50.0 * self.d
+
+    @property
+    def y_half(self) -> float:
+        return 50.0 * self.d
+
+    @property
+    def exclusion_radius(self) -> float:
+        return self.wavelength / 2.0
 
 
 @dataclass(frozen=True)
@@ -90,7 +99,11 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class FringeReport:
-    """Predicted versus measured bright-fringe spacing on a screen."""
+    """Predicted versus measured bright-fringe spacing on a screen.
+
+    ``intensity`` is sampled at ``s``, the arc length (arc screen) or the
+    height (line screen) measured from the axis.
+    """
 
     predicted: float
     measured: float
@@ -98,107 +111,99 @@ class FringeReport:
     D: float
     rel_error: float
     maxima: np.ndarray
+    s: np.ndarray
+    intensity: np.ndarray
 
 
-def _radials(p, cfg: SlitConfig):
-    """Distances and unit vectors from each slit to p."""
+def _point_state(p, cfg: SlitConfig):
+    """Distances r and unit vectors u from each slit to p, and the unit momentum n.
+
+    n = (w1*u1 + w2*u2)/(w1 + w2) with energy weights w_i = 1/r_i**2.
+    """
     p = np.asarray(p, dtype=float)
     rel = p - cfg.slits
     r = np.hypot(rel[:, 0], rel[:, 1])
     if np.min(r) < 1e-12 * cfg.d:
         raise SingularPointError(f"point {p} coincides with a slit")
-    return r, rel / r[:, None]
+    u = rel / r[:, None]
+    w = 1.0 / r**2
+    n = (w[0] * u[0] + w[1] * u[1]) / (w[0] + w[1])
+    return r, u, n
+
+
+def _theta(u) -> float:
+    """Angle between the two unit vectors u[0], u[1]."""
+    return math.acos(float(np.clip(np.dot(u[0], u[1]), -1.0, 1.0)))
+
+
+def _region(r) -> Region:
+    a = 1.0 / r
+    ratio = a.min() / a.max()
+    if ratio >= BALANCED_THRESHOLD:
+        return Region.BALANCED
+    if ratio <= NEAR_THRESHOLD:
+        return Region.NEAR_SLIT_1 if a[0] > a[1] else Region.NEAR_SLIT_2
+    return Region.TRANSITION
 
 
 def intersection_angle(p, cfg: SlitConfig) -> float:
     """Angle in [0, pi] between the two wave vectors meeting at p."""
-    _, u = _radials(p, cfg)
-    return math.acos(float(np.clip(np.dot(u[0], u[1]), -1.0, 1.0)))
+    return _theta(_point_state(p, cfg)[1])
 
 
-def local_mass(theta: float, omega: float, units: UnitSystem = NATURAL) -> float:
-    """Local quantum rest mass (hbar*omega/c**2)*sin(theta/2)."""
-    return units.hbar * omega / units.c**2 * math.sin(theta / 2.0)
+def local_mass(theta: float, omega: float) -> float:
+    """Local quantum rest mass omega*sin(theta/2)."""
+    return omega * math.sin(theta / 2.0)
 
 
-def local_speed(theta: float, units: UnitSystem = NATURAL) -> float:
-    """Local group speed c*cos(theta/2); zero for the standing case theta = pi."""
-    return units.c * math.cos(theta / 2.0)
+def local_speed(theta: float) -> float:
+    """Local group speed cos(theta/2); zero for the standing case theta = pi."""
+    return math.cos(theta / 2.0)
 
 
-def local_velocity(p, cfg: SlitConfig) -> np.ndarray:
-    """Velocity vector at p: speed c*cos(theta/2) along the bisector of the rays.
-
-    Returns the zero vector at theta = pi, where the direction is undefined.
-    """
-    _, u = _radials(p, cfg)
-    theta = math.acos(float(np.clip(np.dot(u[0], u[1]), -1.0, 1.0)))
-    bis = u[0] + u[1]
-    norm = np.hypot(bis[0], bis[1])
-    if norm == 0.0:
-        return np.zeros(2)
-    return local_speed(theta, cfg.units) * bis / norm
-
-
-def local_wavelength(theta: float, omega: float, units: UnitSystem = NATURAL) -> float:
-    """Local wavelength h/(m*v) = 4*pi*c/(omega*sin(theta)), transverse to v."""
+def local_wavelength(theta: float, omega: float) -> float:
+    """Local wavelength 2*pi/(m*v) = 4*pi/(omega*sin(theta)), transverse to v."""
     s = math.sin(theta)
     if s == 0.0:
         return math.inf
-    return 4.0 * math.pi * units.c / (omega * s)
+    return 4.0 * math.pi / (omega * s)
 
 
 def classify_region(p, cfg: SlitConfig) -> Region:
-    """Amplitude-ratio label with a_i = 1/r_i and configurable thresholds."""
-    r, _ = _radials(p, cfg)
-    a = 1.0 / r
-    ratio = a.min() / a.max()
-    if ratio >= cfg.balanced_threshold:
-        return Region.BALANCED
-    if ratio <= cfg.near_threshold:
-        return Region.NEAR_SLIT_1 if a[0] > a[1] else Region.NEAR_SLIT_2
-    return Region.TRANSITION
+    """Amplitude-ratio label with a_i = 1/r_i and the module thresholds."""
+    return _region(_point_state(p, cfg)[0])
 
 
 def weighted_local_state(p, cfg: SlitConfig) -> LocalInterferenceState:
     """Amplitude-weighted local kinematics, valid through all regions.
 
     With energy weights w_i = a_i**2 the normalized momentum is
-    n = (w1*u1 + w2*u2)/(w1 + w2); then v = c*n and
-    m = (hbar*omega/c**2)*sqrt(1 - |n|**2).  Equal weights reduce to the
-    balanced-region sin/cos forms; a vanishing weight gives a massless
-    radial wave.
+    n = (w1*u1 + w2*u2)/(w1 + w2); then v = n and m = omega*sqrt(1 - |n|**2).
+    Equal weights reduce to the balanced-region sin/cos forms; a vanishing
+    weight gives a massless radial wave.
     """
-    units = cfg.units
-    r, u = _radials(p, cfg)
+    r, u, n = _point_state(p, cfg)
     a = 1.0 / r
-    w = a**2
-    n = (w[0] * u[0] + w[1] * u[1]) / (w[0] + w[1])
-    n_mag = float(np.hypot(n[0], n[1]))
-    theta = math.acos(float(np.clip(np.dot(u[0], u[1]), -1.0, 1.0)))
-    m = units.hbar * cfg.omega / units.c**2 * math.sqrt(max(0.0, 1.0 - n_mag**2))
-    v = units.c * n
-    speed = units.c * n_mag
-    lam = units.h / (m * speed) if m > 0 and speed > 0 else math.inf
+    speed = float(np.hypot(n[0], n[1]))
+    m = cfg.omega * math.sqrt(max(0.0, 1.0 - speed**2))
+    lam = 2.0 * math.pi / (m * speed) if m > 0 and speed > 0 else math.inf
     return LocalInterferenceState(
-        theta=theta,
+        theta=_theta(u),
         m=m,
-        v=v,
+        v=n,
         lambda_sub=lam,
-        region=classify_region(p, cfg),
+        region=_region(r),
         weights=(float(a[0]), float(a[1])),
     )
 
 
-#: Stagnation threshold on |v|/c for trajectory termination.
+#: Stagnation threshold on |v| for trajectory termination.
 STAGNATION_SPEED = 1e-6
 
 
 def _flow_direction(p, cfg: SlitConfig):
     """Unit direction of the weighted velocity field, or None where it stagnates."""
-    r, u = _radials(p, cfg)
-    w = 1.0 / r**2
-    n = (w[0] * u[0] + w[1] * u[1]) / (w[0] + w[1])
+    n = _point_state(p, cfg)[2]
     n_mag = np.hypot(n[0], n[1])
     if n_mag < STAGNATION_SPEED:
         return None, n_mag
@@ -214,7 +219,7 @@ def integrate_trajectory(
     """Fixed-step RK4 streamline of the local velocity direction field.
 
     Arc-length parameterized; elapsed time accumulates as step/|v|.
-    Terminates at the domain boundary, on stagnation (|v| < 1e-6 c) or at
+    Terminates at the domain boundary, on stagnation (|v| < 1e-6) or at
     ``max_steps``.
     """
     if step is None:
@@ -222,8 +227,8 @@ def integrate_trajectory(
     if step > cfg.d / 100.0:
         raise ValueError(f"step must be <= d/100 = {cfg.d / 100.0}, got {step}")
     p = np.asarray(start, dtype=float).copy()
-    _radials(p, cfg)  # raises at a slit
-    c = cfg.units.c
+    _point_state(p, cfg)  # raises at a slit
+    x_min, x_max, y_half = cfg.x_min, cfg.x_max, cfg.y_half
     points = [p.copy()]
     times = [0.0]
     termination = "max_steps"
@@ -241,8 +246,8 @@ def integrate_trajectory(
             break
         p = p + step / 6.0 * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
         points.append(p.copy())
-        times.append(times[-1] + step / (c * n_mag))
-        if not (cfg.x_min <= p[0] <= cfg.x_max and abs(p[1]) <= cfg.y_half):
+        times.append(times[-1] + step / n_mag)
+        if not (x_min <= p[0] <= x_max and abs(p[1]) <= y_half):
             termination = "boundary"
             break
     return Trajectory(np.array(points), np.array(times), termination)
@@ -266,8 +271,7 @@ def screen_intensity(cfg: SlitConfig, points) -> np.ndarray:
     r1 = np.hypot(rel1[..., 0], rel1[..., 1])
     r2 = np.hypot(rel2[..., 0], rel2[..., 1])
     a1, a2 = 1.0 / r1, 1.0 / r2
-    k = cfg.omega / cfg.units.c
-    return a1**2 + a2**2 + 2.0 * a1 * a2 * np.cos(k * (r1 - r2))
+    return a1**2 + a2**2 + 2.0 * a1 * a2 * np.cos(cfg.omega * (r1 - r2))
 
 
 def fringe_spacing_measured(
@@ -315,6 +319,8 @@ def fringe_spacing_measured(
         D=D,
         rel_error=abs(measured - predicted) / predicted,
         maxima=maxima,
+        s=s,
+        intensity=intensity,
     )
 
 
@@ -323,7 +329,6 @@ def mass_map(cfg: SlitConfig, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     Returns an array of shape (len(x), len(y)) with [i, j] = m(x[i], y[j]).
     """
-    units = cfg.units
     X, Y = np.meshgrid(np.asarray(x, float), np.asarray(y, float), indexing="ij")
     y1, y2 = cfg.d / 2.0, -cfg.d / 2.0
     r1 = np.hypot(X, Y - y1)
@@ -335,4 +340,4 @@ def mass_map(cfg: SlitConfig, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     nx = (w1 * X / r1 + w2 * X / r2) / (w1 + w2)
     ny = (w1 * (Y - y1) / r1 + w2 * (Y - y2) / r2) / (w1 + w2)
     n2 = np.clip(nx**2 + ny**2, 0.0, 1.0)
-    return units.hbar * cfg.omega / units.c**2 * np.sqrt(1.0 - n2)
+    return cfg.omega * np.sqrt(1.0 - n2)

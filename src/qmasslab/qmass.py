@@ -1,11 +1,12 @@
 """Four-momentum algebra: quantum rest mass, group velocity, matter wavelength.
 
-A bidirectional wave carrying one photon's worth of energy has
+In natural units (c = hbar = 1, h = 2*pi) a bidirectional wave carrying
+one photon's worth of energy has
 
-    E = hbar*(w+ + w-)/2,    p = hbar*(w+ - w-)/(2c)  along its axis,
+    E = (w+ + w-)/2,    p = (w+ - w-)/2  along its axis,
 
-and the invariant mass sqrt(E**2 - p**2 c**2)/c**2 = hbar*sqrt(w+ w-)/c**2.
-A single free wave is massless; a standing wave has mass hbar*omega/c**2.
+and the invariant mass sqrt(E**2 - p**2) = sqrt(w+ w-).  A single free wave
+is massless; a standing wave has mass omega.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidBoostError, InvalidMomentumError, UndefinedMassError
-from .units import NATURAL, UnitSystem
 from .wavecore import BidirectionalWave, gamma_of
 
 __all__ = [
@@ -31,13 +31,13 @@ __all__ = [
     "mass_state_of",
 ]
 
-#: Relative tolerance for the timelike/null invariant E**2 - p**2 c**2 >= 0.
+#: Relative tolerance for the timelike/null invariant E**2 - p**2 >= 0.
 SPACELIKE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class FourMomentum:
-    """Energy and planar momentum (momentum in energy/c units)."""
+    """Energy and planar momentum."""
 
     E: float
     px: float
@@ -60,68 +60,56 @@ class MassState:
     p: float
 
 
-def four_momentum_of(b: BidirectionalWave, units: UnitSystem = NATURAL) -> FourMomentum:
+def four_momentum_of(b: BidirectionalWave) -> FourMomentum:
     """Total four-momentum of a single-photon bidirectional wave."""
-    E = units.hbar * (b.omega_plus + b.omega_minus) / 2.0
-    p = units.hbar * (b.omega_plus - b.omega_minus) / (2.0 * units.c)
+    E = (b.omega_plus + b.omega_minus) / 2.0
+    p = (b.omega_plus - b.omega_minus) / 2.0
     return FourMomentum(E, p * b.axis[0], p * b.axis[1])
 
 
-def invariant_mass(P: FourMomentum, units: UnitSystem = NATURAL) -> float:
-    """Rest mass sqrt(E**2 - p**2 c**2)/c**2; zero for null momenta."""
-    c = units.c
-    m2c4 = P.E**2 - (P.px**2 + P.py**2) * c**2
-    if m2c4 < -SPACELIKE_TOL * P.E**2:
-        raise InvalidMomentumError(
-            f"spacelike four-momentum: E^2 - p^2 c^2 = {m2c4}"
-        )
-    return math.sqrt(max(m2c4, 0.0)) / c**2
+def invariant_mass(P: FourMomentum) -> float:
+    """Rest mass sqrt(E**2 - p**2); zero for null momenta."""
+    m2 = P.E**2 - (P.px**2 + P.py**2)
+    if m2 < -SPACELIKE_TOL * P.E**2:
+        raise InvalidMomentumError(f"spacelike four-momentum: E^2 - p^2 = {m2}")
+    return math.sqrt(max(m2, 0.0))
 
 
-def group_velocity(P: FourMomentum, units: UnitSystem = NATURAL) -> np.ndarray:
-    """Velocity vector v = p c**2 / E."""
+def group_velocity(P: FourMomentum) -> np.ndarray:
+    """Velocity vector v = p / E."""
     if P.E <= 0:
         raise InvalidMomentumError(f"energy must be positive, got {P.E}")
-    return np.array([P.px, P.py]) * units.c**2 / P.E
+    return np.array([P.px, P.py]) / P.E
 
 
-def de_broglie_wavelength(
-    m: float, v: float, gamma: float | None = None, units: UnitSystem = NATURAL
-) -> float:
+def de_broglie_wavelength(m: float, v: float, gamma: float | None = None) -> float:
     """Matter wavelength h/(gamma*m*v); infinite for a configuration at rest."""
     if m <= 0:
         raise UndefinedMassError(f"mass must be positive, got {m}")
     if v == 0:
         return math.inf
     if gamma is None:
-        gamma = gamma_of(v / units.c)
-    return units.h / (gamma * m * v)
+        gamma = gamma_of(v)
+    return 2.0 * math.pi / (gamma * m * v)
 
 
-def boost_four_momentum(
-    P: FourMomentum, beta: float, units: UnitSystem = NATURAL
-) -> FourMomentum:
+def boost_four_momentum(P: FourMomentum, beta: float) -> FourMomentum:
     """Boost by +beta along x, matching the plane-wave Doppler convention."""
     if abs(beta) >= 1.0:
         raise InvalidBoostError(f"|beta| must be < 1, got {beta}")
     if beta == 0.0:
         return P
     g = gamma_of(beta)
-    c = units.c
-    return FourMomentum(
-        g * (P.E + beta * c * P.px),
-        g * (P.px + beta * P.E / c),
-        P.py,
-    )
+    return FourMomentum(g * (P.E + beta * P.px), g * (P.px + beta * P.E), P.py)
 
 
-def mass_state_of(b: BidirectionalWave, units: UnitSystem = NATURAL) -> MassState:
+def mass_state_of(b: BidirectionalWave) -> MassState:
     """Quantum rest mass, group speed and matter wavelength of ``b``."""
-    P = four_momentum_of(b, units)
-    m = invariant_mass(P, units)
-    vvec = group_velocity(P, units)
+    P = four_momentum_of(b)
+    m = invariant_mass(P)
+    vvec = group_velocity(P)
     v = float(np.hypot(vvec[0], vvec[1]))
     p = P.p
-    lam = units.h / p if p > 0 else math.inf
+    lam = 2.0 * math.pi / p if p > 0 else math.inf
     direction = (vvec[0] / v, vvec[1] / v) if v > 0 else b.axis
     return MassState(m=m, v=v, direction=direction, lambda_dB=lam, E=P.E, p=p)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -17,8 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import boxwell, doubleslit, qmass, wavecore
-from .errors import InvalidConfigError, QmassError
-from .units import NATURAL
+from .errors import InvalidConfigError
 
 SCHEMA_VERSION = 1
 
@@ -47,7 +47,7 @@ DEFAULTS: dict[str, dict] = {
     "doubleslit-fringes": {"d": 0.5, "wavelength": 0.01, "D": 50.0, "screen": "arc"},
     "box-beat": {"W": 1.0, "L": 0.1, "omega0": 100.0, "v": 0.0627080, "probe": 0.275},
     "box-states": {"W": 1.0, "L": 0.1, "omega0": 100.0, "v": 0.0627080, "n_positions": 160},
-    "box-quantize": {"W": 1.0, "L": 0.1, "omega0": 100.0, "n_max": 5},
+    "box-quantize": {"W": 1.0, "L": 0.1, "omega0": 100.0, "v": 0.05, "n_max": 5},
 }
 
 
@@ -149,8 +149,8 @@ def _run_boost(params: dict, out: Path, summary: RunSummary) -> None:
     s = wavecore.superposition_of(b)
     x = wavecore.envelope_sampling_grid(
         b,
-        min_envelope_periods=int(params["envelope_periods"]),
-        points_per_period=int(params["points_per_period"]),
+        min_envelope_periods=params["envelope_periods"],
+        points_per_period=params["points_per_period"],
     )
     snapshot = wavecore.evaluate(s, x, 0.3)
     measured_lam = wavecore.measure_envelope_wavelength(x, snapshot)
@@ -167,35 +167,31 @@ def _run_boost(params: dict, out: Path, summary: RunSummary) -> None:
     summary.files.append("field.csv")
 
 
+def _slit_config(params: dict) -> doubleslit.SlitConfig:
+    return doubleslit.SlitConfig(d=params["d"], omega=2.0 * math.pi / params["wavelength"])
+
+
 def _run_doubleslit_fringes(params: dict, out: Path, summary: RunSummary) -> None:
-    cfg = doubleslit.SlitConfig(d=params["d"], omega=2.0 * math.pi / params["wavelength"])
+    cfg = _slit_config(params)
     report = doubleslit.fringe_spacing_measured(cfg, params["D"], screen=params["screen"])
     summary.metrics.append(
         Metric("fringe_spacing", report.predicted, report.measured, 0.01, "oracle")
     )
-    n = int(7 * 64) | 1
-    s = np.linspace(-3.5 * report.predicted, 3.5 * report.predicted, n)
-    if params["screen"] == "arc":
-        phi = s / params["D"]
-        pts = np.stack([params["D"] * np.cos(phi), params["D"] * np.sin(phi)], axis=-1)
-    else:
-        pts = np.stack([np.full_like(s, params["D"]), s], axis=-1)
-    export_series(s, doubleslit.screen_intensity(cfg, pts), out / "intensity.csv")
+    export_series(report.s, report.intensity, out / "intensity.csv")
     summary.files.append("intensity.csv")
 
 
 def _run_doubleslit_map(params: dict, out: Path, summary: RunSummary) -> None:
-    cfg = doubleslit.SlitConfig(d=params["d"], omega=2.0 * math.pi / params["wavelength"])
-    x = np.linspace(0.0, params["x_span"] * cfg.d, int(params["nx"]))
-    y = np.linspace(-params["y_span"] * cfg.d, params["y_span"] * cfg.d, int(params["ny"]))
+    cfg = _slit_config(params)
+    x = np.linspace(0.0, params["x_span"] * cfg.d, params["nx"])
+    y = np.linspace(-params["y_span"] * cfg.d, params["y_span"] * cfg.d, params["ny"])
     m = doubleslit.mass_map(cfg, x, y)
     midpoint_mass = doubleslit.weighted_local_state((0.0, 0.0), cfg).m
     axis_x = np.linspace(cfg.d / 100.0, 10.0 * cfg.d, 500)
     axis_m = doubleslit.mass_map(cfg, axis_x, np.array([0.0]))[:, 0]
     increases = int(np.sum(np.diff(axis_m) > 0))
     summary.metrics += [
-        Metric("midpoint_mass", cfg.units.hbar * cfg.omega / cfg.units.c**2,
-               midpoint_mass, 1e-9, "formula"),
+        Metric("midpoint_mass", cfg.omega, midpoint_mass, 1e-9, "formula"),
         Metric("grid_maximum", midpoint_mass, float(np.nanmax(m)), 1e-9, "oracle"),
         Metric("axis_monotone_violations", 0.0, float(increases), 0.0, "oracle"),
     ]
@@ -204,12 +200,10 @@ def _run_doubleslit_map(params: dict, out: Path, summary: RunSummary) -> None:
 
 
 def _run_doubleslit_traj(params: dict, out: Path, summary: RunSummary) -> None:
-    cfg = doubleslit.SlitConfig(d=params["d"], omega=2.0 * math.pi / params["wavelength"])
+    cfg = _slit_config(params)
     worst_far = 0.0
     for i, start in enumerate(params["starts"]):
-        traj = doubleslit.integrate_trajectory(
-            start, cfg, max_steps=int(params["max_steps"])
-        )
+        traj = doubleslit.integrate_trajectory(start, cfg, max_steps=params["max_steps"])
         name = f"trajectory_{i:03d}.csv"
         lines = ["x,y,value"]
         lines += [
@@ -240,27 +234,22 @@ def _box_config(params: dict) -> boxwell.BoxConfig:
 def _run_box_beat(params: dict, out: Path, summary: RunSummary) -> None:
     cfg = _box_config(params)
     beats = boxwell.analyze_beats(cfg, params["probe"])
-    duration = 8.0 * 2.0 * math.pi / cfg.delta_omega
-    dt = 2.0 * math.pi / (cfg.omega_bar + cfg.delta_omega) / 16.0
-    t = np.arange(0.0, duration, dt)
-    series = wavecore.evaluate(boxwell.build_field(cfg), params["probe"], t)
     summary.metrics += [
         Metric("fast_frequency", beats.predicted_fast, beats.fast, 5e-3, "oracle"),
         Metric("slow_frequency", beats.predicted_slow, beats.slow, 5e-3, "oracle"),
     ]
-    export_series(t, series, out / "probe_series.csv", header="t,value")
+    export_series(beats.times, beats.values, out / "probe_series.csv", header="t,value")
     summary.files.append("probe_series.csv")
 
 
 def _run_box_states(params: dict, out: Path, summary: RunSummary) -> None:
     cfg = _box_config(params)
-    trace = boxwell.trace_states_vs_position(cfg, n_positions=int(params["n_positions"]))
-    p = qmass.four_momentum_of(cfg.forward_pair()).p
+    trace = boxwell.trace_states_vs_position(cfg, n_positions=params["n_positions"])
+    p = qmass.four_momentum_of(wavecore.boost_standing_wave(cfg.omega0, cfg.v)).p
     modulus = trace.a_cos**2 + trace.a_sin**2
     flatness = float(np.max(modulus) / np.min(modulus) - 1.0)
     summary.metrics += [
-        Metric("envelope_wavenumber", p / cfg.units.hbar,
-               trace.envelope_wavenumber, 5e-3, "oracle"),
+        Metric("envelope_wavenumber", p, trace.envelope_wavenumber, 5e-3, "oracle"),
         Metric("helix_modulus_flatness", 0.0, flatness, 0.02, "oracle"),
     ]
     export_series(trace.x, trace.a_cos, out / "cosine_state.csv")
@@ -269,19 +258,22 @@ def _run_box_states(params: dict, out: Path, summary: RunSummary) -> None:
 
 
 def _run_box_quantize(params: dict, out: Path, summary: RunSummary) -> None:
-    cfg = boxwell.BoxConfig(
-        W=params["W"], L=params["L"], omega0=params["omega0"],
-        v=params.get("v", 0.05),
-    )
-    reports = boxwell.quantize(cfg, int(params["n_max"]))
+    cfg = _box_config(params)
+    reports = boxwell.quantize(cfg, params["n_max"])
     x = np.linspace(0.0, cfg.W, 513)
     for rep in reports:
+        # Exact (E_sch - E_kin)/E_sch = 1 - 2(sqrt(1+x) - 1)/x with x = (p/m)**2,
+        # m = omega0, written without cancellation.
+        root = math.sqrt(1.0 + (rep.p_schrodinger / cfg.omega0) ** 2)
+        e_sch = rep.schrodinger_energy
         summary.metrics += [
             Metric(f"momentum_n{rep.n}", rep.p_schrodinger, rep.p_n, 1e-9, "formula"),
             Metric(
                 f"energy_n{rep.n}", rep.schrodinger_energy, rep.kinetic_energy,
                 rep.relativistic_bound, "formula",
             ),
+            Metric(f"energy_discrepancy_n{rep.n}", (root - 1.0) / (root + 1.0),
+                   (e_sch - rep.kinetic_energy) / e_sch, 1e-7, "formula"),
         ]
         name = f"envelope_n{rep.n}.csv"
         export_series(x, boxwell.quantized_envelope(rep.delta_k, x), out / name)
@@ -299,15 +291,43 @@ _RUNNERS = {
 }
 
 
+def _finite(value) -> bool:
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max
+    )
+
+
+def _check_type(key: str, value, default) -> None:
+    """Reject ``value`` unless it has the type of ``default``."""
+    if isinstance(default, list):  # a non-empty list of (x, y) points
+        ok = isinstance(value, list) and len(value) > 0 and all(
+            isinstance(p, (list, tuple)) and len(p) == 2 and all(map(_finite, p))
+            for p in value
+        )
+    elif isinstance(default, str):
+        ok = isinstance(value, str)
+    elif isinstance(default, int):
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    else:
+        ok = _finite(value)
+    _require(ok, f"parameter {key} must be of the type of its default {default!r}, "
+                 f"got {value!r}")
+
+
 def run(kind: str, params: dict | None = None, out_dir=".") -> RunSummary:
     """Execute one scenario pipeline and write its data files and summary."""
     if kind not in _RUNNERS:
         raise InvalidConfigError(f"unknown scenario {kind!r}; choose from {SCENARIOS}")
-    merged = dict(DEFAULTS[kind])
-    merged.update(params or {})
-    unknown = set(merged) - set(DEFAULTS[kind]) - {"v"}
+    defaults, params = DEFAULTS[kind], params or {}
+    unknown = set(params) - set(defaults)
     if unknown:
         raise InvalidConfigError(f"unknown parameter(s) for {kind}: {sorted(unknown)}")
+    merged = dict(defaults)
+    for key, value in params.items():
+        _check_type(key, value, defaults[key])
+        merged[key] = value
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     summary = RunSummary(kind=kind, params=merged)

@@ -1,9 +1,10 @@
 """Scalar plane waves: Doppler boosts, superposition, factorization, measurement.
 
-All waves are lightlike scalars: the wavenumber is always omega/c and is
-never stored independently.  Measurement utilities (zero-crossing
-wavelengths, spectral peaks, finite-difference residuals) are the
-numerical oracles used to verify the closed forms elsewhere.
+Natural units throughout (c = hbar = 1).  All waves are lightlike scalars:
+the wavenumber always equals omega and is never stored independently.
+Measurement utilities (zero-crossing wavelengths, spectral peaks,
+finite-difference residuals) are the numerical oracles used to verify the
+closed forms elsewhere.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from scipy.optimize import minimize_scalar
 from scipy.signal import hilbert
 
 from .errors import InsufficientSpanError, InvalidBoostError, InvalidWaveError
-from .units import NATURAL, UnitSystem
 
 
 def _unit2(vec) -> tuple[float, float]:
@@ -43,9 +43,8 @@ class PlaneWave:
             raise InvalidWaveError(f"omega must be positive, got {self.omega}")
         object.__setattr__(self, "direction", _unit2(self.direction))
 
-    def wavevector(self, units: UnitSystem = NATURAL) -> np.ndarray:
-        k = self.omega / units.c
-        return np.array([k * self.direction[0], k * self.direction[1]])
+    def wavevector(self) -> np.ndarray:
+        return np.array([self.omega * self.direction[0], self.omega * self.direction[1]])
 
 
 @dataclass(frozen=True)
@@ -121,7 +120,7 @@ def gamma_of(beta: float) -> float:
     return 1.0 / math.sqrt(1.0 - beta * beta)
 
 
-def doppler_boost(w: PlaneWave, beta: float, units: UnitSystem = NATURAL) -> PlaneWave:
+def doppler_boost(w: PlaneWave, beta: float) -> PlaneWave:
     """Boost a plane wave by +beta along the x-axis.
 
     Convention: omega' = gamma * omega * (1 + beta * d_x), the direction
@@ -135,15 +134,13 @@ def doppler_boost(w: PlaneWave, beta: float, units: UnitSystem = NATURAL) -> Pla
     g = gamma_of(beta)
     dx, dy = w.direction
     omega_p = g * w.omega * (1.0 + beta * dx)
-    # Null four-wavevector transform: k'_x = gamma*(k_x + beta*omega/c), k'_y = k_y.
+    # Null four-wavevector transform: k'_x = gamma*(k_x + beta*omega), k'_y = k_y.
     kx_p = g * (dx + beta)
     ky_p = dy
     return PlaneWave(w.amplitude, omega_p, (kx_p, ky_p), w.phase)
 
 
-def boost_standing_wave(
-    omega0: float, beta: float, units: UnitSystem = NATURAL
-) -> BidirectionalWave:
+def boost_standing_wave(omega0: float, beta: float) -> BidirectionalWave:
     """Frequency pair of a rest-frame standing wave seen after a boost by beta.
 
     omega_plus = gamma*omega0*(1+|beta|), omega_minus = gamma*omega0*(1-|beta|),
@@ -162,9 +159,7 @@ def boost_standing_wave(
     return BidirectionalWave(g * omega0 * (1.0 + b), g * omega0 * (1.0 - b), axis)
 
 
-def superposition_of(
-    b: BidirectionalWave, amplitude: float = 1.0, units: UnitSystem = NATURAL
-) -> Superposition:
+def superposition_of(b: BidirectionalWave, amplitude: float = 1.0) -> Superposition:
     """Two equal-amplitude counter-propagating plane waves realizing ``b``."""
     ax = b.axis
     return Superposition(
@@ -175,45 +170,31 @@ def superposition_of(
     )
 
 
-def evaluate(s: Superposition, x, t, units: UnitSystem = NATURAL):
+def evaluate(s: Superposition, x, t):
     """Field value at positions (x, 0) and times t; x and t broadcast."""
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
     out = np.zeros(np.broadcast_shapes(x.shape, t.shape))
     for w in s.waves:
-        kx = w.omega / units.c * w.direction[0]
+        kx = w.omega * w.direction[0]
         out = out + w.amplitude * np.sin(kx * x - w.omega * t + w.phase)
     return out
 
 
-def evaluate_xy(s: Superposition, points, t, units: UnitSystem = NATURAL):
-    """Field value at 2D points of shape (..., 2) and times t."""
-    pts = np.asarray(points, dtype=float)
-    t = np.asarray(t, dtype=float)
-    out = 0.0
-    for w in s.waves:
-        kvec = w.wavevector(units)
-        out = out + w.amplitude * np.sin(
-            pts[..., 0] * kvec[0] + pts[..., 1] * kvec[1] - w.omega * t + w.phase
-        )
-    return out
-
-
 def factor_carrier_envelope(
-    b: BidirectionalWave, amplitude: float = 1.0, units: UnitSystem = NATURAL
+    b: BidirectionalWave, amplitude: float = 1.0
 ) -> CarrierEnvelopePair:
     """Factor a bidirectional wave into superluminal envelope times carrier.
 
-    With k_pm = omega_pm/c the product form (x measured along the axis) is
+    With k_pm = omega_pm the product form (x measured along the axis) is
 
         2*A * sin(dk*x - wbar*t) * cos(kbar*x - dw*t)
 
     where dk = (k+ - k-)/2, wbar = (w+ + w-)/2 (the envelope factor, phase
-    speed c**2/v >= c) and kbar = (k+ + k-)/2, dw = (w+ - w-)/2 (the
-    carrier, phase speed v <= c).
+    speed 1/v >= 1) and kbar = (k+ + k-)/2, dw = (w+ - w-)/2 (the
+    carrier, phase speed v <= 1).
     """
-    c = units.c
-    kp, km = b.omega_plus / c, b.omega_minus / c
+    kp, km = b.omega_plus, b.omega_minus
     envelope = WaveFactor((kp - km) / 2.0, (b.omega_plus + b.omega_minus) / 2.0)
     carrier = WaveFactor((kp + km) / 2.0, (b.omega_plus - b.omega_minus) / 2.0)
     return CarrierEnvelopePair(carrier, envelope, 2.0 * amplitude)
@@ -266,7 +247,6 @@ def envelope_sampling_grid(
     b: BidirectionalWave,
     min_envelope_periods: int = 4,
     points_per_period: int = 64,
-    units: UnitSystem = NATURAL,
 ) -> np.ndarray:
     """Spatial grid spanning whole envelope and (near-)whole carrier periods.
 
@@ -276,14 +256,14 @@ def envelope_sampling_grid(
     """
     from fractions import Fraction
 
-    pair = factor_carrier_envelope(b, units=units)
+    pair = factor_carrier_envelope(b)
     if pair.envelope.wavenumber == 0.0:
         raise InvalidWaveError("standing wave has an infinite envelope wavelength")
     beta = (b.omega_plus - b.omega_minus) / (b.omega_plus + b.omega_minus)
     p = Fraction(beta).limit_denominator(64).numerator
     m = p * max(1, math.ceil(min_envelope_periods / p))
     span = m * pair.envelope.wavelength
-    dx_target = 2.0 * math.pi * units.c / b.omega_plus / points_per_period
+    dx_target = 2.0 * math.pi / b.omega_plus / points_per_period
     n = round(span / dx_target)
     return np.arange(n) * (span / n)
 
@@ -341,13 +321,11 @@ def sample_grid(
     x_span: tuple[float, float],
     t_span: tuple[float, float],
     points_per_period: int = 64,
-    units: UnitSystem = NATURAL,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Uniform space-time grid resolving the fastest component."""
-    dx = 2.0 * math.pi * units.c / omega_max / points_per_period
-    dt = 2.0 * math.pi / omega_max / points_per_period
-    x = np.arange(x_span[0], x_span[1] + dx / 2, dx)
-    t = np.arange(t_span[0], t_span[1] + dt / 2, dt)
+    step = 2.0 * math.pi / omega_max / points_per_period  # dx = dt, as c = 1
+    x = np.arange(x_span[0], x_span[1] + step / 2, step)
+    t = np.arange(t_span[0], t_span[1] + step / 2, step)
     return x, t
 
 
@@ -355,10 +333,9 @@ def wave_equation_residual(
     field,
     x: np.ndarray,
     t: np.ndarray,
-    units: UnitSystem = NATURAL,
     omega_max: float | None = None,
 ) -> float:
-    """Normalized interior maximum of |F_tt - c**2 F_xx| by central differences.
+    """Normalized interior maximum of |F_tt - F_xx| by central differences.
 
     ``field`` is a Superposition or a callable (x_grid, t_grid) -> F with
     F[i, j] = F(x[i], t[j]); callables must supply ``omega_max`` for the
@@ -367,7 +344,7 @@ def wave_equation_residual(
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
     if isinstance(field, Superposition):
-        F = evaluate(field, x[:, None], t[None, :], units)
+        F = evaluate(field, x[:, None], t[None, :])
         if omega_max is None:
             omega_max = field.omega_max
     else:
@@ -378,5 +355,5 @@ def wave_equation_residual(
     dt = t[1] - t[0]
     ftt = (F[:, 2:] - 2.0 * F[:, 1:-1] + F[:, :-2]) / dt**2
     fxx = (F[2:, :] - 2.0 * F[1:-1, :] + F[:-2, :]) / dx**2
-    res = ftt[1:-1, :] - units.c**2 * fxx[:, 1:-1]
+    res = ftt[1:-1, :] - fxx[:, 1:-1]
     return float(np.max(np.abs(res)) / (np.max(np.abs(F)) * omega_max**2))

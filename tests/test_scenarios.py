@@ -1,11 +1,15 @@
+import dataclasses
 import json
 import math
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from qmasslab import cli, scenarios
+from qmasslab import boxwell, cli, scenarios
 from qmasslab.errors import InvalidConfigError
 
 # fast overrides keeping every scenario well under a second
@@ -71,7 +75,62 @@ def test_unknown_parameter_rejected(tmp_path):
         scenarios.run("boost", {"banana": 1}, tmp_path)
 
 
+@pytest.mark.parametrize(
+    "kind, params",
+    [
+        ("doubleslit-traj", {"starts": [[1.0]]}),
+        ("doubleslit-traj", {"starts": []}),
+        ("doubleslit-fringes", {"D": float("nan")}),
+        ("box-states", {"n_positions": 32.0}),
+    ],
+)
+def test_mistyped_parameter_rejected(kind, params, tmp_path):
+    with pytest.raises(InvalidConfigError):
+        scenarios.run(kind, params, tmp_path)
+
+
+def test_energy_gate_catches_one_percent_error(tmp_path, monkeypatch):
+    quantize = boxwell.quantize
+    monkeypatch.setattr(
+        boxwell,
+        "quantize",
+        lambda cfg, n_max: [
+            dataclasses.replace(r, kinetic_energy=1.01 * r.kinetic_energy)
+            for r in quantize(cfg, n_max)
+        ],
+    )
+    summary = scenarios.run("box-quantize", {"n_max": 5}, tmp_path)
+    failed = {m.name for m in summary.metrics if not m.passed}
+    assert {f"energy_discrepancy_n{n}" for n in range(1, 6)} <= failed
+
+
 class TestCli:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["boost", "--set", "v=3"],
+            ["boost", "--set", "omega0=true"],
+            ["doubleslit-map", "--set", "nx=2.5"],
+            ["boost", "--set", "omega0=abc"],
+            ["box-beat", "--set", "probe=[1]"],
+        ],
+    )
+    def test_mistyped_override_exit_2(self, argv, tmp_path, capsys):
+        assert cli.main(argv + ["--out", str(tmp_path)]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_module_run_is_warning_free(self, tmp_path):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "qmasslab.cli",
+             "boost", "--out", str(tmp_path)],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert proc.returncode == 0, proc.stderr
+
     def test_success_exit_code(self, tmp_path, capsys):
         code = cli.main(["boost", "--out", str(tmp_path)])
         assert code == 0
