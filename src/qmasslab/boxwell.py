@@ -326,7 +326,7 @@ def quantize(cfg: BoxConfig, n_max: int) -> list[QuantizationReport]:
         v_n = speed_for_mode(cfg.W, cfg.omega0, n)
         g = gamma_of(v_n)
         dk = g * cfg.omega0 * v_n
-        e_kin = (g - 1.0) * m
+        e_kin = m * (g * v_n) ** 2 / (g + 1.0)  # (g - 1)*m without cancellation
         e_sch = n**2 * math.pi**2 / (2.0 * m * cfg.W**2)
         reports.append(
             QuantizationReport(

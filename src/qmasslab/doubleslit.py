@@ -265,11 +265,8 @@ def fringe_spacing_predicted(cfg: SlitConfig, D: float) -> float:
 
 def screen_intensity(cfg: SlitConfig, points) -> np.ndarray:
     """Time-averaged two-source intensity with the 1/r amplitude law."""
-    pts = np.asarray(points, dtype=float)
-    rel1 = pts - cfg.slits[0]
-    rel2 = pts - cfg.slits[1]
-    r1 = np.hypot(rel1[..., 0], rel1[..., 1])
-    r2 = np.hypot(rel2[..., 0], rel2[..., 1])
+    rel = np.asarray(points, dtype=float)[..., None, :] - cfg.slits
+    r1, r2 = np.moveaxis(np.hypot(rel[..., 0], rel[..., 1]), -1, 0)
     a1, a2 = 1.0 / r1, 1.0 / r2
     return a1**2 + a2**2 + 2.0 * a1 * a2 * np.cos(cfg.omega * (r1 - r2))
 

@@ -127,8 +127,6 @@ def doppler_boost(w: PlaneWave, beta: float) -> PlaneWave:
     transformed by relativistic aberration.  The amplitude is carried
     unchanged.  beta = 0 returns the input exactly.
     """
-    if abs(beta) >= 1.0:
-        raise InvalidBoostError(f"|beta| must be < 1, got {beta}")
     if beta == 0.0:
         return w
     g = gamma_of(beta)
@@ -149,8 +147,6 @@ def boost_standing_wave(omega0: float, beta: float) -> BidirectionalWave:
     """
     if omega0 <= 0:
         raise InvalidWaveError(f"omega0 must be positive, got {omega0}")
-    if abs(beta) >= 1.0:
-        raise InvalidBoostError(f"|beta| must be < 1, got {beta}")
     if beta == 0.0:
         return BidirectionalWave(omega0, omega0)
     g = gamma_of(beta)
@@ -298,8 +294,7 @@ def measure_temporal_frequencies(times, values, count: int) -> np.ndarray:
     if not np.allclose(np.diff(t), dt, rtol=1e-9, atol=0.0):
         raise InsufficientSpanError("time steps must be uniform")
     v = v - v.mean()
-    vmax = np.max(np.abs(v))
-    if vmax < 1e-300:
+    if np.max(np.abs(v)) < 1e-300:
         raise InsufficientSpanError("constant series has no spectral peaks")
     window = np.hanning(len(v))
     wv = window * v

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qmasslab import boxwell, cli, scenarios
@@ -101,7 +102,30 @@ def test_energy_gate_catches_one_percent_error(tmp_path, monkeypatch):
     )
     summary = scenarios.run("box-quantize", {"n_max": 5}, tmp_path)
     failed = {m.name for m in summary.metrics if not m.passed}
-    assert {f"energy_discrepancy_n{n}" for n in range(1, 6)} <= failed
+    assert {f"kinetic_energy_n{n}" for n in range(1, 6)} <= failed
+
+
+@pytest.mark.parametrize("params", [{"W": 10.0}, {"omega0": 1000.0}])
+def test_energy_gate_passes_at_large_carrier_phase(params, tmp_path):
+    # omega0*W = 1000: the Schrodinger-relativistic discrepancy is ~1e-6 of E_sch
+    summary = scenarios.run("box-quantize", params, tmp_path)
+    assert summary.passed, [m.name for m in summary.metrics if not m.passed]
+
+
+@pytest.mark.parametrize(
+    "kind, params",
+    [
+        ("boost", {"omega0": np.float32(1.0), "envelope_periods": np.int64(4)}),
+        ("box-states", {"n_positions": np.int64(32), "v": np.float64(0.05)}),
+        ("doubleslit-traj", {"starts": np.array([[25.0, 0.0]]), "max_steps": np.int32(400)}),
+        ("doubleslit-traj", {"starts": ((25.0, 0.0),), "max_steps": 400}),
+    ],
+)
+def test_numpy_and_tuple_parameters_accepted(kind, params, tmp_path):
+    summary = scenarios.run(kind, params, tmp_path)
+    assert summary.passed
+    doc = json.loads((tmp_path / "summary.json").read_text())
+    assert set(params) <= set(doc["params"])
 
 
 class TestCli:
@@ -113,6 +137,7 @@ class TestCli:
             ["doubleslit-map", "--set", "nx=2.5"],
             ["boost", "--set", "omega0=abc"],
             ["box-beat", "--set", "probe=[1]"],
+            ["box-quantize", "--set", "v=0.05"],
         ],
     )
     def test_mistyped_override_exit_2(self, argv, tmp_path, capsys):
