@@ -29,10 +29,10 @@ for beta in (0.1, 0.3, 0.6, 0.9):
     print(f"  envelope phase speed  : {pair.envelope.phase_speed:.6f}  (= c^2/v > c)")
 
     # measure the envelope wavelength from a snapshot and compare with h/(gamma m v)
-    x = wavecore.envelope_sampling_grid(b, min_envelope_periods=4)
+    x = wavecore.envelope_sampling_grid(b)
     snap = wavecore.evaluate(wavecore.superposition_of(b), x, t=0.3)
     lam_measured = wavecore.measure_envelope_wavelength(x, snap)
-    lam_predicted = qmass.de_broglie_wavelength(state.m, state.v, wavecore.gamma_of(beta))
+    lam_predicted = qmass.de_broglie_wavelength(state.m, state.v)
     print(f"  de Broglie wavelength : {lam_predicted:.6f} predicted, "
           f"{lam_measured:.6f} measured from zero crossings")
     print()

@@ -52,6 +52,8 @@ class BoxConfig:
     v: float
 
     def __post_init__(self):
+        if not all(math.isfinite(f) for f in (self.W, self.L, self.omega0, self.v)):
+            raise InvalidConfigError(f"box parameters must be finite, got {self}")
         if not 0 < self.L <= self.W / 10.0:
             raise InvalidConfigError(
                 f"cavity must satisfy 0 < L <= W/10, got L={self.L}, W={self.W}"
@@ -64,12 +66,8 @@ class BoxConfig:
             )
 
     @property
-    def beta(self) -> float:
-        return self.v
-
-    @property
     def gamma(self) -> float:
-        return gamma_of(self.beta)
+        return gamma_of(self.v)
 
     @property
     def omega_bar(self) -> float:
@@ -77,7 +75,7 @@ class BoxConfig:
 
     @property
     def delta_omega(self) -> float:
-        return self.gamma * self.omega0 * self.beta
+        return self.gamma * self.omega0 * self.v
 
     @property
     def k_bar(self) -> float:
@@ -124,7 +122,6 @@ class QuantizationReport:
 
     n: int
     v_n: float
-    delta_k: float
     p_n: float
     p_schrodinger: float
     kinetic_energy: float
@@ -189,19 +186,18 @@ def analyze_beats(cfg: BoxConfig, probe: float) -> BeatAnalysis:
     )
 
 
-def project_internal_states(
-    cfg: BoxConfig, t: float, n_points: int = 2048
-) -> tuple[float, float]:
+def project_internal_states(cfg: BoxConfig, t: float) -> tuple[float, float]:
     """Least-squares snapshot amplitudes of the two internal-state shapes.
 
-    Fits F(., t) on [0, W] to a_c*sin(kbar*x)*cos(dk*x) + a_s*cos(kbar*x)*sin(dk*x);
-    the model is exact, so the residual is at rounding level.
+    Fits F(., t) at 2048 points on [0, W] to
+    a_c*sin(kbar*x)*cos(dk*x) + a_s*cos(kbar*x)*sin(dk*x); the model is
+    exact, so the residual is at rounding level.
     """
     if cfg.delta_k * cfg.W < 0.1:
         raise ConditioningError(
             f"near-degenerate basis: dk*W = {cfg.delta_k * cfg.W}"
         )
-    x = np.linspace(0.0, cfg.W, n_points)
+    x = np.linspace(0.0, cfg.W, 2048)
     snapshot = evaluate(build_field(cfg), x, t)
     basis = np.stack(
         [
@@ -214,32 +210,26 @@ def project_internal_states(
     return float(coeffs[0]), float(coeffs[1])
 
 
-def project_states_per_carrier_period(cfg: BoxConfig, n_samples: int = 256):
-    """Cosine-state amplitude sampled once per fast period.
+def project_states_per_carrier_period(cfg: BoxConfig):
+    """Cosine-state amplitude sampled once per fast period, 256 times.
 
     Strobing at the carrier period freezes the fast factor cos(wbar*t) at
     +1, exposing the slow oscillation 4*cos(dw*t) whose zero crossings are
     spaced pi/dw.
     """
     period = 2.0 * math.pi / cfg.omega_bar
-    t = np.arange(n_samples) * period
+    t = np.arange(256) * period
     a_c = np.array([project_internal_states(cfg, ti)[0] for ti in t])
     return t, a_c
 
 
-def trace_states_vs_position(
-    cfg: BoxConfig,
-    n_positions: int = 160,
-    window_points: int = 96,
-    fast_periods: int = 3,
-    points_per_period: int = 16,
-) -> InternalStateTrace:
+def trace_states_vs_position(cfg: BoxConfig, n_positions: int = 160) -> InternalStateTrace:
     """Internal-state amplitudes as the cavity sweeps the well at speed v.
 
     For each cavity center x_c (reached at t = x_c/v) the field restricted
-    to the cavity window is fitted over a few carrier periods to the local
-    carrier model with known time factors, leaving the slow spatial
-    envelope pair (cos(dk*x_c), sin(dk*x_c)).  The fitted envelope
+    to the cavity window (96 points) is fitted over 3 carrier periods (16
+    samples each) to the local carrier model with known time factors,
+    leaving the slow spatial envelope pair (cos(dk*x_c), sin(dk*x_c)).  The fitted envelope
     wavenumber equals the de Broglie wavenumber gamma*m*v.
     """
     global_window = cfg.L * cfg.delta_k < 0.05
@@ -253,15 +243,15 @@ def trace_states_vs_position(
     field = build_field(cfg)
     kb, dk = cfg.k_bar, cfg.delta_k
     wb, dw = cfg.omega_bar, cfg.delta_omega
-    t_span = fast_periods * 2.0 * math.pi / wb
-    n_t = fast_periods * points_per_period
+    t_span = 3 * 2.0 * math.pi / wb
+    n_t = 3 * 16
     a_cos = np.empty(len(centers))
     a_sin = np.empty(len(centers))
     for i, xc in enumerate(centers):
         if global_window:
-            x = np.linspace(0.0, cfg.W, window_points)[:, None]
+            x = np.linspace(0.0, cfg.W, 96)[:, None]
         else:
-            x = np.linspace(xc - cfg.L / 2.0, xc + cfg.L / 2.0, window_points)[:, None]
+            x = np.linspace(xc - cfg.L / 2.0, xc + cfg.L / 2.0, 96)[:, None]
         t = (xc / cfg.v + np.arange(n_t) * (t_span / n_t))[None, :]
         values = evaluate(field, x, t).ravel()
         b1 = 4.0 * np.sin(kb * x) * np.cos(wb * t) * np.cos(dw * t)
@@ -332,7 +322,6 @@ def quantize(cfg: BoxConfig, n_max: int) -> list[QuantizationReport]:
             QuantizationReport(
                 n=n,
                 v_n=v_n,
-                delta_k=dk,
                 p_n=dk,
                 p_schrodinger=n * math.pi / cfg.W,
                 kinetic_energy=e_kin,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientSpanError, SingularPointError
+from .errors import InsufficientSpanError, InvalidConfigError, SingularPointError
 
 
 class Region(enum.Enum):
@@ -46,10 +46,10 @@ class SlitConfig:
     omega: float
 
     def __post_init__(self):
-        if self.d <= 0:
-            raise ValueError(f"slit separation must be positive, got {self.d}")
-        if self.omega <= 0:
-            raise ValueError(f"omega must be positive, got {self.omega}")
+        if not 0 < self.d < math.inf:
+            raise InvalidConfigError(f"slit separation must be positive and finite, got {self.d}")
+        if not 0 < self.omega < math.inf:
+            raise InvalidConfigError(f"omega must be positive and finite, got {self.omega}")
 
     @property
     def wavelength(self) -> float:
@@ -107,8 +107,6 @@ class FringeReport:
 
     predicted: float
     measured: float
-    screen: str
-    D: float
     rel_error: float
     maxima: np.ndarray
     s: np.ndarray
@@ -210,22 +208,14 @@ def _flow_direction(p, cfg: SlitConfig):
     return n / n_mag, n_mag
 
 
-def integrate_trajectory(
-    start,
-    cfg: SlitConfig,
-    step: float | None = None,
-    max_steps: int = 10_000,
-) -> Trajectory:
+def integrate_trajectory(start, cfg: SlitConfig, max_steps: int = 10_000) -> Trajectory:
     """Fixed-step RK4 streamline of the local velocity direction field.
 
-    Arc-length parameterized; elapsed time accumulates as step/|v|.
-    Terminates at the domain boundary, on stagnation (|v| < 1e-6) or at
-    ``max_steps``.
+    Arc-length parameterized with step d/100; elapsed time accumulates as
+    step/|v|.  Terminates at the domain boundary, on stagnation
+    (|v| < 1e-6) or at ``max_steps``.
     """
-    if step is None:
-        step = cfg.d / 100.0
-    if step > cfg.d / 100.0:
-        raise ValueError(f"step must be <= d/100 = {cfg.d / 100.0}, got {step}")
+    step = cfg.d / 100.0
     p = np.asarray(start, dtype=float).copy()
     _point_state(p, cfg)  # raises at a slit
     x_min, x_max, y_half = cfg.x_min, cfg.x_max, cfg.y_half
@@ -271,22 +261,22 @@ def screen_intensity(cfg: SlitConfig, points) -> np.ndarray:
     return a1**2 + a2**2 + 2.0 * a1 * a2 * np.cos(cfg.omega * (r1 - r2))
 
 
-def fringe_spacing_measured(
-    cfg: SlitConfig,
-    D: float,
-    screen: str = "arc",
-    n_fringes: float = 7.0,
-    samples_per_fringe: int = 64,
-) -> FringeReport:
+#: Predicted fringe spacings spanned by the fringe-spacing oracle's screen.
+SCREEN_FRINGES = 7.0
+
+
+def fringe_spacing_measured(cfg: SlitConfig, D: float, screen: str = "arc") -> FringeReport:
     """Independent fringe-spacing oracle: locate intensity maxima on a screen.
 
     The screen is an arc of radius D about the midpoint (default) or the
-    vertical line x = D.  Maxima are refined by quadratic interpolation and
-    the spacing is the mean gap of the 5 maxima nearest the axis.
+    vertical line x = D, spans SCREEN_FRINGES predicted spacings and is
+    sampled 64 times per spacing.  Maxima are refined by quadratic
+    interpolation and the spacing is the mean gap of the 5 maxima nearest
+    the axis.
     """
     predicted = fringe_spacing_predicted(cfg, D)
-    half_span = n_fringes / 2.0 * predicted
-    n = int(n_fringes * samples_per_fringe) | 1
+    half_span = SCREEN_FRINGES / 2.0 * predicted
+    n = int(SCREEN_FRINGES * 64) | 1
     s = np.linspace(-half_span, half_span, n)
     if screen == "arc":
         phi = s / D
@@ -312,8 +302,6 @@ def fringe_spacing_measured(
     return FringeReport(
         predicted=predicted,
         measured=measured,
-        screen=screen,
-        D=D,
         rel_error=abs(measured - predicted) / predicted,
         maxima=maxima,
         s=s,

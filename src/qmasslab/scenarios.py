@@ -24,18 +24,8 @@ from .errors import InvalidConfigError
 
 SCHEMA_VERSION = 1
 
-SCENARIOS = (
-    "boost",
-    "doubleslit-map",
-    "doubleslit-traj",
-    "doubleslit-fringes",
-    "box-beat",
-    "box-states",
-    "box-quantize",
-)
-
 DEFAULTS: dict[str, dict] = {
-    "boost": {"omega0": 1.0, "beta": 0.6, "envelope_periods": 4, "points_per_period": 64},
+    "boost": {"omega0": 1.0, "beta": 0.6},
     "doubleslit-map": {
         "d": 1.0, "wavelength": 0.05, "nx": 201, "ny": 201,
         "x_span": 5.0, "y_span": 2.5,
@@ -44,10 +34,9 @@ DEFAULTS: dict[str, dict] = {
         "d": 1.0, "wavelength": 0.05,
         "starts": [[25.0, 0.0], [17.7, 17.7], [0.01, 0.5]],
         "max_steps": 2000,
-        "far_field_radius": 20.0,
     },
     "doubleslit-fringes": {"d": 0.5, "wavelength": 0.01, "D": 50.0, "screen": "arc"},
-    "box-beat": {"W": 1.0, "L": 0.1, "omega0": 100.0, "v": 0.0627080, "probe": 0.275},
+    "box-beat": {"W": 1.0, "omega0": 100.0, "v": 0.0627080, "probe": 0.275},
     "box-states": {"W": 1.0, "L": 0.1, "omega0": 100.0, "v": 0.0627080, "n_positions": 160},
     "box-quantize": {"W": 1.0, "omega0": 100.0, "n_max": 5},
 }
@@ -55,6 +44,9 @@ DEFAULTS: dict[str, dict] = {
 #: ``boxwell.quantize`` solves its own speed for each mode and reads only W and
 #: omega0 of its config; this speed only has to pass ``BoxConfig``'s range check.
 _QUANTIZE_CONFIG_SPEED = 0.05
+
+#: Radius, in slit separations, beyond which a streamline must run radially.
+_FAR_FIELD_RADIUS = 20.0
 
 
 @dataclass(frozen=True)
@@ -66,6 +58,10 @@ class Metric:
     measured: float
     tolerance: float
     source: str  # "formula" or "oracle"
+
+    def __post_init__(self):
+        _require(0 <= self.tolerance < 1,
+                 f"metric {self.name}: tolerance must be in [0, 1), got {self.tolerance}")
 
     @property
     def rel_error(self) -> float:
@@ -93,25 +89,24 @@ class RunSummary:
         return all(m.passed for m in self.metrics)
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
+def _write_csv(path: Path, header: str, *columns) -> None:
+    """CSV of equal-length columns, every value with 17 significant digits.
+
+    ``savetxt`` formats and writes one row at a time, so no text copy of
+    the whole table is held in memory.
+    """
+    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",",
+               header=header, comments="")
 
 
 def export_series(x, values, path: Path, header: str = "x,value") -> None:
     """Two-column CSV with fixed 17-significant-digit formatting."""
-    lines = [header]
-    lines += [f"{_fmt(a)},{_fmt(b)}" for a, b in zip(np.asarray(x), np.asarray(values))]
-    path.write_text("\n".join(lines) + "\n")
+    _write_csv(path, header, x, values)
 
 
 def export_grid(x, y, values, path: Path) -> None:
     """Row-major x,y,value CSV of a rectangular grid (values[i, j] at x[i], y[j])."""
-    values = np.asarray(values)
-    lines = ["x,y,value"]
-    for i, xi in enumerate(np.asarray(x)):
-        for j, yj in enumerate(np.asarray(y)):
-            lines.append(f"{_fmt(xi)},{_fmt(yj)},{_fmt(values[i, j])}")
-    path.write_text("\n".join(lines) + "\n")
+    _write_csv(path, "x,y,value", np.repeat(x, len(y)), np.tile(y, len(x)), np.ravel(values))
 
 
 def export_summary(summary: RunSummary, path: Path) -> None:
@@ -151,22 +146,15 @@ def _run_boost(params: dict, out: Path, summary: RunSummary) -> None:
     _require(beta != 0, "beta must be nonzero for the envelope measurement")
     b = wavecore.boost_standing_wave(omega0, beta)
     state = qmass.mass_state_of(b)
-    pair = wavecore.factor_carrier_envelope(b)
-    s = wavecore.superposition_of(b)
-    x = wavecore.envelope_sampling_grid(
-        b,
-        min_envelope_periods=params["envelope_periods"],
-        points_per_period=params["points_per_period"],
-    )
-    snapshot = wavecore.evaluate(s, x, 0.3)
+    x = wavecore.envelope_sampling_grid(b)
+    snapshot = wavecore.evaluate(wavecore.superposition_of(b), x, 0.3)
     measured_lam = wavecore.measure_envelope_wavelength(x, snapshot)
-    g = wavecore.gamma_of(beta)
     summary.metrics += [
         Metric("quantum_rest_mass", math.sqrt(b.omega_plus * b.omega_minus),
                state.m, 1e-12, "formula"),
         Metric("group_speed", abs(beta), state.v, 1e-12, "formula"),
         Metric("envelope_wavelength",
-               qmass.de_broglie_wavelength(state.m, state.v, g),
+               qmass.de_broglie_wavelength(state.m, state.v),
                measured_lam, 1e-3, "oracle"),
     ]
     export_series(x, snapshot, out / "field.csv")
@@ -188,6 +176,8 @@ def _run_doubleslit_fringes(params: dict, out: Path, summary: RunSummary) -> Non
 
 
 def _run_doubleslit_map(params: dict, out: Path, summary: RunSummary) -> None:
+    _require(min(params["nx"], params["ny"]) >= 2,
+             f"nx and ny must be >= 2, got {params['nx']} and {params['ny']}")
     cfg = _slit_config(params)
     x = np.linspace(0.0, params["x_span"] * cfg.d, params["nx"])
     y = np.linspace(-params["y_span"] * cfg.d, params["y_span"] * cfg.d, params["ny"])
@@ -206,20 +196,16 @@ def _run_doubleslit_map(params: dict, out: Path, summary: RunSummary) -> None:
 
 
 def _run_doubleslit_traj(params: dict, out: Path, summary: RunSummary) -> None:
+    _require(params["max_steps"] >= 1, f"max_steps must be >= 1, got {params['max_steps']}")
     cfg = _slit_config(params)
     worst_far = 0.0
     for i, start in enumerate(params["starts"]):
         traj = doubleslit.integrate_trajectory(start, cfg, max_steps=params["max_steps"])
         name = f"trajectory_{i:03d}.csv"
-        lines = ["x,y,value"]
-        lines += [
-            f"{_fmt(p[0])},{_fmt(p[1])},{_fmt(t)}"
-            for p, t in zip(traj.points, traj.times)
-        ]
-        (out / name).write_text("\n".join(lines) + "\n")
+        _write_csv(out / name, "x,y,value", traj.points, traj.times)
         summary.files.append(name)
         r = np.hypot(traj.points[:, 0], traj.points[:, 1])
-        far = r > params["far_field_radius"] * cfg.d
+        far = r > _FAR_FIELD_RADIUS * cfg.d
         if np.any(far[:-1]):
             steps = np.diff(traj.points, axis=0)
             radial = traj.points[:-1] / r[:-1, None]
@@ -231,15 +217,12 @@ def _run_doubleslit_traj(params: dict, out: Path, summary: RunSummary) -> None:
     )
 
 
-def _box_config(params: dict) -> boxwell.BoxConfig:
-    return boxwell.BoxConfig(
-        W=params["W"], L=params["L"], omega0=params["omega0"], v=params["v"]
-    )
-
-
 def _run_box_beat(params: dict, out: Path, summary: RunSummary) -> None:
-    cfg = _box_config(params)
-    beats = boxwell.analyze_beats(cfg, params["probe"])
+    W, probe = params["W"], params["probe"]
+    _require(0 < probe < W, f"probe must lie inside the well (0, {W}), got {probe}")
+    # analyze_beats never reads the cavity length; W/10 passes BoxConfig's check.
+    cfg = boxwell.BoxConfig(W=W, L=W / 10.0, omega0=params["omega0"], v=params["v"])
+    beats = boxwell.analyze_beats(cfg, probe)
     summary.metrics += [
         Metric("fast_frequency", beats.predicted_fast, beats.fast, 5e-3, "oracle"),
         Metric("slow_frequency", beats.predicted_slow, beats.slow, 5e-3, "oracle"),
@@ -249,7 +232,11 @@ def _run_box_beat(params: dict, out: Path, summary: RunSummary) -> None:
 
 
 def _run_box_states(params: dict, out: Path, summary: RunSummary) -> None:
-    cfg = _box_config(params)
+    _require(params["n_positions"] >= 2,
+             f"n_positions must be >= 2, got {params['n_positions']}")
+    cfg = boxwell.BoxConfig(
+        W=params["W"], L=params["L"], omega0=params["omega0"], v=params["v"]
+    )
     trace = boxwell.trace_states_vs_position(cfg, n_positions=params["n_positions"])
     p = qmass.four_momentum_of(wavecore.boost_standing_wave(cfg.omega0, cfg.v)).p
     modulus = trace.a_cos**2 + trace.a_sin**2
@@ -264,12 +251,13 @@ def _run_box_states(params: dict, out: Path, summary: RunSummary) -> None:
 
 
 def _run_box_quantize(params: dict, out: Path, summary: RunSummary) -> None:
-    W = params["W"]
+    W, omega0, n_max = params["W"], params["omega0"], params["n_max"]
     _require(W > 0, f"W must be positive, got {W}")
-    cfg = boxwell.BoxConfig(
-        W=W, L=W / 10.0, omega0=params["omega0"], v=_QUANTIZE_CONFIG_SPEED
-    )
-    reports = boxwell.quantize(cfg, params["n_max"])
+    # Beyond p = n*pi/W = omega0 the energy gate's tolerance (p/m)**2 reaches 1.
+    _require(n_max * math.pi / W < omega0,
+             f"n_max*pi/W must be below omega0 = {omega0}, got {n_max * math.pi / W}")
+    cfg = boxwell.BoxConfig(W=W, L=W / 10.0, omega0=omega0, v=_QUANTIZE_CONFIG_SPEED)
+    reports = boxwell.quantize(cfg, n_max)
     x = np.linspace(0.0, cfg.W, 513)
     for rep in reports:
         # Exact relativistic kinetic energy sqrt(m**2 + p**2) - m of p = n*pi/W,
@@ -285,7 +273,7 @@ def _run_box_quantize(params: dict, out: Path, summary: RunSummary) -> None:
             Metric(f"kinetic_energy_n{rep.n}", exact, rep.kinetic_energy, 1e-7, "formula"),
         ]
         name = f"envelope_n{rep.n}.csv"
-        export_series(x, boxwell.quantized_envelope(rep.delta_k, x), out / name)
+        export_series(x, boxwell.quantized_envelope(rep.p_n, x), out / name)
         summary.files.append(name)
 
 
@@ -298,6 +286,8 @@ _RUNNERS = {
     "box-states": _run_box_states,
     "box-quantize": _run_box_quantize,
 }
+
+SCENARIOS = tuple(_RUNNERS)
 
 
 def _number(value):

@@ -22,8 +22,8 @@ from .errors import InsufficientSpanError, InvalidBoostError, InvalidWaveError
 def _unit2(vec) -> tuple[float, float]:
     vx, vy = float(vec[0]), float(vec[1])
     norm = math.hypot(vx, vy)
-    if norm == 0.0:
-        raise InvalidWaveError("direction vector must be nonzero")
+    if not 0.0 < norm < math.inf:
+        raise InvalidWaveError(f"direction vector must be nonzero and finite, got {vec}")
     return (vx / norm, vy / norm)
 
 
@@ -37,10 +37,12 @@ class PlaneWave:
     phase: float = 0.0
 
     def __post_init__(self):
-        if self.amplitude <= 0:
-            raise InvalidWaveError(f"amplitude must be positive, got {self.amplitude}")
-        if self.omega <= 0:
-            raise InvalidWaveError(f"omega must be positive, got {self.omega}")
+        if not 0 < self.amplitude < math.inf:
+            raise InvalidWaveError(f"amplitude must be positive and finite, got {self.amplitude}")
+        if not 0 < self.omega < math.inf:
+            raise InvalidWaveError(f"omega must be positive and finite, got {self.omega}")
+        if not math.isfinite(self.phase):
+            raise InvalidWaveError(f"phase must be finite, got {self.phase}")
         object.__setattr__(self, "direction", _unit2(self.direction))
 
     def wavevector(self) -> np.ndarray:
@@ -75,9 +77,9 @@ class BidirectionalWave:
     axis: tuple[float, float] = (1.0, 0.0)
 
     def __post_init__(self):
-        if not (self.omega_plus >= self.omega_minus > 0):
+        if not (math.inf > self.omega_plus >= self.omega_minus > 0):
             raise InvalidWaveError(
-                f"need omega_plus >= omega_minus > 0, got "
+                f"need finite omega_plus >= omega_minus > 0, got "
                 f"({self.omega_plus}, {self.omega_minus})"
             )
         object.__setattr__(self, "axis", _unit2(self.axis))
@@ -85,11 +87,10 @@ class BidirectionalWave:
 
 @dataclass(frozen=True)
 class WaveFactor:
-    """One factor of a product form: wavenumber, angular frequency, phase."""
+    """One factor of a product form: wavenumber and angular frequency."""
 
     wavenumber: float
     omega: float
-    phase: float = 0.0
 
     @property
     def phase_speed(self) -> float:
@@ -106,11 +107,10 @@ class WaveFactor:
 
 @dataclass(frozen=True)
 class CarrierEnvelopePair:
-    """Product factorization amp * sin(envelope) * cos(carrier) of a bidirectional wave."""
+    """Product factorization 2 * sin(envelope) * cos(carrier) of a bidirectional wave."""
 
     carrier: WaveFactor
     envelope: WaveFactor
-    amplitude: float
 
 
 def gamma_of(beta: float) -> float:
@@ -155,14 +155,11 @@ def boost_standing_wave(omega0: float, beta: float) -> BidirectionalWave:
     return BidirectionalWave(g * omega0 * (1.0 + b), g * omega0 * (1.0 - b), axis)
 
 
-def superposition_of(b: BidirectionalWave, amplitude: float = 1.0) -> Superposition:
-    """Two equal-amplitude counter-propagating plane waves realizing ``b``."""
+def superposition_of(b: BidirectionalWave) -> Superposition:
+    """Two unit-amplitude counter-propagating plane waves realizing ``b``."""
     ax = b.axis
     return Superposition(
-        (
-            PlaneWave(amplitude, b.omega_plus, ax),
-            PlaneWave(amplitude, b.omega_minus, (-ax[0], -ax[1])),
-        )
+        (PlaneWave(1.0, b.omega_plus, ax), PlaneWave(1.0, b.omega_minus, (-ax[0], -ax[1])))
     )
 
 
@@ -177,14 +174,12 @@ def evaluate(s: Superposition, x, t):
     return out
 
 
-def factor_carrier_envelope(
-    b: BidirectionalWave, amplitude: float = 1.0
-) -> CarrierEnvelopePair:
+def factor_carrier_envelope(b: BidirectionalWave) -> CarrierEnvelopePair:
     """Factor a bidirectional wave into superluminal envelope times carrier.
 
     With k_pm = omega_pm the product form (x measured along the axis) is
 
-        2*A * sin(dk*x - wbar*t) * cos(kbar*x - dw*t)
+        2 * sin(dk*x - wbar*t) * cos(kbar*x - dw*t)
 
     where dk = (k+ - k-)/2, wbar = (w+ + w-)/2 (the envelope factor, phase
     speed 1/v >= 1) and kbar = (k+ + k-)/2, dw = (w+ - w-)/2 (the
@@ -193,16 +188,16 @@ def factor_carrier_envelope(
     kp, km = b.omega_plus, b.omega_minus
     envelope = WaveFactor((kp - km) / 2.0, (b.omega_plus + b.omega_minus) / 2.0)
     carrier = WaveFactor((kp + km) / 2.0, (b.omega_plus - b.omega_minus) / 2.0)
-    return CarrierEnvelopePair(carrier, envelope, 2.0 * amplitude)
+    return CarrierEnvelopePair(carrier, envelope)
 
 
 def evaluate_product(pair: CarrierEnvelopePair, x, t):
-    """Evaluate the factorized form amp*sin(envelope)*cos(carrier)."""
+    """Evaluate the factorized form 2*sin(envelope)*cos(carrier)."""
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
-    env = np.sin(pair.envelope.wavenumber * x - pair.envelope.omega * t + pair.envelope.phase)
-    car = np.cos(pair.carrier.wavenumber * x - pair.carrier.omega * t + pair.carrier.phase)
-    return pair.amplitude * env * car
+    env = np.sin(pair.envelope.wavenumber * x - pair.envelope.omega * t)
+    car = np.cos(pair.carrier.wavenumber * x - pair.carrier.omega * t)
+    return 2.0 * env * car
 
 
 def zero_crossings(x, values) -> np.ndarray:
@@ -223,30 +218,27 @@ def measure_spatial_wavelength(x, values) -> float:
     return 2.0 * float(np.mean(np.diff(crossings)))
 
 
-def measure_envelope_wavelength(x, values, trim_fraction: float = 0.1) -> float:
+def measure_envelope_wavelength(x, values) -> float:
     """Wavelength of the slow envelope of a modulated spatial signal.
 
     The envelope magnitude is taken from the analytic signal, squared and
     demeaned so the zero-crossing estimator sees a clean oscillation at
-    twice the envelope wavenumber; edge samples are trimmed against
-    Hilbert-transform boundary artifacts.
+    twice the envelope wavenumber; a tenth of the samples at each edge is
+    trimmed against Hilbert-transform boundary artifacts.
     """
     x = np.asarray(x, dtype=float)
     env2 = np.abs(hilbert(np.asarray(values, dtype=float))) ** 2
-    n = int(len(x) * trim_fraction)
-    sl = slice(n, len(x) - n) if n > 0 else slice(None)
+    n = len(x) // 10
+    sl = slice(n, len(x) - n)
     sig = env2[sl] - env2[sl].mean()
     return 2.0 * measure_spatial_wavelength(x[sl], sig)
 
 
-def envelope_sampling_grid(
-    b: BidirectionalWave,
-    min_envelope_periods: int = 4,
-    points_per_period: int = 64,
-) -> np.ndarray:
+def envelope_sampling_grid(b: BidirectionalWave) -> np.ndarray:
     """Spatial grid spanning whole envelope and (near-)whole carrier periods.
 
-    The snapshot of a bidirectional wave holds the spatial frequencies
+    At least 4 envelope periods, 64 points per period of omega_plus.  The
+    snapshot of a bidirectional wave holds the spatial frequencies
     k_plus and k_minus; choosing the span commensurate with both keeps the
     FFT-based analytic signal free of boundary artifacts.
     """
@@ -257,9 +249,9 @@ def envelope_sampling_grid(
         raise InvalidWaveError("standing wave has an infinite envelope wavelength")
     beta = (b.omega_plus - b.omega_minus) / (b.omega_plus + b.omega_minus)
     p = Fraction(beta).limit_denominator(64).numerator
-    m = p * max(1, math.ceil(min_envelope_periods / p))
+    m = p * max(1, math.ceil(4 / p))
     span = m * pair.envelope.wavelength
-    dx_target = 2.0 * math.pi / b.omega_plus / points_per_period
+    dx_target = 2.0 * math.pi / b.omega_plus / 64
     n = round(span / dx_target)
     return np.arange(n) * (span / n)
 
@@ -312,13 +304,10 @@ def measure_temporal_frequencies(times, values, count: int) -> np.ndarray:
 
 
 def sample_grid(
-    omega_max: float,
-    x_span: tuple[float, float],
-    t_span: tuple[float, float],
-    points_per_period: int = 64,
+    omega_max: float, x_span: tuple[float, float], t_span: tuple[float, float]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform space-time grid resolving the fastest component."""
-    step = 2.0 * math.pi / omega_max / points_per_period  # dx = dt, as c = 1
+    """Uniform space-time grid, 64 points per period of the fastest component."""
+    step = 2.0 * math.pi / omega_max / 64  # dx = dt, as c = 1
     x = np.arange(x_span[0], x_span[1] + step / 2, step)
     t = np.arange(t_span[0], t_span[1] + step / 2, step)
     return x, t

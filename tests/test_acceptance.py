@@ -23,8 +23,8 @@ def test_01_superluminal_envelope_wavelength():
     for beta in (0.1, 0.3, 0.6, 0.9):
         b = wc.boost_standing_wave(1.0, beta)
         state = qm.mass_state_of(b)
-        predicted = qm.de_broglie_wavelength(state.m, state.v, wc.gamma_of(beta))
-        x = wc.envelope_sampling_grid(b, min_envelope_periods=4)
+        predicted = qm.de_broglie_wavelength(state.m, state.v)
+        x = wc.envelope_sampling_grid(b)
         snap = wc.evaluate(wc.superposition_of(b), x, 0.3)
         measured = wc.measure_envelope_wavelength(x, snap)
         worst = max(worst, abs(measured - predicted) / predicted)
@@ -90,7 +90,7 @@ def test_05_trajectory_geometry():
     slit = np.array([0.0, 0.5])
     for ang in (-0.3, -1.0, -2.0):
         start = slit + 0.01 * np.array([math.cos(ang), math.sin(ang)])
-        traj = ds.integrate_trajectory(start, cfg, step=cfg.d / 200, max_steps=4)
+        traj = ds.integrate_trajectory(start, cfg, max_steps=4)
         step = traj.points[1] - traj.points[0]
         radial = (traj.points[0] - slit) / np.hypot(*(traj.points[0] - slit))
         worst_near = max(
@@ -162,12 +162,12 @@ def test_09_well_quantization():
     for rep in bw.quantize(cfg, 5):
         worst_k = max(
             worst_k,
-            abs(rep.delta_k - rep.n * math.pi / cfg.W) / (rep.n * math.pi / cfg.W),
+            abs(rep.p_n - rep.n * math.pi / cfg.W) / (rep.n * math.pi / cfg.W),
         )
         worst_wall = max(
             worst_wall,
-            abs(bw.quantized_envelope(rep.delta_k, 0.0)),
-            abs(bw.quantized_envelope(rep.delta_k, cfg.W)),
+            abs(bw.quantized_envelope(rep.p_n, 0.0)),
+            abs(bw.quantized_envelope(rep.p_n, cfg.W)),
         )
         energy_ok &= rep.energy_rel_discrepancy < rep.relativistic_bound
     ok = worst_k < 1e-9 and worst_wall < 1e-9 and energy_ok

@@ -102,7 +102,7 @@ class TestInternalStateProjection:
         assert abs(a_c) < 5e-3 * 4.0
 
     def test_stroboscopic_slow_oscillation(self, cfg):
-        t, a_c = bw.project_states_per_carrier_period(cfg, n_samples=256)
+        t, a_c = bw.project_states_per_carrier_period(cfg)
         expected = 4.0 * np.cos(cfg.delta_omega * t)
         assert np.allclose(a_c, expected, atol=5e-3 * 4.0)
         crossings = wc.zero_crossings(t, a_c)
@@ -163,11 +163,11 @@ class TestQuantization:
     def test_envelope_nodes_at_walls(self):
         cfg = bw.BoxConfig(W=1.0, L=0.1, omega0=100.0, v=0.05)
         for rep in bw.quantize(cfg, 5):
-            assert abs(bw.quantized_envelope(rep.delta_k, 0.0)) < 1e-12
-            assert abs(bw.quantized_envelope(rep.delta_k, cfg.W)) < 1e-9
+            assert abs(bw.quantized_envelope(rep.p_n, 0.0)) < 1e-12
+            assert abs(bw.quantized_envelope(rep.p_n, cfg.W)) < 1e-9
             # n - 1 interior nodes
             x = np.linspace(0.0, cfg.W, 4001)
-            env = bw.quantized_envelope(rep.delta_k, x)
+            env = bw.quantized_envelope(rep.p_n, x)
             interior = wc.zero_crossings(x, env)
             assert len(interior[(interior > 1e-6) & (interior < cfg.W - 1e-6)]) == (
                 rep.n - 1

@@ -166,7 +166,7 @@ class TestTrajectories:
     def test_near_slit_radial(self, cfg):
         slit = np.array([0.0, 0.5])
         start = slit + 0.01 * np.array([math.cos(-0.4), math.sin(-0.4)])
-        traj = ds.integrate_trajectory(start, cfg, step=cfg.d / 200, max_steps=5)
+        traj = ds.integrate_trajectory(start, cfg, max_steps=5)
         first = traj.points[1] - traj.points[0]
         radial = (traj.points[0] - slit) / np.hypot(*(traj.points[0] - slit))
         ang = math.acos(
@@ -181,10 +181,6 @@ class TestTrajectories:
     def test_start_at_slit_rejected(self, cfg):
         with pytest.raises(SingularPointError):
             ds.integrate_trajectory((0.0, 0.5), cfg)
-
-    def test_oversized_step_rejected(self, cfg):
-        with pytest.raises(ValueError):
-            ds.integrate_trajectory((2.0, 0.0), cfg, step=cfg.d / 10)
 
 
 class TestFringeSpacing:
@@ -223,10 +219,11 @@ class TestFringeSpacing:
         report = ds.fringe_spacing_measured(cfg, 50.0, screen="line")
         assert report.rel_error < 0.01
 
-    def test_too_small_screen_errors(self):
+    def test_too_small_screen_errors(self, monkeypatch):
         cfg = ds.SlitConfig(d=0.5, omega=2 * math.pi / 0.01)
+        monkeypatch.setattr(ds, "SCREEN_FRINGES", 1.0)
         with pytest.raises(InsufficientSpanError):
-            ds.fringe_spacing_measured(cfg, 50.0, n_fringes=1.0)
+            ds.fringe_spacing_measured(cfg, 50.0)
 
 
 class TestMassMap:

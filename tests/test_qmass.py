@@ -79,7 +79,7 @@ class TestGroupVelocity:
 
 class TestDeBroglieWavelength:
     def test_reference_value(self):
-        lam = qm.de_broglie_wavelength(1.0, 0.6, 1.25)
+        lam = qm.de_broglie_wavelength(1.0, 0.6)
         assert lam == pytest.approx(2 * math.pi / 0.75, rel=1e-12)
 
     def test_rest_gives_infinity(self):
@@ -95,7 +95,7 @@ class TestDeBroglieWavelength:
             m = rng.uniform(0.1, 5.0)
             v = rng.uniform(1e-3, 0.999)
             g = 1.0 / math.sqrt(1.0 - v * v)
-            lam = qm.de_broglie_wavelength(m, v, g)
+            lam = qm.de_broglie_wavelength(m, v)
             assert lam * (g * m * v) == pytest.approx(2 * math.pi, rel=1e-14)
 
     def test_matches_envelope_wavelength(self):

@@ -9,6 +9,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qmasslab import boxwell, cli, scenarios
 from qmasslab.errors import InvalidConfigError
@@ -66,6 +69,58 @@ def test_export_grid_layout(tmp_path):
     assert lines[4] == "1,3,7"
 
 
+def _format_17g(v) -> str:
+    # The per-value formatter the CSV writers used before np.savetxt: the reference.
+    return format(float(v), ".17g")
+
+
+def _float_arrays(size):
+    return hnp.arrays(np.float64, size, elements=st.floats(allow_subnormal=True))
+
+
+SPECIALS = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, -2.2e-308, 0.1, 1e308])
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data(), n=st.integers(min_value=0, max_value=12))
+@example(data=None, n=len(SPECIALS))
+def test_export_series_matches_per_value_format(data, n, tmp_path_factory):
+    if data is None:
+        x, values = SPECIALS, SPECIALS[::-1].copy()
+    else:
+        x, values = data.draw(_float_arrays(n)), data.draw(_float_arrays(n))
+    path = tmp_path_factory.mktemp("series") / "s.csv"
+    scenarios.export_series(x, values, path, header="t,value")
+    expected = ["t,value"] + [f"{_format_17g(a)},{_format_17g(b)}" for a, b in zip(x, values)]
+    assert path.read_text() == "\n".join(expected) + "\n"
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data(), nx=st.integers(0, 5), ny=st.integers(0, 5))
+@example(data=None, nx=len(SPECIALS), ny=2)
+def test_export_grid_matches_per_value_format(data, nx, ny, tmp_path_factory):
+    if data is None:
+        x, y = SPECIALS, SPECIALS[:2]
+        values = np.stack([SPECIALS[::-1], SPECIALS], axis=1)
+    else:
+        x, y = data.draw(_float_arrays(nx)), data.draw(_float_arrays(ny))
+        values = data.draw(_float_arrays((nx, ny)))
+    path = tmp_path_factory.mktemp("grid") / "g.csv"
+    scenarios.export_grid(x, y, values, path)
+    expected = ["x,y,value"] + [
+        f"{_format_17g(xi)},{_format_17g(yj)},{_format_17g(values[i, j])}"
+        for i, xi in enumerate(x)
+        for j, yj in enumerate(y)
+    ]
+    assert path.read_text() == "\n".join(expected) + "\n"
+
+
+@pytest.mark.parametrize("tolerance", [1.0, 3.55, -1e-3, float("nan")])
+def test_metric_tolerance_outside_unit_interval_rejected(tolerance):
+    with pytest.raises(InvalidConfigError):
+        scenarios.Metric("m", 1.0, 1.0, tolerance, "formula")
+
+
 def test_unknown_scenario_rejected(tmp_path):
     with pytest.raises(InvalidConfigError):
         scenarios.run("nonsense", {}, tmp_path)
@@ -115,7 +170,7 @@ def test_energy_gate_passes_at_large_carrier_phase(params, tmp_path):
 @pytest.mark.parametrize(
     "kind, params",
     [
-        ("boost", {"omega0": np.float32(1.0), "envelope_periods": np.int64(4)}),
+        ("boost", {"omega0": np.float32(1.0), "beta": np.float64(0.6)}),
         ("box-states", {"n_positions": np.int64(32), "v": np.float64(0.05)}),
         ("doubleslit-traj", {"starts": np.array([[25.0, 0.0]]), "max_steps": np.int32(400)}),
         ("doubleslit-traj", {"starts": ((25.0, 0.0),), "max_steps": 400}),
@@ -138,6 +193,13 @@ class TestCli:
             ["boost", "--set", "omega0=abc"],
             ["box-beat", "--set", "probe=[1]"],
             ["box-quantize", "--set", "v=0.05"],
+            ["doubleslit-traj", "--set", "max_steps=0"],
+            ["doubleslit-traj", "--set", "max_steps=-3"],
+            ["box-beat", "--set", "probe=-5.0"],
+            ["doubleslit-map", "--set", "nx=1"],
+            ["doubleslit-map", "--set", "ny=1"],
+            ["box-states", "--set", "n_positions=1"],
+            ["box-quantize", "--set", "n_max=60"],
         ],
     )
     def test_mistyped_override_exit_2(self, argv, tmp_path, capsys):
@@ -190,7 +252,7 @@ class TestCli:
         from qmasslab import boxwell
 
         p = scenarios.DEFAULTS["box-beat"]
-        cfg = boxwell.BoxConfig(W=p["W"], L=p["L"], omega0=p["omega0"], v=p["v"])
+        cfg = boxwell.BoxConfig(W=p["W"], L=p["W"] / 10.0, omega0=p["omega0"], v=p["v"])
         node = 9.0 * math.pi / (cfg.omega_bar + cfg.delta_omega)
         code = cli.main(
             ["box-beat", "--out", str(tmp_path), "--set", f"probe={node}"]

@@ -3,8 +3,40 @@ import math
 import numpy as np
 import pytest
 
+from qmasslab import boxwell as bw
+from qmasslab import doubleslit as ds
 from qmasslab import wavecore as wc
-from qmasslab.errors import InsufficientSpanError, InvalidBoostError, InvalidWaveError
+from qmasslab.errors import (
+    InsufficientSpanError,
+    InvalidBoostError,
+    InvalidConfigError,
+    InvalidWaveError,
+)
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "make, args, error",
+    [
+        (wc.PlaneWave, (NAN, 1.0), InvalidWaveError),
+        (wc.PlaneWave, (1.0, INF), InvalidWaveError),
+        (wc.PlaneWave, (1.0, 1.0, (INF, 0.0)), InvalidWaveError),
+        (wc.PlaneWave, (1.0, 1.0, (1.0, 0.0), NAN), InvalidWaveError),
+        (wc.BidirectionalWave, (INF, 1.0), InvalidWaveError),
+        (wc.BidirectionalWave, (2.0, 1.0, (NAN, 0.0)), InvalidWaveError),
+        (ds.SlitConfig, (INF, 1.0), InvalidConfigError),
+        (ds.SlitConfig, (1.0, NAN), InvalidConfigError),
+        (ds.SlitConfig, (-1.0, 1.0), InvalidConfigError),
+        (bw.BoxConfig, (INF, 0.1, 100.0, 0.05), InvalidConfigError),
+        (bw.BoxConfig, (1.0, 0.1, NAN, 0.05), InvalidConfigError),
+        (bw.BoxConfig, (1.0, 0.1, INF, 0.05), InvalidConfigError),
+    ],
+    ids=lambda v: getattr(v, "__name__", None) if isinstance(v, type) else None,
+)
+def test_non_finite_or_invalid_input_rejected_at_construction(make, args, error):
+    with pytest.raises(error):
+        make(*args)
 
 
 class TestDopplerBoost:
@@ -174,7 +206,7 @@ class TestSpatialWavelength:
     def test_envelope_of_boosted_pair(self):
         b = wc.BidirectionalWave(2.0, 0.5)
         pair = wc.factor_carrier_envelope(b)
-        x = wc.envelope_sampling_grid(b, min_envelope_periods=4)
+        x = wc.envelope_sampling_grid(b)
         snap = wc.evaluate(wc.superposition_of(b), x, 0.3)
         lam = wc.measure_envelope_wavelength(x, snap)
         assert lam == pytest.approx(pair.envelope.wavelength, rel=1e-3)
