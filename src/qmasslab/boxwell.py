@@ -291,7 +291,7 @@ def _bisect_speed(target: float, omega0: float, tol: float = 1e-14) -> float:
 def speed_for_mode(cfg_W: float, omega0: float, n: int) -> float:
     """Cavity speed whose de Broglie wavenumber satisfies dk*W = n*pi."""
     if n < 1:
-        raise ValueError(f"mode index must be >= 1, got {n}")
+        raise InvalidConfigError(f"mode index must be >= 1, got {n}")
     return _bisect_speed(n * math.pi / cfg_W, omega0)
 
 
@@ -309,7 +309,7 @@ def quantize(cfg: BoxConfig, n_max: int) -> list[QuantizationReport]:
     with the infinite-well n**2*pi**2/(2*m*W**2), where m = omega0.
     """
     if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+        raise InvalidConfigError(f"n_max must be >= 1, got {n_max}")
     m = cfg.omega0
     reports = []
     for n in range(1, n_max + 1):

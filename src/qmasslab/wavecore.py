@@ -2,9 +2,10 @@
 
 Natural units throughout (c = hbar = 1).  All waves are lightlike scalars:
 the wavenumber always equals omega and is never stored independently.
-Measurement utilities (zero-crossing wavelengths, spectral peaks,
-finite-difference residuals) are the numerical oracles used to verify the
-closed forms elsewhere.
+Measurement utilities (zero-crossing wavelengths, the FFT analytic-signal
+envelope, Brent-refined spectral peaks, finite-difference residuals) are the
+numerical oracles used to verify the closed forms elsewhere; they need numpy
+only.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
-from scipy.signal import hilbert
 
 from .errors import InsufficientSpanError, InvalidBoostError, InvalidWaveError
 
@@ -218,16 +217,32 @@ def measure_spatial_wavelength(x, values) -> float:
     return 2.0 * float(np.mean(np.diff(crossings)))
 
 
+def _analytic_signal(v: np.ndarray) -> np.ndarray:
+    """FFT analytic signal of a real series: positive frequencies doubled, negative zeroed.
+
+    The DC bin, and for even lengths the Nyquist bin, are kept as they are,
+    so the real part is ``v`` and the imaginary part its discrete Hilbert
+    transform.  The half spectrum comes from the real-input ``rfft``; the
+    complex ``fft`` of the same series can differ in the last bit.
+    """
+    n = len(v)
+    spectrum = np.zeros(n, dtype=complex)
+    spectrum[: n // 2 + 1] = np.fft.rfft(v)
+    spectrum[1:(n + 1) // 2] *= 2.0
+    return np.fft.ifft(spectrum)
+
+
 def measure_envelope_wavelength(x, values) -> float:
     """Wavelength of the slow envelope of a modulated spatial signal.
 
-    The envelope magnitude is taken from the analytic signal, squared and
-    demeaned so the zero-crossing estimator sees a clean oscillation at
-    twice the envelope wavenumber; a tenth of the samples at each edge is
-    trimmed against Hilbert-transform boundary artifacts.
+    The envelope magnitude is taken from the FFT analytic signal
+    (``_analytic_signal``), squared and demeaned so the zero-crossing
+    estimator sees a clean oscillation at twice the envelope wavenumber; a
+    tenth of the samples at each edge is trimmed against the transform's
+    boundary artifacts.
     """
     x = np.asarray(x, dtype=float)
-    env2 = np.abs(hilbert(np.asarray(values, dtype=float))) ** 2
+    env2 = np.abs(_analytic_signal(np.asarray(values, dtype=float))) ** 2
     n = len(x) // 10
     sl = slice(n, len(x) - n)
     sig = env2[sl] - env2[sl].mean()
@@ -256,26 +271,102 @@ def envelope_sampling_grid(b: BidirectionalWave) -> np.ndarray:
     return np.arange(n) * (span / n)
 
 
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+_BRENT_MAXFUN = 500
+
+
+def _minimize_bounded(f, a: float, b: float, xatol: float):
+    """Minimum of a scalar function on [a, b] by Brent's bounded method.
+
+    Golden-section steps, replaced by a parabolic step through the three best
+    points whenever that step falls inside the bracket and shrinks fast
+    enough.  It stops once the bracket around the best point is within
+    ``2*tol1``, ``tol1 = sqrt(eps)*|x| + xatol/3``, or after
+    ``_BRENT_MAXFUN`` evaluations.  This is fmin of Forsythe, Malcolm and
+    Moler step for step, with the constants and tolerance update of the
+    widely used bounded ``minimize_scalar``, so it returns that routine's
+    point after the same evaluations (``tests/test_wavecore.py`` pins this).
+    Returns ``(x, f(x), evaluations)``.
+    """
+    # xf is the best point so far, nfc the second best and fulc the third.
+    fulc = a + _GOLDEN * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = float(f(xf))
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                rat = p / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+            else:
+                golden = True
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = _GOLDEN * e
+        x = xf + (1.0 if rat >= 0.0 else -1.0) * max(abs(rat), tol1)
+        fu = float(f(x))
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= _BRENT_MAXFUN:
+            break
+    return xf, fx, num
+
+
 def _refine_peak(times, windowed, omega_lo, omega_hi) -> tuple[float, float]:
-    """Maximize the windowed DTFT magnitude inside a bracket."""
+    """Maximize the windowed DTFT magnitude inside a bracket by bounded Brent."""
 
     def neg_mag(om):
         return -abs(np.dot(windowed, np.exp(-1j * om * times)))
 
-    res = minimize_scalar(
-        neg_mag,
-        bounds=(omega_lo, omega_hi),
-        method="bounded",
-        options={"xatol": (omega_hi - omega_lo) * 1e-10},
-    )
-    return float(res.x), float(-res.fun)
+    om, fun, _ = _minimize_bounded(neg_mag, omega_lo, omega_hi, (omega_hi - omega_lo) * 1e-10)
+    return om, -fun
 
 
 def measure_temporal_frequencies(times, values, count: int) -> np.ndarray:
     """Angular frequencies of the strongest spectral peaks, refined past bin width.
 
     Peaks are picked from a Hann-windowed FFT magnitude and each refined by
-    maximizing the windowed DTFT magnitude.  Returned sorted by descending
+    maximizing the windowed DTFT magnitude between its neighbouring bins
+    with bounded Brent (``_minimize_bounded``).  Returned sorted by descending
     peak magnitude; fewer than ``count`` entries if fewer distinct peaks exist.
     """
     t = np.asarray(times, dtype=float)

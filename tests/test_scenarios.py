@@ -183,6 +183,18 @@ def test_numpy_and_tuple_parameters_accepted(kind, params, tmp_path):
     assert set(params) <= set(doc["params"])
 
 
+def _run_python(code):
+    """Run ``python -c code`` with this checkout's ``src`` first on the path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+
+
 class TestCli:
     @pytest.mark.parametrize(
         "argv",
@@ -217,6 +229,29 @@ class TestCli:
             env=dict(os.environ, PYTHONPATH=path),
         )
         assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("argv", [["boost"], ["box-beat", "--set", "v=0.02"]])
+    def test_entry_point_runs_with_scipy_unimportable(self, argv, tmp_path):
+        code = (
+            "import sys; sys.modules['scipy'] = None; from qmasslab.cli import main; "
+            f"sys.exit(main({argv + ['--out', str(tmp_path)]!r}))"
+        )
+        proc = _run_python(code)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_import_loads_no_scipy(self):
+        code = (
+            "import sys, qmasslab, qmasslab.cli; "
+            "print(sorted(k for k in sys.modules if k.startswith('scipy')))"
+        )
+        proc = _run_python(code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_far_field_gate_without_far_steps_exit_3(self, tmp_path, capsys):
+        argv = ["doubleslit-traj", "--set", "starts=[[2.0,0.0]]", "--set", "max_steps=10"]
+        assert cli.main(argv + ["--out", str(tmp_path)]) == 3
+        assert "far-field" in capsys.readouterr().err
 
     def test_success_exit_code(self, tmp_path, capsys):
         code = cli.main(["boost", "--out", str(tmp_path)])

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmasslab import boxwell as bw
 from qmasslab import doubleslit as ds
@@ -14,6 +16,20 @@ from qmasslab.errors import (
 )
 
 NAN, INF = float("nan"), float("inf")
+
+
+def _bisect_root(f, lo, hi):
+    """Root of ``f`` in a sign-changing bracket, bisected to adjacent floats."""
+    f_lo = f(lo)
+    assert f_lo * f(hi) < 0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        if (f(mid) < 0) == (f_lo < 0):
+            lo = mid
+        else:
+            hi = mid
 
 
 @pytest.mark.parametrize(
@@ -122,15 +138,13 @@ class TestEvaluate:
         assert np.allclose(wc.evaluate(s, x, t), expected, atol=1e-12)
 
     def test_nodes_drift_at_group_speed(self):
-        from scipy.optimize import brentq
-
         b = wc.BidirectionalWave(2.0, 0.5)
         s = wc.superposition_of(b)
         # track a carrier node near x0 across a small time interval
         t0, dt = 0.0, 0.05
         x0 = 2.0 * math.pi / (2.0 * 1.25) / 2.0  # first cos zero: kbar*x = pi/2
-        n1 = brentq(lambda x: wc.evaluate(s, x, t0), x0 - 0.3, x0 + 0.3)
-        n2 = brentq(lambda x: wc.evaluate(s, x, t0 + dt), n1 - 0.3, n1 + 0.3)
+        n1 = _bisect_root(lambda x: wc.evaluate(s, x, t0), x0 - 0.3, x0 + 0.3)
+        n2 = _bisect_root(lambda x: wc.evaluate(s, x, t0 + dt), n1 - 0.3, n1 + 0.3)
         assert (n2 - n1) / dt == pytest.approx(0.6, rel=1e-6)
 
     def test_empty_superposition_rejected(self):
@@ -210,6 +224,50 @@ class TestSpatialWavelength:
         snap = wc.evaluate(wc.superposition_of(b), x, 0.3)
         lam = wc.measure_envelope_wavelength(x, snap)
         assert lam == pytest.approx(pair.envelope.wavelength, rel=1e-3)
+
+
+class TestAnalyticSignal:
+    # k = (n - 1) // 2 is the highest bin below Nyquist, for even and odd n.
+    @pytest.mark.parametrize("n, k", [(64, 1), (64, 31), (65, 1), (65, 32), (1000, 7), (1001, 500)])
+    def test_cosine_over_whole_periods_gives_complex_exponential(self, n, k):
+        phase = 2.0 * math.pi * k * np.arange(n) / n + 0.4
+        a = wc._analytic_signal(np.cos(phase))
+        assert np.max(np.abs(a - np.exp(1j * phase))) < 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 64, 65])
+    def test_real_part_is_the_series(self, n):
+        v = np.random.default_rng(n).standard_normal(n)
+        assert np.max(np.abs(wc._analytic_signal(v).real - v)) < 1e-12
+
+
+# Hann-windowed two-tone series: the DTFT magnitude that _refine_peak maximizes.
+_DTFT_TIMES = np.arange(400) * 0.1
+_DTFT_WINDOWED = np.hanning(400) * (
+    np.sin(1.3 * _DTFT_TIMES) + 0.4 * np.cos(2.9 * _DTFT_TIMES + 0.2)
+)
+
+
+def _neg_dtft_magnitude(om):
+    return -abs(np.dot(_DTFT_WINDOWED, np.exp(-1j * om * _DTFT_TIMES)))
+
+
+class TestMinimizeBounded:
+    @settings(deadline=None, max_examples=150)
+    @given(
+        lo=st.floats(0.05, 3.5),
+        width=st.floats(1e-3, 2.5),
+        rel_xatol=st.sampled_from([1e-10, 1e-6, 1e-2]),
+    )
+    def test_matches_bounded_minimize_scalar_step_for_step(self, lo, width, rel_xatol):
+        optimize = pytest.importorskip("scipy.optimize")
+        hi = lo + width
+        xatol = width * rel_xatol
+        ref = optimize.minimize_scalar(
+            _neg_dtft_magnitude, bounds=(lo, hi), method="bounded",
+            options={"xatol": xatol},
+        )
+        x, fun, nfev = wc._minimize_bounded(_neg_dtft_magnitude, lo, hi, xatol)
+        assert (x, fun, nfev) == (ref.x, ref.fun, ref.nfev)
 
 
 class TestTemporalFrequencies:
