@@ -27,8 +27,8 @@ print()
 
 beats = bw.analyze_beats(cfg, probe=0.275)
 print("Spectral analysis of a fixed probe inside the well:")
-print(f"  fast measured {beats.fast:.6f}  (rel error {beats.fast_rel_error:.2e})")
-print(f"  slow measured {beats.slow:.6f}  (rel error {beats.slow_rel_error:.2e})")
+print(f"  fast measured {beats.fast:.6f}  (rel error {abs(beats.fast / cfg.omega_bar - 1):.2e})")
+print(f"  slow measured {beats.slow:.6f}  (rel error {abs(beats.slow / cfg.delta_omega - 1):.2e})")
 print()
 
 a_c, a_s = bw.project_internal_states(cfg, t=0.0)

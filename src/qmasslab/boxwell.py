@@ -77,14 +77,6 @@ class BoxConfig:
     def delta_omega(self) -> float:
         return self.gamma * self.omega0 * self.v
 
-    @property
-    def k_bar(self) -> float:
-        return self.omega_bar
-
-    @property
-    def delta_k(self) -> float:
-        return self.delta_omega
-
 
 @dataclass(frozen=True)
 class BeatAnalysis:
@@ -92,18 +84,8 @@ class BeatAnalysis:
 
     fast: float
     slow: float
-    predicted_fast: float
-    predicted_slow: float
     times: np.ndarray
     values: np.ndarray
-
-    @property
-    def fast_rel_error(self) -> float:
-        return abs(self.fast - self.predicted_fast) / self.predicted_fast
-
-    @property
-    def slow_rel_error(self) -> float:
-        return abs(self.slow - self.predicted_slow) / self.predicted_slow
 
 
 @dataclass(frozen=True)
@@ -126,8 +108,6 @@ class QuantizationReport:
     p_schrodinger: float
     kinetic_energy: float
     schrodinger_energy: float
-    energy_rel_discrepancy: float
-    relativistic_bound: float
 
 
 def build_field(cfg: BoxConfig) -> Superposition:
@@ -143,8 +123,8 @@ def closed_form(cfg: BoxConfig, x, t):
     """Product form of the four-wave field, for pointwise cross-checks."""
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
-    kb, dk = cfg.k_bar, cfg.delta_k
-    wb, dw = cfg.omega_bar, cfg.delta_omega
+    kb = wb = cfg.omega_bar  # lightlike waves: k = omega
+    dk = dw = cfg.delta_omega
     return 4.0 * (
         np.sin(kb * x) * np.cos(dk * x) * np.cos(wb * t) * np.cos(dw * t)
         - np.cos(kb * x) * np.sin(dk * x) * np.sin(wb * t) * np.sin(dw * t)
@@ -153,6 +133,9 @@ def closed_form(cfg: BoxConfig, x, t):
 
 #: Minimum per-frequency standing amplitude |sin(k*probe)| to resolve both peaks.
 PROBE_AMPLITUDE_MIN = 0.02
+
+#: Longest probe series; it holds 128*(1 + v)/v samples, so v must exceed ~1.2e-4.
+PROBE_SAMPLES_MAX = 2**20
 
 
 def analyze_beats(cfg: BoxConfig, probe: float) -> BeatAnalysis:
@@ -170,6 +153,10 @@ def analyze_beats(cfg: BoxConfig, probe: float) -> BeatAnalysis:
         )
     duration = 8.0 * 2.0 * math.pi / cfg.delta_omega
     dt = 2.0 * math.pi / (cfg.omega_bar + cfg.delta_omega) / 16.0
+    if duration / dt > PROBE_SAMPLES_MAX:
+        raise InvalidConfigError(
+            f"cavity speed {cfg.v:.3g} needs more than {PROBE_SAMPLES_MAX} probe samples"
+        )
     t = np.arange(0.0, duration, dt)
     series = evaluate(build_field(cfg), probe, t)
     peaks = measure_temporal_frequencies(t, series, count=2)
@@ -179,8 +166,6 @@ def analyze_beats(cfg: BoxConfig, probe: float) -> BeatAnalysis:
     return BeatAnalysis(
         fast=(hi + lo) / 2.0,
         slow=(hi - lo) / 2.0,
-        predicted_fast=cfg.omega_bar,
-        predicted_slow=cfg.delta_omega,
         times=t,
         values=series,
     )
@@ -193,34 +178,21 @@ def project_internal_states(cfg: BoxConfig, t: float) -> tuple[float, float]:
     a_c*sin(kbar*x)*cos(dk*x) + a_s*cos(kbar*x)*sin(dk*x); the model is
     exact, so the residual is at rounding level.
     """
-    if cfg.delta_k * cfg.W < 0.1:
+    if cfg.delta_omega * cfg.W < 0.1:
         raise ConditioningError(
-            f"near-degenerate basis: dk*W = {cfg.delta_k * cfg.W}"
+            f"near-degenerate basis: dk*W = {cfg.delta_omega * cfg.W}"
         )
     x = np.linspace(0.0, cfg.W, 2048)
     snapshot = evaluate(build_field(cfg), x, t)
     basis = np.stack(
         [
-            np.sin(cfg.k_bar * x) * np.cos(cfg.delta_k * x),
-            np.cos(cfg.k_bar * x) * np.sin(cfg.delta_k * x),
+            np.sin(cfg.omega_bar * x) * np.cos(cfg.delta_omega * x),
+            np.cos(cfg.omega_bar * x) * np.sin(cfg.delta_omega * x),
         ],
         axis=-1,
     )
     coeffs, *_ = np.linalg.lstsq(basis, snapshot, rcond=None)
     return float(coeffs[0]), float(coeffs[1])
-
-
-def project_states_per_carrier_period(cfg: BoxConfig):
-    """Cosine-state amplitude sampled once per fast period, 256 times.
-
-    Strobing at the carrier period freezes the fast factor cos(wbar*t) at
-    +1, exposing the slow oscillation 4*cos(dw*t) whose zero crossings are
-    spaced pi/dw.
-    """
-    period = 2.0 * math.pi / cfg.omega_bar
-    t = np.arange(256) * period
-    a_c = np.array([project_internal_states(cfg, ti)[0] for ti in t])
-    return t, a_c
 
 
 def trace_states_vs_position(cfg: BoxConfig, n_positions: int = 160) -> InternalStateTrace:
@@ -232,17 +204,17 @@ def trace_states_vs_position(cfg: BoxConfig, n_positions: int = 160) -> Internal
     leaving the slow spatial envelope pair (cos(dk*x_c), sin(dk*x_c)).  The fitted envelope
     wavenumber equals the de Broglie wavenumber gamma*m*v.
     """
-    global_window = cfg.L * cfg.delta_k < 0.05
+    global_window = cfg.L * cfg.delta_omega < 0.05
     if global_window:
         warnings.warn(
-            f"cavity window does not resolve the envelope (L*dk = {cfg.L * cfg.delta_k:.3g}); "
+            f"cavity window does not resolve the envelope (L*dk = {cfg.L * cfg.delta_omega:.3g}); "
             "falling back to the full well",
             stacklevel=2,
         )
     centers = np.linspace(cfg.L / 2.0, cfg.W - cfg.L / 2.0, n_positions)
     field = build_field(cfg)
-    kb, dk = cfg.k_bar, cfg.delta_k
-    wb, dw = cfg.omega_bar, cfg.delta_omega
+    kb = wb = cfg.omega_bar  # lightlike waves: k = omega
+    dk = dw = cfg.delta_omega
     t_span = 3 * 2.0 * math.pi / wb
     n_t = 3 * 16
     a_cos = np.empty(len(centers))
@@ -295,9 +267,9 @@ def speed_for_mode(cfg_W: float, omega0: float, n: int) -> float:
     return _bisect_speed(n * math.pi / cfg_W, omega0)
 
 
-def quantized_envelope(delta_k: float, x):
+def quantized_envelope(dk: float, x):
     """Odd combination of the two travel-direction state helices, sin(dk*x)."""
-    return np.sin(delta_k * np.asarray(x, dtype=float))
+    return np.sin(dk * np.asarray(x, dtype=float))
 
 
 def quantize(cfg: BoxConfig, n_max: int) -> list[QuantizationReport]:
@@ -326,8 +298,6 @@ def quantize(cfg: BoxConfig, n_max: int) -> list[QuantizationReport]:
                 p_schrodinger=n * math.pi / cfg.W,
                 kinetic_energy=e_kin,
                 schrodinger_energy=e_sch,
-                energy_rel_discrepancy=abs(e_kin - e_sch) / e_sch,
-                relativistic_bound=(dk / m) ** 2,
             )
         )
     return reports

@@ -20,7 +20,7 @@ def _parse_override(text: str) -> tuple[str, object]:
     key, raw = text.split("=", 1)
     try:
         value = json.loads(raw)
-    except json.JSONDecodeError:
+    except ValueError:  # not JSON, or an integer past Python's digit limit
         value = raw
     return key, value
 
@@ -50,13 +50,20 @@ def main(argv=None) -> int:
     params: dict = {}
     try:
         if args.config:
-            with open(args.config) as fh:
-                params.update(json.load(fh))
+            try:
+                with open(args.config, encoding="utf-8") as fh:
+                    config = json.load(fh)
+            except ValueError as exc:  # bad JSON or UTF-8, or an over-long integer
+                raise InvalidConfigError(f"--config {args.config}: {exc}") from exc
+            if not isinstance(config, dict):
+                raise InvalidConfigError(
+                    f"--config must hold a JSON object, got {type(config).__name__}")
+            params.update(config)
         for item in args.overrides:
             key, value = _parse_override(item)
             params[key] = value
         summary = run(args.scenario, params, args.out)
-    except (InvalidConfigError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (InvalidConfigError, OSError) as exc:
         print(f"qmass-lab: config error: {exc}", file=sys.stderr)
         return 2
     except QmassError as exc:

@@ -3,10 +3,9 @@
 Slits sit at (0, +d/2) and (0, -d/2) and radiate with a 1/r amplitude law.
 At each point the two wave vectors intersect at an angle theta, giving (in
 natural units, c = hbar = 1) the local quantum rest mass
-m = omega*sin(theta/2), the local speed cos(theta/2) along the bisector, and
-the transverse local wavelength 2*pi/(m*v) = 4*pi/(omega*sin(theta)).  The
-fringe-spacing oracle integrates nothing of that: it locates maxima of the
-exact two-source intensity.
+m = omega*sin(theta/2) and the local speed cos(theta/2) along the bisector.
+The fringe-spacing oracle integrates nothing of that: it locates maxima of
+the exact two-source intensity.
 """
 
 from __future__ import annotations
@@ -80,12 +79,8 @@ class SlitConfig:
 class LocalInterferenceState:
     """Per-point kinematics of the two-slit field."""
 
-    theta: float
     m: float
     v: np.ndarray
-    lambda_sub: float
-    region: Region
-    weights: tuple[float, float]
 
 
 @dataclass(frozen=True)
@@ -107,7 +102,6 @@ class FringeReport:
 
     predicted: float
     measured: float
-    rel_error: float
     maxima: np.ndarray
     s: np.ndarray
     intensity: np.ndarray
@@ -159,14 +153,6 @@ def local_speed(theta: float) -> float:
     return math.cos(theta / 2.0)
 
 
-def local_wavelength(theta: float, omega: float) -> float:
-    """Local wavelength 2*pi/(m*v) = 4*pi/(omega*sin(theta)), transverse to v."""
-    s = math.sin(theta)
-    if s == 0.0:
-        return math.inf
-    return 4.0 * math.pi / (omega * s)
-
-
 def classify_region(p, cfg: SlitConfig) -> Region:
     """Amplitude-ratio label with a_i = 1/r_i and the module thresholds."""
     return _region(_point_state(p, cfg)[0])
@@ -180,19 +166,10 @@ def weighted_local_state(p, cfg: SlitConfig) -> LocalInterferenceState:
     Equal weights reduce to the balanced-region sin/cos forms; a vanishing
     weight gives a massless radial wave.
     """
-    r, u, n = _point_state(p, cfg)
-    a = 1.0 / r
+    n = _point_state(p, cfg)[2]
     speed = float(np.hypot(n[0], n[1]))
     m = cfg.omega * math.sqrt(max(0.0, 1.0 - speed**2))
-    lam = 2.0 * math.pi / (m * speed) if m > 0 and speed > 0 else math.inf
-    return LocalInterferenceState(
-        theta=_theta(u),
-        m=m,
-        v=n,
-        lambda_sub=lam,
-        region=_region(r),
-        weights=(float(a[0]), float(a[1])),
-    )
+    return LocalInterferenceState(m=m, v=n)
 
 
 #: Stagnation threshold on |v| for trajectory termination.
@@ -244,7 +221,7 @@ def integrate_trajectory(start, cfg: SlitConfig, max_steps: int = 10_000) -> Tra
 
 
 def fringe_spacing_predicted(cfg: SlitConfig, D: float) -> float:
-    """Far-field bright-fringe spacing D*lambda/d (half the local wavelength)."""
+    """Far-field bright-fringe spacing D*lambda/d."""
     if D / cfg.d < 20.0:
         warnings.warn(
             f"far-field approximation weak: D/d = {D / cfg.d:.1f} < 20",
@@ -284,7 +261,7 @@ def fringe_spacing_measured(cfg: SlitConfig, D: float, screen: str = "arc") -> F
     elif screen == "line":
         pts = np.stack([np.full_like(s, D), s], axis=-1)
     else:
-        raise ValueError(f"unknown screen kind {screen!r}")
+        raise InvalidConfigError(f"unknown screen kind {screen!r}; choose 'arc' or 'line'")
     intensity = screen_intensity(cfg, pts)
     i = np.arange(1, n - 1)
     mask = (intensity[i] > intensity[i - 1]) & (intensity[i] >= intensity[i + 1])
@@ -302,7 +279,6 @@ def fringe_spacing_measured(cfg: SlitConfig, D: float, screen: str = "arc") -> F
     return FringeReport(
         predicted=predicted,
         measured=measured,
-        rel_error=abs(measured - predicted) / predicted,
         maxima=maxima,
         s=s,
         intensity=intensity,

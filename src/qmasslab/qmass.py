@@ -54,8 +54,6 @@ class MassState:
 
     m: float
     v: float
-    direction: tuple[float, float]
-    lambda_dB: float
     E: float
     p: float
 
@@ -100,12 +98,9 @@ def boost_four_momentum(P: FourMomentum, beta: float) -> FourMomentum:
 
 
 def mass_state_of(b: BidirectionalWave) -> MassState:
-    """Quantum rest mass, group speed and matter wavelength of ``b``."""
+    """Quantum rest mass, group speed, energy and momentum of ``b``."""
     P = four_momentum_of(b)
     m = invariant_mass(P)
     vvec = group_velocity(P)
     v = float(np.hypot(vvec[0], vvec[1]))
-    p = P.p
-    lam = 2.0 * math.pi / p if p > 0 else math.inf
-    direction = (vvec[0] / v, vvec[1] / v) if v > 0 else b.axis
-    return MassState(m=m, v=v, direction=direction, lambda_dB=lam, E=P.E, p=p)
+    return MassState(m=m, v=v, E=P.E, p=P.p)

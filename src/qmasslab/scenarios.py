@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import boxwell, doubleslit, qmass, wavecore
-from .errors import InsufficientSpanError, InvalidConfigError
+from .errors import InsufficientSpanError, InvalidConfigError, QmassError
 
 SCHEMA_VERSION = 1
 
@@ -65,6 +65,9 @@ class Metric:
     def __post_init__(self):
         _require(0 <= self.tolerance < 1,
                  f"metric {self.name}: tolerance must be in [0, 1), got {self.tolerance}")
+        if not (math.isfinite(self.predicted) and math.isfinite(self.measured)):
+            raise QmassError(f"metric {self.name}: non-finite predicted {self.predicted} "
+                             f"or measured {self.measured}")
 
     @property
     def rel_error(self) -> float:
@@ -139,7 +142,7 @@ def export_summary(summary: RunSummary, path: Path) -> None:
         "pass": summary.passed,
         "duration_s": summary.duration_s,
     }
-    path.write_text(json.dumps(doc, indent=2) + "\n")
+    path.write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n")
 
 
 def _require(condition: bool, message: str) -> None:
@@ -193,7 +196,11 @@ def _run_doubleslit_map(params: dict, out: Path, summary: RunSummary) -> None:
     midpoint_mass = doubleslit.weighted_local_state((0.0, 0.0), cfg).m
     axis_x = np.linspace(cfg.d / 100.0, 10.0 * cfg.d, 500)
     axis_m = doubleslit.mass_map(cfg, axis_x, np.array([0.0]))[:, 0]
-    increases = int(np.sum(np.diff(axis_m) > 0))
+    _require(np.isfinite(axis_m).all() and np.isfinite(m).any(),
+             f"slit exclusion radius {cfg.exclusion_radius:g} covers an axis sample "
+             "or the whole grid; lower the wavelength")
+    # A step that is not a decrease or flat, NaN included, is a violation.
+    increases = int(np.sum(~(np.diff(axis_m) <= 0)))
     summary.metrics += [
         Metric("midpoint_mass", cfg.omega, midpoint_mass, 1e-9, "formula"),
         Metric("grid_maximum", midpoint_mass, float(np.nanmax(m)), 1e-9, "oracle"),
@@ -206,12 +213,10 @@ def _run_doubleslit_map(params: dict, out: Path, summary: RunSummary) -> None:
 def _run_doubleslit_traj(params: dict, out: Path, summary: RunSummary) -> None:
     _require(params["max_steps"] >= 1, f"max_steps must be >= 1, got {params['max_steps']}")
     cfg = _slit_config(params)
+    trajectories = [doubleslit.integrate_trajectory(start, cfg, max_steps=params["max_steps"])
+                    for start in params["starts"]]
     far_deviations = []
-    for i, start in enumerate(params["starts"]):
-        traj = doubleslit.integrate_trajectory(start, cfg, max_steps=params["max_steps"])
-        name = f"trajectory_{i:03d}.csv"
-        _write_csv(out / name, "x,y,value", traj.points, traj.times)
-        summary.files.append(name)
+    for traj in trajectories:
         r = np.hypot(traj.points[:, 0], traj.points[:, 1])
         far = r > _FAR_FIELD_RADIUS * cfg.d
         if np.any(far[:-1]):
@@ -228,6 +233,10 @@ def _run_doubleslit_traj(params: dict, out: Path, summary: RunSummary) -> None:
     summary.metrics.append(
         Metric("far_field_radial_deviation_rad", 0.0, max(far_deviations), 1e-3, "oracle")
     )
+    for i, traj in enumerate(trajectories):
+        name = f"trajectory_{i:03d}.csv"
+        _write_csv(out / name, "x,y,value", traj.points, traj.times)
+        summary.files.append(name)
 
 
 def _run_box_beat(params: dict, out: Path, summary: RunSummary) -> None:
@@ -237,8 +246,8 @@ def _run_box_beat(params: dict, out: Path, summary: RunSummary) -> None:
     cfg = boxwell.BoxConfig(W=W, L=W / 10.0, omega0=params["omega0"], v=params["v"])
     beats = boxwell.analyze_beats(cfg, probe)
     summary.metrics += [
-        Metric("fast_frequency", beats.predicted_fast, beats.fast, 5e-3, "oracle"),
-        Metric("slow_frequency", beats.predicted_slow, beats.slow, 5e-3, "oracle"),
+        Metric("fast_frequency", cfg.omega_bar, beats.fast, 5e-3, "oracle"),
+        Metric("slow_frequency", cfg.delta_omega, beats.slow, 5e-3, "oracle"),
     ]
     export_series(beats.times, beats.values, out / "probe_series.csv", header="t,value")
     summary.files.append("probe_series.csv")
@@ -281,7 +290,7 @@ def _run_box_quantize(params: dict, out: Path, summary: RunSummary) -> None:
             Metric(f"momentum_n{rep.n}", rep.p_schrodinger, rep.p_n, 1e-9, "formula"),
             Metric(
                 f"energy_n{rep.n}", rep.schrodinger_energy, rep.kinetic_energy,
-                rep.relativistic_bound, "formula",
+                (rep.p_n / cfg.omega0) ** 2, "formula",
             ),
             Metric(f"kinetic_energy_n{rep.n}", exact, rep.kinetic_energy, 1e-7, "formula"),
         ]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientSpanError, InvalidBoostError, InvalidWaveError
+from .errors import InsufficientSpanError, InvalidBoostError, InvalidConfigError, InvalidWaveError
 
 
 def _unit2(vec) -> tuple[float, float]:
@@ -43,9 +43,6 @@ class PlaneWave:
         if not math.isfinite(self.phase):
             raise InvalidWaveError(f"phase must be finite, got {self.phase}")
         object.__setattr__(self, "direction", _unit2(self.direction))
-
-    def wavevector(self) -> np.ndarray:
-        return np.array([self.omega * self.direction[0], self.omega * self.direction[1]])
 
 
 @dataclass(frozen=True)
@@ -131,7 +128,7 @@ def doppler_boost(w: PlaneWave, beta: float) -> PlaneWave:
     g = gamma_of(beta)
     dx, dy = w.direction
     omega_p = g * w.omega * (1.0 + beta * dx)
-    # Null four-wavevector transform: k'_x = gamma*(k_x + beta*omega), k'_y = k_y.
+    # Null four-vector transform of k = omega*d: k'_x = gamma*(k_x + beta*omega), k'_y = k_y.
     kx_p = g * (dx + beta)
     ky_p = dy
     return PlaneWave(w.amplitude, omega_p, (kx_p, ky_p), w.phase)
@@ -255,7 +252,8 @@ def envelope_sampling_grid(b: BidirectionalWave) -> np.ndarray:
     At least 4 envelope periods, 64 points per period of omega_plus.  The
     snapshot of a bidirectional wave holds the spatial frequencies
     k_plus and k_minus; choosing the span commensurate with both keeps the
-    FFT-based analytic signal free of boundary artifacts.
+    FFT-based analytic signal free of boundary artifacts.  A speed below
+    about 1/128 has no such span with a denominator of at most 64.
     """
     from fractions import Fraction
 
@@ -264,6 +262,8 @@ def envelope_sampling_grid(b: BidirectionalWave) -> np.ndarray:
         raise InvalidWaveError("standing wave has an infinite envelope wavelength")
     beta = (b.omega_plus - b.omega_minus) / (b.omega_plus + b.omega_minus)
     p = Fraction(beta).limit_denominator(64).numerator
+    if p == 0:
+        raise InvalidConfigError(f"speed {beta:.3g} is below about 1/128: no commensurate grid")
     m = p * max(1, math.ceil(4 / p))
     span = m * pair.envelope.wavelength
     dx_target = 2.0 * math.pi / b.omega_plus / 64
@@ -425,7 +425,7 @@ def wave_equation_residual(
     else:
         F = np.asarray(field(x[:, None], t[None, :]), dtype=float)
         if omega_max is None:
-            raise ValueError("omega_max is required for callable fields")
+            raise InvalidConfigError("omega_max is required for callable fields")
     dx = x[1] - x[0]
     dt = t[1] - t[0]
     ftt = (F[:, 2:] - 2.0 * F[:, 1:-1] + F[:, :-2]) / dt**2

@@ -65,7 +65,7 @@ def test_04_fringe_spacing_sweep():
             d = 0.5
             cfg = ds.SlitConfig(d=d, omega=2.0 * math.pi / (ratio_lam * d))
             report = ds.fringe_spacing_measured(cfg, ratio_D * d)
-            worst = max(worst, report.rel_error)
+            worst = max(worst, abs(report.measured - report.predicted) / report.predicted)
     _report(
         "double-slit fringe spacing",
         worst < 0.01,
@@ -131,7 +131,11 @@ def test_07_box_beat_frequencies():
     for v in (0.02, 0.0627080, 0.15):
         cfg = bw.BoxConfig(W=1.0, L=0.1, omega0=100.0, v=v)
         out = bw.analyze_beats(cfg, probe=0.275)
-        worst = max(worst, out.fast_rel_error, out.slow_rel_error)
+        worst = max(
+            worst,
+            abs(out.fast - cfg.omega_bar) / cfg.omega_bar,
+            abs(out.slow - cfg.delta_omega) / cfg.delta_omega,
+        )
     _report(
         "box beat frequencies",
         worst < 5e-3,
@@ -169,7 +173,8 @@ def test_09_well_quantization():
             abs(bw.quantized_envelope(rep.p_n, 0.0)),
             abs(bw.quantized_envelope(rep.p_n, cfg.W)),
         )
-        energy_ok &= rep.energy_rel_discrepancy < rep.relativistic_bound
+        discrepancy = abs(rep.kinetic_energy - rep.schrodinger_energy) / rep.schrodinger_energy
+        energy_ok &= discrepancy < (rep.p_n / cfg.omega0) ** 2
     ok = worst_k < 1e-9 and worst_wall < 1e-9 and energy_ok
     _report(
         "well quantization",

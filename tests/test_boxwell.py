@@ -26,7 +26,7 @@ class TestBoxConfig:
         assert cfg.gamma == pytest.approx(g, rel=1e-14)
         assert cfg.omega_bar == pytest.approx(g * 100.0, rel=1e-14)
         assert cfg.delta_omega == pytest.approx(g * 100.0 * cfg.v, rel=1e-14)
-        assert cfg.delta_k == pytest.approx(2 * math.pi, rel=1e-12)
+        assert cfg.delta_omega == pytest.approx(2 * math.pi, rel=1e-12)
 
     def test_forward_pair_product(self, cfg):
         pair = wc.boost_standing_wave(cfg.omega0, cfg.v)
@@ -69,7 +69,7 @@ class TestBuildField:
         cfg = bw.BoxConfig(W=1.0, L=0.1, omega0=1000.0, v=v)
         x = np.linspace(0.0, 1.0, 300)
         got = bw.closed_form(cfg, x, 0.0)
-        standing = 4.0 * np.sin(cfg.k_bar * x) * np.cos(cfg.delta_k * x)
+        standing = 4.0 * np.sin(cfg.omega_bar * x) * np.cos(cfg.delta_omega * x)
         assert np.allclose(got, standing, atol=1e-12)
 
 
@@ -79,8 +79,8 @@ class TestAnalyzeBeats:
         v = bw.speed_for_mode(1.0, 100.0, n)
         cfg = bw.BoxConfig(W=1.0, L=0.1, omega0=100.0, v=v)
         out = bw.analyze_beats(cfg, probe=0.275)
-        assert out.fast_rel_error < 5e-3
-        assert out.slow_rel_error < 5e-3
+        assert out.fast == pytest.approx(cfg.omega_bar, rel=5e-3)
+        assert out.slow == pytest.approx(cfg.delta_omega, rel=5e-3)
 
     def test_degenerate_probe_rejected(self, cfg):
         # a node of the forward-frequency standing component
@@ -99,14 +99,6 @@ class TestInternalStateProjection:
         t = math.pi / (2.0 * cfg.delta_omega)
         a_c, _ = bw.project_internal_states(cfg, t)
         assert abs(a_c) < 5e-3 * 4.0
-
-    def test_stroboscopic_slow_oscillation(self, cfg):
-        t, a_c = bw.project_states_per_carrier_period(cfg)
-        expected = 4.0 * np.cos(cfg.delta_omega * t)
-        assert np.allclose(a_c, expected, atol=5e-3 * 4.0)
-        crossings = wc.zero_crossings(t, a_c)
-        gaps = np.diff(crossings)
-        assert np.allclose(gaps, math.pi / cfg.delta_omega, rtol=5e-3)
 
     def test_basis_orthogonality(self, cfg):
         kb, dk = 10 * math.pi, 2 * math.pi
@@ -127,22 +119,22 @@ class TestInternalStateProjection:
 class TestTraceStatesVsPosition:
     def test_envelope_wavenumber_and_flatness(self, cfg):
         trace = bw.trace_states_vs_position(cfg)
-        assert trace.envelope_wavenumber == pytest.approx(cfg.delta_k, rel=1e-9)
+        assert trace.envelope_wavenumber == pytest.approx(cfg.delta_omega, rel=1e-9)
         r = np.hypot(trace.a_cos, trace.a_sin)
         assert (np.max(r) - np.min(r)) / np.mean(r) < 1e-9
 
     def test_amplitudes_follow_envelope_phases(self, cfg):
         trace = bw.trace_states_vs_position(cfg, n_positions=40)
         scale = np.mean(np.hypot(trace.a_cos, trace.a_sin))
-        assert np.allclose(trace.a_cos, scale * np.cos(cfg.delta_k * trace.x), atol=1e-8)
-        assert np.allclose(trace.a_sin, scale * np.sin(cfg.delta_k * trace.x), atol=1e-8)
+        assert np.allclose(trace.a_cos, scale * np.cos(cfg.delta_omega * trace.x), atol=1e-8)
+        assert np.allclose(trace.a_sin, scale * np.sin(cfg.delta_omega * trace.x), atol=1e-8)
 
     def test_unresolved_envelope_falls_back(self):
         v = bw._bisect_speed(0.2, 100.0)
         cfg = bw.BoxConfig(W=1.0, L=0.1, omega0=100.0, v=v)
         with pytest.warns(UserWarning):
             trace = bw.trace_states_vs_position(cfg, n_positions=24)
-        assert trace.envelope_wavenumber == pytest.approx(cfg.delta_k, rel=1e-6)
+        assert trace.envelope_wavenumber == pytest.approx(cfg.delta_omega, rel=1e-6)
 
 
 class TestQuantization:
@@ -173,19 +165,20 @@ class TestQuantization:
                 rep.n - 1
             )
 
-    def test_energy_matches_within_relativistic_bound(self):
+    def test_energy_matches_within_relativistic_correction(self):
         cfg = bw.BoxConfig(W=1.0, L=0.1, omega0=100.0, v=0.05)
         for rep in bw.quantize(cfg, 5):
-            assert rep.energy_rel_discrepancy < rep.relativistic_bound
+            discrepancy = abs(rep.kinetic_energy - rep.schrodinger_energy) / rep.schrodinger_energy
+            assert discrepancy < (rep.p_n / cfg.omega0) ** 2
 
     def test_measured_envelope_wavelength(self):
         # mode 4 leaves enough interior crossings for the spatial oracle
         v = bw.speed_for_mode(1.0, 100.0, 4)
         cfg = bw.BoxConfig(W=1.0, L=0.1, omega0=100.0, v=v)
         x = np.linspace(0.0, 1.0, 2001)
-        env = bw.quantized_envelope(cfg.delta_k, x)
+        env = bw.quantized_envelope(cfg.delta_omega, x)
         lam = wc.measure_spatial_wavelength(x, env)
-        assert lam == pytest.approx(2 * math.pi / cfg.delta_k, rel=1e-3)
+        assert lam == pytest.approx(2 * math.pi / cfg.delta_omega, rel=1e-3)
 
     def test_mode_out_of_range(self):
         with pytest.raises(ModeOutOfRangeError):

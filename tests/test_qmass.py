@@ -143,7 +143,8 @@ class TestMassState:
 
     def test_wavelength_momentum_product(self):
         st = qm.mass_state_of(qm.BidirectionalWave(2.0, 0.5))
-        assert st.lambda_dB * st.p == pytest.approx(2 * math.pi, rel=1e-12)
+        lam = qm.de_broglie_wavelength(st.m, st.v)
+        assert lam * st.p == pytest.approx(2 * math.pi, rel=1e-12)
 
     def test_route_equivalence_via_component_boost(self):
         # Boosting both components into the frame where the frequencies are

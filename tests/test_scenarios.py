@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from qmasslab import boxwell, cli, scenarios
-from qmasslab.errors import InvalidConfigError
+from qmasslab.errors import InvalidConfigError, QmassError
 
 # fast overrides keeping every scenario well under a second
 FAST_PARAMS = {
@@ -121,6 +122,13 @@ def test_metric_tolerance_outside_unit_interval_rejected(tolerance):
         scenarios.Metric("m", 1.0, 1.0, tolerance, "formula")
 
 
+@pytest.mark.parametrize("predicted, measured", [(math.nan, 1.0), (1.0, math.inf)])
+def test_metric_non_finite_value_is_a_runtime_error(predicted, measured):
+    with pytest.raises(QmassError) as excinfo:
+        scenarios.Metric("m", predicted, measured, 0.1, "oracle")
+    assert not isinstance(excinfo.value, InvalidConfigError)
+
+
 def test_unknown_scenario_rejected(tmp_path):
     with pytest.raises(InvalidConfigError):
         scenarios.run("nonsense", {}, tmp_path)
@@ -183,16 +191,64 @@ def test_numpy_and_tuple_parameters_accepted(kind, params, tmp_path):
     assert set(params) <= set(doc["params"])
 
 
-def _run_python(code):
-    """Run ``python -c code`` with this checkout's ``src`` first on the path."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _run_python(*args, cwd=None):
+    """Run ``python *args`` with this checkout's ``src`` first on the path."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
+        cwd=cwd,
         env=dict(os.environ, PYTHONPATH=path),
     )
+
+
+@pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.stem)
+def test_demo_runs(demo, tmp_path):
+    proc = _run_python(str(demo), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+# Every metric of every scenario, with overrides that keep each run small.
+GATES = {
+    "boost": ([], ["quantum_rest_mass", "group_speed", "envelope_wavelength"]),
+    "doubleslit-map": (["nx=21", "ny=21"],
+                       ["midpoint_mass", "grid_maximum", "axis_monotone_violations"]),
+    "doubleslit-traj": (["starts=[[25.0,0.0]]", "max_steps=200"],
+                        ["far_field_radial_deviation_rad"]),
+    "doubleslit-fringes": ([], ["fringe_spacing"]),
+    "box-beat": ([], ["fast_frequency", "slow_frequency"]),
+    "box-states": (["n_positions=16"], ["envelope_wavenumber", "helix_modulus_flatness"]),
+    "box-quantize": (["n_max=2"], [f"{gate}_n{n}" for n in (1, 2)
+                                   for gate in ("momentum", "energy", "kinetic_energy")]),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, gate", [(kind, gate) for kind, (_, gates) in GATES.items() for gate in gates]
+)
+def test_every_gate_can_fail(kind, gate, tmp_path, monkeypatch, capsys):
+    # The named metric misses by twice its tolerance plus 1e-6; all others run as is.
+    metric = scenarios.Metric
+
+    def missing(name, predicted, measured, tolerance, source):
+        if name == gate:
+            measured = predicted + (2 * tolerance + 1e-6) * (abs(predicted) or 1.0)
+        return metric(name, predicted, measured, tolerance, source)
+
+    monkeypatch.setattr(scenarios, "Metric", missing)
+    overrides, gates = GATES[kind]
+    argv = [kind, "--out", str(tmp_path)]
+    for item in overrides:
+        argv += ["--set", item]
+    assert cli.main(argv) == 1
+    lines = re.findall(r"^(PASS|FAIL) (\S+): predicted=", capsys.readouterr().out, re.M)
+    status = {name: word for word, name in lines}
+    assert status == {name: "FAIL" if name == gate else "PASS" for name in gates}
 
 
 class TestCli:
@@ -212,22 +268,31 @@ class TestCli:
             ["doubleslit-map", "--set", "ny=1"],
             ["box-states", "--set", "n_positions=1"],
             ["box-quantize", "--set", "n_max=60"],
+            ["doubleslit-fringes", "--set", "screen=foo"],
+            ["boost", "--set", "beta=0.001"],
+            ["doubleslit-map", "--set", "wavelength=100.0"],
+            ["box-beat", "--set", "v=1e-300"],
+            ["boost", "--set", "beta=" + "1" * 5000],
         ],
     )
     def test_mistyped_override_exit_2(self, argv, tmp_path, capsys):
         assert cli.main(argv + ["--out", str(tmp_path)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "content",
+        [b"5", b'[["beta", 0.3]]', b"null", b'{"beta": 0.3', b"\xff\xfe{}",
+         b'{"beta": ' + b"1" * 5000 + b"}"],
+    )
+    def test_bad_config_file_exit_2(self, content, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(content)
+        assert cli.main(["boost", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_module_run_is_warning_free(self, tmp_path):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-W", "error::RuntimeWarning", "-m", "qmasslab.cli",
-             "boost", "--out", str(tmp_path)],
-            capture_output=True,
-            text=True,
-            env=dict(os.environ, PYTHONPATH=path),
-        )
+        proc = _run_python("-W", "error::RuntimeWarning", "-m", "qmasslab.cli",
+                           "boost", "--out", str(tmp_path))
         assert proc.returncode == 0, proc.stderr
 
     @pytest.mark.parametrize("argv", [["boost"], ["box-beat", "--set", "v=0.02"]])
@@ -236,7 +301,7 @@ class TestCli:
             "import sys; sys.modules['scipy'] = None; from qmasslab.cli import main; "
             f"sys.exit(main({argv + ['--out', str(tmp_path)]!r}))"
         )
-        proc = _run_python(code)
+        proc = _run_python("-c", code)
         assert proc.returncode == 0, proc.stderr
 
     def test_import_loads_no_scipy(self):
@@ -244,7 +309,7 @@ class TestCli:
             "import sys, qmasslab, qmasslab.cli; "
             "print(sorted(k for k in sys.modules if k.startswith('scipy')))"
         )
-        proc = _run_python(code)
+        proc = _run_python("-c", code)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
@@ -252,6 +317,7 @@ class TestCli:
         argv = ["doubleslit-traj", "--set", "starts=[[2.0,0.0]]", "--set", "max_steps=10"]
         assert cli.main(argv + ["--out", str(tmp_path)]) == 3
         assert "far-field" in capsys.readouterr().err
+        assert not list(tmp_path.glob("trajectory_*.csv"))
 
     def test_success_exit_code(self, tmp_path, capsys):
         code = cli.main(["boost", "--out", str(tmp_path)])

@@ -85,9 +85,10 @@ class TestDopplerBoost:
         w = wc.PlaneWave(1.0, 2.0, (0.6, 0.8))
         out = wc.doppler_boost(w, 0.3)
         assert np.hypot(*out.direction) == pytest.approx(1.0, abs=1e-12)
-        # frequency from the transformed null four-wavevector magnitude
-        k = out.wavevector()
-        assert np.hypot(k[0], k[1]) == pytest.approx(out.omega, rel=1e-12)
+        # aberration: k'_x = omega'*d'_x = gamma*omega*(d_x + beta)
+        g = 1.0 / math.sqrt(1.0 - 0.3**2)
+        kx = g * w.omega * (w.direction[0] + 0.3)
+        assert out.omega * out.direction[0] == pytest.approx(kx, rel=1e-12)
 
     def test_superluminal_boost_rejected(self):
         w = wc.PlaneWave(1.0, 1.0)
@@ -305,3 +306,8 @@ class TestWaveEquationResidual:
         x, t = wc.sample_grid(omega, (0.0, 30.0), (0.0, 30.0))
         res = wc.wave_equation_residual(bad, x, t, omega_max=omega)
         assert res > 1e-1
+
+    def test_callable_without_omega_max_rejected(self):
+        x, t = wc.sample_grid(2.0, (0.0, 1.0), (0.0, 1.0))
+        with pytest.raises(InvalidConfigError):
+            wc.wave_equation_residual(lambda x, t: np.sin(2.0 * (x - t)), x, t)
