@@ -16,7 +16,6 @@ combination to vanish at both walls quantizes the cavity speed.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,8 +113,8 @@ def build_field(cfg: BoxConfig) -> Superposition:
     """Four plane waves: per-frequency standing pairs, so F(0, t) = 0."""
     waves = []
     for omega in (cfg.omega_bar + cfg.delta_omega, cfg.omega_bar - cfg.delta_omega):
-        waves.append(PlaneWave(1.0, omega, (1.0, 0.0), 0.0))
-        waves.append(PlaneWave(1.0, omega, (-1.0, 0.0), math.pi))
+        waves.append(PlaneWave(omega, (1.0, 0.0), 0.0))
+        waves.append(PlaneWave(omega, (-1.0, 0.0), math.pi))
     return Superposition(tuple(waves))
 
 
@@ -204,13 +203,6 @@ def trace_states_vs_position(cfg: BoxConfig, n_positions: int = 160) -> Internal
     leaving the slow spatial envelope pair (cos(dk*x_c), sin(dk*x_c)).  The fitted envelope
     wavenumber equals the de Broglie wavenumber gamma*m*v.
     """
-    global_window = cfg.L * cfg.delta_omega < 0.05
-    if global_window:
-        warnings.warn(
-            f"cavity window does not resolve the envelope (L*dk = {cfg.L * cfg.delta_omega:.3g}); "
-            "falling back to the full well",
-            stacklevel=2,
-        )
     centers = np.linspace(cfg.L / 2.0, cfg.W - cfg.L / 2.0, n_positions)
     field = build_field(cfg)
     kb = wb = cfg.omega_bar  # lightlike waves: k = omega
@@ -220,16 +212,14 @@ def trace_states_vs_position(cfg: BoxConfig, n_positions: int = 160) -> Internal
     a_cos = np.empty(len(centers))
     a_sin = np.empty(len(centers))
     for i, xc in enumerate(centers):
-        if global_window:
-            x = np.linspace(0.0, cfg.W, 96)[:, None]
-        else:
-            x = np.linspace(xc - cfg.L / 2.0, xc + cfg.L / 2.0, 96)[:, None]
+        x = np.linspace(xc - cfg.L / 2.0, xc + cfg.L / 2.0, 96)[:, None]
         t = (xc / cfg.v + np.arange(n_t) * (t_span / n_t))[None, :]
         values = evaluate(field, x, t).ravel()
         b1 = 4.0 * np.sin(kb * x) * np.cos(wb * t) * np.cos(dw * t)
         b2 = -4.0 * np.cos(kb * x) * np.sin(wb * t) * np.sin(dw * t)
         # Refer the slow envelope to the window center so the local model is
-        # exact: F = cos(dk*xc)*c1 + sin(dk*xc)*c2 with u = x - xc.
+        # exact for any window length: F = cos(dk*xc)*c1 + sin(dk*xc)*c2 with
+        # u = x - xc.
         cu = np.cos(dk * (x - xc))
         su = np.sin(dk * (x - xc))
         c1 = (cu * b1 + su * b2).ravel()
@@ -243,15 +233,15 @@ def trace_states_vs_position(cfg: BoxConfig, n_positions: int = 160) -> Internal
     )
 
 
-def _bisect_speed(target: float, omega0: float, tol: float = 1e-14) -> float:
-    """Solve gamma(beta)*beta*omega0 = target for beta by bisection."""
+def _bisect_speed(target: float, omega0: float) -> float:
+    """Solve gamma(beta)*beta*omega0 = target for beta by bisection to a 1e-14 bracket."""
     f = lambda b: gamma_of(b) * b * omega0 - target
     lo, hi = 0.0, BETA_MAX
     if f(hi) < 0:
         raise ModeOutOfRangeError(
             f"no admissible cavity speed below {BETA_MAX}c for target {target}"
         )
-    while hi - lo > tol:
+    while hi - lo > 1e-14:
         mid = 0.5 * (lo + hi)
         if f(mid) < 0:
             lo = mid

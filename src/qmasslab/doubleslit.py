@@ -177,11 +177,11 @@ STAGNATION_SPEED = 1e-6
 
 
 def _flow_direction(p, cfg: SlitConfig):
-    """Unit direction of the weighted velocity field, or None where it stagnates."""
+    """Unit direction and speed of the weighted velocity field; raises where it stagnates."""
     n = _point_state(p, cfg)[2]
     n_mag = np.hypot(n[0], n[1])
     if n_mag < STAGNATION_SPEED:
-        return None, n_mag
+        raise SingularPointError(f"flow stagnates at {p}: |v| = {n_mag:.3g}")
     return n / n_mag, n_mag
 
 
@@ -190,7 +190,7 @@ def integrate_trajectory(start, cfg: SlitConfig, max_steps: int = 10_000) -> Tra
 
     Arc-length parameterized with step d/100; elapsed time accumulates as
     step/|v|.  Terminates at the domain boundary, on stagnation
-    (|v| < 1e-6) or at ``max_steps``.
+    (|v| < 1e-6, or an RK4 stage at a slit) or at ``max_steps``.
     """
     step = cfg.d / 100.0
     p = np.asarray(start, dtype=float).copy()
@@ -200,15 +200,12 @@ def integrate_trajectory(start, cfg: SlitConfig, max_steps: int = 10_000) -> Tra
     times = [0.0]
     termination = "max_steps"
     for _ in range(max_steps):
-        d1, n_mag = _flow_direction(p, cfg)
-        if d1 is None:
-            termination = "stagnation"
-            break
         try:
+            d1, n_mag = _flow_direction(p, cfg)
             d2, _ = _flow_direction(p + 0.5 * step * d1, cfg)
             d3, _ = _flow_direction(p + 0.5 * step * d2, cfg)
             d4, _ = _flow_direction(p + step * d3, cfg)
-        except (SingularPointError, TypeError):
+        except SingularPointError:
             termination = "stagnation"
             break
         p = p + step / 6.0 * (d1 + 2.0 * d2 + 2.0 * d3 + d4)

@@ -26,7 +26,7 @@ class InsufficientSpanError(QmassError):
 
 
 class SingularPointError(QmassError):
-    """Evaluation point coincides with a field singularity (a slit)."""
+    """Evaluation point is a field singularity: a slit or a stagnation point of the flow."""
 
 
 class InvalidConfigError(QmassError):

@@ -154,7 +154,6 @@ def _run_boost(params: dict, out: Path, summary: RunSummary) -> None:
     omega0, beta = params["omega0"], params["beta"]
     _require(omega0 > 0, f"omega0 must be positive, got {omega0}")
     _require(abs(beta) < 1, f"|beta| must be < 1, got {beta}")
-    _require(beta != 0, "beta must be nonzero for the envelope measurement")
     b = wavecore.boost_standing_wave(omega0, beta)
     state = qmass.mass_state_of(b)
     x = wavecore.envelope_sampling_grid(b)
@@ -177,6 +176,7 @@ def _slit_config(params: dict) -> doubleslit.SlitConfig:
 
 
 def _run_doubleslit_fringes(params: dict, out: Path, summary: RunSummary) -> None:
+    _require(params["D"] > 0, f"screen distance D must be positive, got {params['D']}")
     cfg = _slit_config(params)
     report = doubleslit.fringe_spacing_measured(cfg, params["D"], screen=params["screen"])
     summary.metrics.append(
@@ -189,6 +189,8 @@ def _run_doubleslit_fringes(params: dict, out: Path, summary: RunSummary) -> Non
 def _run_doubleslit_map(params: dict, out: Path, summary: RunSummary) -> None:
     _require(min(params["nx"], params["ny"]) >= 2,
              f"nx and ny must be >= 2, got {params['nx']} and {params['ny']}")
+    _require(min(params["x_span"], params["y_span"]) > 0,
+             f"x_span and y_span must be positive, got {params['x_span']} and {params['y_span']}")
     cfg = _slit_config(params)
     x = np.linspace(0.0, params["x_span"] * cfg.d, params["nx"])
     y = np.linspace(-params["y_span"] * cfg.d, params["y_span"] * cfg.d, params["ny"])
@@ -213,6 +215,10 @@ def _run_doubleslit_map(params: dict, out: Path, summary: RunSummary) -> None:
 def _run_doubleslit_traj(params: dict, out: Path, summary: RunSummary) -> None:
     _require(params["max_steps"] >= 1, f"max_steps must be >= 1, got {params['max_steps']}")
     cfg = _slit_config(params)
+    for x, y in params["starts"]:
+        _require(cfg.x_min <= x <= cfg.x_max and abs(y) <= cfg.y_half,
+                 f"start ({x}, {y}) lies outside {cfg.x_min:g} <= x <= {cfg.x_max:g}, "
+                 f"|y| <= {cfg.y_half:g}")
     trajectories = [doubleslit.integrate_trajectory(start, cfg, max_steps=params["max_steps"])
                     for start in params["starts"]]
     far_deviations = []

@@ -28,16 +28,13 @@ def _unit2(vec) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class PlaneWave:
-    """One scalar sinusoidal traveling wave, A*sin(k.x - omega*t + phase)."""
+    """One unit-amplitude scalar traveling wave, sin(k.x - omega*t + phase)."""
 
-    amplitude: float
     omega: float
     direction: tuple[float, float] = (1.0, 0.0)
     phase: float = 0.0
 
     def __post_init__(self):
-        if not 0 < self.amplitude < math.inf:
-            raise InvalidWaveError(f"amplitude must be positive and finite, got {self.amplitude}")
         if not 0 < self.omega < math.inf:
             raise InvalidWaveError(f"omega must be positive and finite, got {self.omega}")
         if not math.isfinite(self.phase):
@@ -120,8 +117,8 @@ def doppler_boost(w: PlaneWave, beta: float) -> PlaneWave:
     """Boost a plane wave by +beta along the x-axis.
 
     Convention: omega' = gamma * omega * (1 + beta * d_x), the direction
-    transformed by relativistic aberration.  The amplitude is carried
-    unchanged.  beta = 0 returns the input exactly.
+    transformed by relativistic aberration.  beta = 0 returns the input
+    exactly.
     """
     if beta == 0.0:
         return w
@@ -131,7 +128,7 @@ def doppler_boost(w: PlaneWave, beta: float) -> PlaneWave:
     # Null four-vector transform of k = omega*d: k'_x = gamma*(k_x + beta*omega), k'_y = k_y.
     kx_p = g * (dx + beta)
     ky_p = dy
-    return PlaneWave(w.amplitude, omega_p, (kx_p, ky_p), w.phase)
+    return PlaneWave(omega_p, (kx_p, ky_p), w.phase)
 
 
 def boost_standing_wave(omega0: float, beta: float) -> BidirectionalWave:
@@ -152,11 +149,9 @@ def boost_standing_wave(omega0: float, beta: float) -> BidirectionalWave:
 
 
 def superposition_of(b: BidirectionalWave) -> Superposition:
-    """Two unit-amplitude counter-propagating plane waves realizing ``b``."""
+    """Two counter-propagating plane waves realizing ``b``."""
     ax = b.axis
-    return Superposition(
-        (PlaneWave(1.0, b.omega_plus, ax), PlaneWave(1.0, b.omega_minus, (-ax[0], -ax[1])))
-    )
+    return Superposition((PlaneWave(b.omega_plus, ax), PlaneWave(b.omega_minus, (-ax[0], -ax[1]))))
 
 
 def evaluate(s: Superposition, x, t):
@@ -166,7 +161,7 @@ def evaluate(s: Superposition, x, t):
     out = np.zeros(np.broadcast_shapes(x.shape, t.shape))
     for w in s.waves:
         kx = w.omega * w.direction[0]
-        out = out + w.amplitude * np.sin(kx * x - w.omega * t + w.phase)
+        out = out + np.sin(kx * x - w.omega * t + w.phase)
     return out
 
 
@@ -253,13 +248,12 @@ def envelope_sampling_grid(b: BidirectionalWave) -> np.ndarray:
     snapshot of a bidirectional wave holds the spatial frequencies
     k_plus and k_minus; choosing the span commensurate with both keeps the
     FFT-based analytic signal free of boundary artifacts.  A speed below
-    about 1/128 has no such span with a denominator of at most 64.
+    about 1/128, a standing wave's 0 included, has no such span with a
+    denominator of at most 64.
     """
     from fractions import Fraction
 
     pair = factor_carrier_envelope(b)
-    if pair.envelope.wavenumber == 0.0:
-        raise InvalidWaveError("standing wave has an infinite envelope wavelength")
     beta = (b.omega_plus - b.omega_minus) / (b.omega_plus + b.omega_minus)
     p = Fraction(beta).limit_denominator(64).numerator
     if p == 0:
@@ -404,31 +398,18 @@ def sample_grid(
     return x, t
 
 
-def wave_equation_residual(
-    field,
-    x: np.ndarray,
-    t: np.ndarray,
-    omega_max: float | None = None,
-) -> float:
+def wave_equation_residual(field: Superposition, x: np.ndarray, t: np.ndarray) -> float:
     """Normalized interior maximum of |F_tt - F_xx| by central differences.
 
-    ``field`` is a Superposition or a callable (x_grid, t_grid) -> F with
-    F[i, j] = F(x[i], t[j]); callables must supply ``omega_max`` for the
-    normalization max|F| * omega_max**2.
+    ``field`` is a superposition evaluated on the grid F[i, j] = F(x[i], t[j]);
+    the maximum is normalized by max|F| * omega_max**2.
     """
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
-    if isinstance(field, Superposition):
-        F = evaluate(field, x[:, None], t[None, :])
-        if omega_max is None:
-            omega_max = field.omega_max
-    else:
-        F = np.asarray(field(x[:, None], t[None, :]), dtype=float)
-        if omega_max is None:
-            raise InvalidConfigError("omega_max is required for callable fields")
+    F = evaluate(field, x[:, None], t[None, :])
     dx = x[1] - x[0]
     dt = t[1] - t[0]
     ftt = (F[:, 2:] - 2.0 * F[:, 1:-1] + F[:, :-2]) / dt**2
     fxx = (F[2:, :] - 2.0 * F[1:-1, :] + F[:-2, :]) / dx**2
     res = ftt[1:-1, :] - fxx[:, 1:-1]
-    return float(np.max(np.abs(res)) / (np.max(np.abs(F)) * omega_max**2))
+    return float(np.max(np.abs(res)) / (np.max(np.abs(F)) * field.omega_max**2))

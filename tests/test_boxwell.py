@@ -129,11 +129,11 @@ class TestTraceStatesVsPosition:
         assert np.allclose(trace.a_cos, scale * np.cos(cfg.delta_omega * trace.x), atol=1e-8)
         assert np.allclose(trace.a_sin, scale * np.sin(cfg.delta_omega * trace.x), atol=1e-8)
 
-    def test_unresolved_envelope_falls_back(self):
+    def test_short_window_resolves_envelope(self):
+        # L*dk = 0.02: the window spans a fiftieth of an envelope radian.
         v = bw._bisect_speed(0.2, 100.0)
         cfg = bw.BoxConfig(W=1.0, L=0.1, omega0=100.0, v=v)
-        with pytest.warns(UserWarning):
-            trace = bw.trace_states_vs_position(cfg, n_positions=24)
+        trace = bw.trace_states_vs_position(cfg, n_positions=24)
         assert trace.envelope_wavenumber == pytest.approx(cfg.delta_omega, rel=1e-6)
 
 

@@ -161,6 +161,12 @@ class TestTrajectories:
         traj = ds.integrate_trajectory((49.9, 0.0), cfg, max_steps=10_000)
         assert traj.termination == "boundary"
 
+    def test_midpoint_start_stagnates(self, cfg):
+        # The two equal-weight unit vectors cancel on the slit midpoint.
+        traj = ds.integrate_trajectory((0.0, 0.0), cfg)
+        assert traj.termination == "stagnation"
+        assert len(traj.points) == 1
+
     def test_start_at_slit_rejected(self, cfg):
         with pytest.raises(SingularPointError):
             ds.integrate_trajectory((0.0, 0.5), cfg)

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from qmasslab import boxwell, cli, scenarios
+from qmasslab import boxwell, cli, doubleslit, scenarios
 from qmasslab.errors import InvalidConfigError, QmassError
 
 # fast overrides keeping every scenario well under a second
@@ -228,6 +228,17 @@ GATES = {
 }
 
 
+def _assert_only_gate_fails(kind, gate, tmp_path, capsys):
+    overrides, gates = GATES[kind]
+    argv = [kind, "--out", str(tmp_path)]
+    for item in overrides:
+        argv += ["--set", item]
+    assert cli.main(argv) == 1
+    lines = re.findall(r"^(PASS|FAIL) (\S+): predicted=", capsys.readouterr().out, re.M)
+    status = {name: word for word, name in lines}
+    assert status == {name: "FAIL" if name == gate else "PASS" for name in gates}
+
+
 @pytest.mark.parametrize(
     "kind, gate", [(kind, gate) for kind, (_, gates) in GATES.items() for gate in gates]
 )
@@ -241,14 +252,49 @@ def test_every_gate_can_fail(kind, gate, tmp_path, monkeypatch, capsys):
         return metric(name, predicted, measured, tolerance, source)
 
     monkeypatch.setattr(scenarios, "Metric", missing)
-    overrides, gates = GATES[kind]
-    argv = [kind, "--out", str(tmp_path)]
-    for item in overrides:
-        argv += ["--set", item]
-    assert cli.main(argv) == 1
-    lines = re.findall(r"^(PASS|FAIL) (\S+): predicted=", capsys.readouterr().out, re.M)
-    status = {name: word for word, name in lines}
-    assert status == {name: "FAIL" if name == gate else "PASS" for name in gates}
+    _assert_only_gate_fails(kind, gate, tmp_path, capsys)
+
+
+def _rising_axis(mass_map):
+    # Reversed along x, the axis profile rises away from the slits; the grid
+    # maximum is unchanged.
+    return lambda cfg, x, y: mass_map(cfg, x, y)[::-1]
+
+
+def _kinked_path(integrate):
+    def kinked(start, cfg, max_steps):
+        traj = integrate(start, cfg, max_steps=max_steps)
+        points = traj.points.copy()
+        points[-1, 1] += cfg.d / 100.0  # the last far-field step turns sideways
+        return dataclasses.replace(traj, points=points)
+    return kinked
+
+
+def _unequal_states(trace_states):
+    def unequal(cfg, n_positions):
+        trace = trace_states(cfg, n_positions=n_positions)
+        return dataclasses.replace(trace, a_cos=1.1 * trace.a_cos)
+    return unequal
+
+
+# Each gate whose prediction is 0, with the physics function its runner measures
+# and a corruption of that function's result that the gate must catch.
+ZERO_GATES = {
+    "axis_monotone_violations": ("doubleslit-map", doubleslit, "mass_map", _rising_axis),
+    "far_field_radial_deviation_rad": (
+        "doubleslit-traj", doubleslit, "integrate_trajectory", _kinked_path),
+    "helix_modulus_flatness": (
+        "box-states", boxwell, "trace_states_vs_position", _unequal_states),
+}
+
+
+@pytest.mark.parametrize("gate", ZERO_GATES)
+def test_zero_predicted_gate_catches_corrupted_input(gate, tmp_path, monkeypatch, capsys):
+    # Unlike the matrix above, this corrupts the measured input, so a measurement
+    # stuck at 0 cannot pass.
+    kind, module, name, corrupt = ZERO_GATES[gate]
+    monkeypatch.setattr(module, name, corrupt(getattr(module, name)))
+    _assert_only_gate_fails(kind, gate, tmp_path, capsys)
 
 
 class TestCli:
@@ -273,6 +319,13 @@ class TestCli:
             ["doubleslit-map", "--set", "wavelength=100.0"],
             ["box-beat", "--set", "v=1e-300"],
             ["boost", "--set", "beta=" + "1" * 5000],
+            ["boost", "--set", "beta=0.0"],
+            ["doubleslit-fringes", "--set", "D=-50.0"],
+            ["doubleslit-fringes", "--set", "D=0.0"],
+            ["doubleslit-traj", "--set", "starts=[[1e308,0.0]]"],
+            ["doubleslit-traj", "--set", "starts=[[-1.0,0.0]]"],
+            ["doubleslit-map", "--set", "x_span=-1.0"],
+            ["doubleslit-map", "--set", "y_span=0.0"],
         ],
     )
     def test_mistyped_override_exit_2(self, argv, tmp_path, capsys):

@@ -35,10 +35,10 @@ def _bisect_root(f, lo, hi):
 @pytest.mark.parametrize(
     "make, args, error",
     [
-        (wc.PlaneWave, (NAN, 1.0), InvalidWaveError),
-        (wc.PlaneWave, (1.0, INF), InvalidWaveError),
-        (wc.PlaneWave, (1.0, 1.0, (INF, 0.0)), InvalidWaveError),
-        (wc.PlaneWave, (1.0, 1.0, (1.0, 0.0), NAN), InvalidWaveError),
+        (wc.PlaneWave, (NAN,), InvalidWaveError),
+        (wc.PlaneWave, (INF,), InvalidWaveError),
+        (wc.PlaneWave, (1.0, (INF, 0.0)), InvalidWaveError),
+        (wc.PlaneWave, (1.0, (1.0, 0.0), NAN), InvalidWaveError),
         (wc.BidirectionalWave, (INF, 1.0), InvalidWaveError),
         (wc.BidirectionalWave, (2.0, 1.0, (NAN, 0.0)), InvalidWaveError),
         (ds.SlitConfig, (INF, 1.0), InvalidConfigError),
@@ -57,18 +57,18 @@ def test_non_finite_or_invalid_input_rejected_at_construction(make, args, error)
 
 class TestDopplerBoost:
     def test_forward_wave(self):
-        w = wc.PlaneWave(1.0, 1.0, (1.0, 0.0))
+        w = wc.PlaneWave(1.0, (1.0, 0.0))
         out = wc.doppler_boost(w, 0.6)
         assert out.omega == pytest.approx(2.0, rel=1e-12)
         assert out.direction == pytest.approx((1.0, 0.0))
 
     def test_backward_wave(self):
-        w = wc.PlaneWave(1.0, 1.0, (-1.0, 0.0))
+        w = wc.PlaneWave(1.0, (-1.0, 0.0))
         out = wc.doppler_boost(w, 0.6)
         assert out.omega == pytest.approx(0.5, rel=1e-12)
 
     def test_identity_boost_is_exact(self):
-        w = wc.PlaneWave(2.0, 3.7, (0.6, 0.8), phase=0.1)
+        w = wc.PlaneWave(3.7, (0.6, 0.8), phase=0.1)
         assert wc.doppler_boost(w, 0.0) is w
 
     def test_half_boost_composition(self):
@@ -76,13 +76,13 @@ class TestDopplerBoost:
         # boost at beta = 2*beta_h/(1+beta_h**2).
         beta = 0.6
         beta_h = beta / (1.0 + math.sqrt(1.0 - beta**2))
-        w = wc.PlaneWave(1.0, 1.0, (1.0, 0.0))
+        w = wc.PlaneWave(1.0, (1.0, 0.0))
         once = wc.doppler_boost(w, beta)
         twice = wc.doppler_boost(wc.doppler_boost(w, beta_h), beta_h)
         assert twice.omega == pytest.approx(once.omega, rel=1e-12)
 
     def test_oblique_direction_stays_null(self):
-        w = wc.PlaneWave(1.0, 2.0, (0.6, 0.8))
+        w = wc.PlaneWave(2.0, (0.6, 0.8))
         out = wc.doppler_boost(w, 0.3)
         assert np.hypot(*out.direction) == pytest.approx(1.0, abs=1e-12)
         # aberration: k'_x = omega'*d'_x = gamma*omega*(d_x + beta)
@@ -91,7 +91,7 @@ class TestDopplerBoost:
         assert out.omega * out.direction[0] == pytest.approx(kx, rel=1e-12)
 
     def test_superluminal_boost_rejected(self):
-        w = wc.PlaneWave(1.0, 1.0)
+        w = wc.PlaneWave(1.0)
         with pytest.raises(InvalidBoostError):
             wc.doppler_boost(w, 1.0)
         with pytest.raises(InvalidBoostError):
@@ -126,7 +126,7 @@ class TestBoostStandingWave:
 
 class TestEvaluate:
     def test_single_wave_origin(self):
-        s = wc.Superposition((wc.PlaneWave(1.0, 1.0),))
+        s = wc.Superposition((wc.PlaneWave(1.0),))
         assert wc.evaluate(s, 0.0, 0.0) == 0.0
 
     def test_standing_pair_product_identity(self):
@@ -291,7 +291,7 @@ class TestTemporalFrequencies:
 
 class TestWaveEquationResidual:
     def test_single_wave_small_residual(self):
-        s = wc.Superposition((wc.PlaneWave(1.0, 2.0),))
+        s = wc.Superposition((wc.PlaneWave(2.0),))
         x, t = wc.sample_grid(2.0, (0.0, 10.0), (0.0, 10.0))
         assert wc.wave_equation_residual(s, x, t) < 1e-3
 
@@ -301,13 +301,8 @@ class TestWaveEquationResidual:
         assert wc.wave_equation_residual(s, x, t) < 1e-3
 
     def test_corrupted_dispersion_fails(self):
-        omega = 2.0
-        bad = lambda x, t: np.sin(1.2 * omega * x - omega * t)
-        x, t = wc.sample_grid(omega, (0.0, 30.0), (0.0, 30.0))
-        res = wc.wave_equation_residual(bad, x, t, omega_max=omega)
-        assert res > 1e-1
-
-    def test_callable_without_omega_max_rejected(self):
-        x, t = wc.sample_grid(2.0, (0.0, 1.0), (0.0, 1.0))
-        with pytest.raises(InvalidConfigError):
-            wc.wave_equation_residual(lambda x, t: np.sin(2.0 * (x - t)), x, t)
+        # An oblique wave seen along the x axis has k_x = 0.8*omega: F_tt - F_xx
+        # leaves 0.36*omega**2*F.
+        bad = wc.Superposition((wc.PlaneWave(2.0, (0.8, 0.6)),))
+        x, t = wc.sample_grid(2.0, (0.0, 30.0), (0.0, 30.0))
+        assert wc.wave_equation_residual(bad, x, t) > 1e-1
