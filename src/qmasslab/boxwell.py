@@ -20,12 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConditioningError,
-    DegenerateProbeError,
-    InvalidConfigError,
-    ModeOutOfRangeError,
-)
+from .errors import InsufficientSpanError, InvalidConfigError
 from .wavecore import (
     PlaneWave,
     Superposition,
@@ -147,9 +142,7 @@ def analyze_beats(cfg: BoxConfig, probe: float) -> BeatAnalysis:
     kp = cfg.omega_bar + cfg.delta_omega
     km = cfg.omega_bar - cfg.delta_omega
     if min(abs(math.sin(kp * probe)), abs(math.sin(km * probe))) < PROBE_AMPLITUDE_MIN:
-        raise DegenerateProbeError(
-            f"probe {probe} sits at a node of a component standing wave"
-        )
+        raise InvalidConfigError(f"probe {probe} sits at a node of a component standing wave")
     duration = 8.0 * 2.0 * math.pi / cfg.delta_omega
     dt = 2.0 * math.pi / (cfg.omega_bar + cfg.delta_omega) / 16.0
     if duration / dt > PROBE_SAMPLES_MAX:
@@ -160,7 +153,7 @@ def analyze_beats(cfg: BoxConfig, probe: float) -> BeatAnalysis:
     series = evaluate(build_field(cfg), probe, t)
     peaks = measure_temporal_frequencies(t, series, count=2)
     if len(peaks) < 2:
-        raise DegenerateProbeError("fewer than two spectral peaks at this probe")
+        raise InsufficientSpanError("fewer than two spectral peaks at this probe")
     hi, lo = max(peaks), min(peaks)
     return BeatAnalysis(
         fast=(hi + lo) / 2.0,
@@ -178,9 +171,7 @@ def project_internal_states(cfg: BoxConfig, t: float) -> tuple[float, float]:
     exact, so the residual is at rounding level.
     """
     if cfg.delta_omega * cfg.W < 0.1:
-        raise ConditioningError(
-            f"near-degenerate basis: dk*W = {cfg.delta_omega * cfg.W}"
-        )
+        raise InvalidConfigError(f"near-degenerate basis: dk*W = {cfg.delta_omega * cfg.W}")
     x = np.linspace(0.0, cfg.W, 2048)
     snapshot = evaluate(build_field(cfg), x, t)
     basis = np.stack(
@@ -238,9 +229,8 @@ def _bisect_speed(target: float, omega0: float) -> float:
     f = lambda b: gamma_of(b) * b * omega0 - target
     lo, hi = 0.0, BETA_MAX
     if f(hi) < 0:
-        raise ModeOutOfRangeError(
-            f"no admissible cavity speed below {BETA_MAX}c for target {target}"
-        )
+        raise InvalidConfigError(
+            f"no admissible cavity speed below {BETA_MAX}c for target {target}")
     while hi - lo > 1e-14:
         mid = 0.5 * (lo + hi)
         if f(mid) < 0:

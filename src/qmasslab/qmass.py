@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidMomentumError, UndefinedMassError
+from .errors import InvalidConfigError
 from .wavecore import BidirectionalWave, gamma_of
 
 __all__ = [
@@ -69,21 +69,21 @@ def invariant_mass(P: FourMomentum) -> float:
     """Rest mass sqrt(E**2 - p**2); zero for null momenta."""
     m2 = P.E**2 - (P.px**2 + P.py**2)
     if m2 < -SPACELIKE_TOL * P.E**2:
-        raise InvalidMomentumError(f"spacelike four-momentum: E^2 - p^2 = {m2}")
+        raise InvalidConfigError(f"spacelike four-momentum: E^2 - p^2 = {m2}")
     return math.sqrt(max(m2, 0.0))
 
 
 def group_velocity(P: FourMomentum) -> np.ndarray:
     """Velocity vector v = p / E."""
     if P.E <= 0:
-        raise InvalidMomentumError(f"energy must be positive, got {P.E}")
+        raise InvalidConfigError(f"energy must be positive, got {P.E}")
     return np.array([P.px, P.py]) / P.E
 
 
 def de_broglie_wavelength(m: float, v: float) -> float:
     """Matter wavelength h/(gamma*m*v); infinite for a configuration at rest."""
     if m <= 0:
-        raise UndefinedMassError(f"mass must be positive, got {m}")
+        raise InvalidConfigError(f"mass must be positive, got {m}")
     if v == 0:
         return math.inf
     return 2.0 * math.pi / (gamma_of(v) * m * v)

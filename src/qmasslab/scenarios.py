@@ -151,10 +151,8 @@ def _require(condition: bool, message: str) -> None:
 
 
 def _run_boost(params: dict, out: Path, summary: RunSummary) -> None:
-    omega0, beta = params["omega0"], params["beta"]
-    _require(omega0 > 0, f"omega0 must be positive, got {omega0}")
-    _require(abs(beta) < 1, f"|beta| must be < 1, got {beta}")
-    b = wavecore.boost_standing_wave(omega0, beta)
+    beta = params["beta"]
+    b = wavecore.boost_standing_wave(params["omega0"], beta)
     state = qmass.mass_state_of(b)
     x = wavecore.envelope_sampling_grid(b)
     snapshot = wavecore.evaluate(wavecore.superposition_of(b), x, 0.3)

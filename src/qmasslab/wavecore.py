@@ -15,14 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientSpanError, InvalidBoostError, InvalidConfigError, InvalidWaveError
+from .errors import InsufficientSpanError, InvalidConfigError
 
 
 def _unit2(vec) -> tuple[float, float]:
     vx, vy = float(vec[0]), float(vec[1])
     norm = math.hypot(vx, vy)
     if not 0.0 < norm < math.inf:
-        raise InvalidWaveError(f"direction vector must be nonzero and finite, got {vec}")
+        raise InvalidConfigError(f"direction vector must be nonzero and finite, got {vec}")
     return (vx / norm, vy / norm)
 
 
@@ -36,9 +36,9 @@ class PlaneWave:
 
     def __post_init__(self):
         if not 0 < self.omega < math.inf:
-            raise InvalidWaveError(f"omega must be positive and finite, got {self.omega}")
+            raise InvalidConfigError(f"omega must be positive and finite, got {self.omega}")
         if not math.isfinite(self.phase):
-            raise InvalidWaveError(f"phase must be finite, got {self.phase}")
+            raise InvalidConfigError(f"phase must be finite, got {self.phase}")
         object.__setattr__(self, "direction", _unit2(self.direction))
 
 
@@ -50,7 +50,7 @@ class Superposition:
 
     def __post_init__(self):
         if len(self.waves) == 0:
-            raise InvalidWaveError("superposition must contain at least one wave")
+            raise InvalidConfigError("superposition must contain at least one wave")
         object.__setattr__(self, "waves", tuple(self.waves))
 
     @property
@@ -71,7 +71,7 @@ class BidirectionalWave:
 
     def __post_init__(self):
         if not (math.inf > self.omega_plus >= self.omega_minus > 0):
-            raise InvalidWaveError(
+            raise InvalidConfigError(
                 f"need finite omega_plus >= omega_minus > 0, got "
                 f"({self.omega_plus}, {self.omega_minus})"
             )
@@ -109,7 +109,7 @@ class CarrierEnvelopePair:
 def gamma_of(beta: float) -> float:
     """Lorentz factor for a speed beta in units of c."""
     if abs(beta) >= 1.0:
-        raise InvalidBoostError(f"|beta| must be < 1, got {beta}")
+        raise InvalidConfigError(f"|beta| must be < 1, got {beta}")
     return 1.0 / math.sqrt(1.0 - beta * beta)
 
 
@@ -139,7 +139,7 @@ def boost_standing_wave(omega0: float, beta: float) -> BidirectionalWave:
     omega_plus*omega_minus equals omega0**2.
     """
     if omega0 <= 0:
-        raise InvalidWaveError(f"omega0 must be positive, got {omega0}")
+        raise InvalidConfigError(f"omega0 must be positive, got {omega0}")
     if beta == 0.0:
         return BidirectionalWave(omega0, omega0)
     g = gamma_of(beta)

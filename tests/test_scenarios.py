@@ -326,6 +326,9 @@ class TestCli:
             ["doubleslit-traj", "--set", "starts=[[-1.0,0.0]]"],
             ["doubleslit-map", "--set", "x_span=-1.0"],
             ["doubleslit-map", "--set", "y_span=0.0"],
+            ["box-beat", "--set", "probe=0.0295"],
+            ["box-beat", "--set", "probe=1e-10"],
+            ["boost", "--set", "omega0=1e308"],
         ],
     )
     def test_mistyped_override_exit_2(self, argv, tmp_path, capsys):
@@ -402,16 +405,10 @@ class TestCli:
         assert code == 2
 
     def test_physics_error_exit_3(self, tmp_path, capsys):
-        # probe at a standing-wave node of the forward-frequency component
-        from qmasslab import boxwell
-
-        p = scenarios.DEFAULTS["box-beat"]
-        cfg = boxwell.BoxConfig(W=p["W"], L=p["W"] / 10.0, omega0=p["omega0"], v=p["v"])
-        node = 9.0 * math.pi / (cfg.omega_bar + cfg.delta_omega)
-        code = cli.main(
-            ["box-beat", "--out", str(tmp_path), "--set", f"probe={node}"]
-        )
+        # Near c the slow beat is too slow for the probe series to split the two peaks.
+        code = cli.main(["box-beat", "--out", str(tmp_path), "--set", "v=0.9999"])
         assert code == 3
+        assert "fewer than two spectral peaks" in capsys.readouterr().err
 
     def test_unknown_scenario_usage_error(self, tmp_path):
         assert cli.main(["nonsense", "--out", str(tmp_path)]) == 2
