@@ -32,6 +32,11 @@ from .wavecore import (
 #: Minimum carrier cycles across the well, enforcing omega0*W >> 1.
 MIN_CARRIER_PHASE = 20.0
 
+#: Maximum omega0*W of the mode solver and the position sweep.  Beyond it the
+#: mode speeds, bisected to an absolute 1e-14, miss the 1e-9 momentum gate, and
+#: the sweep at its slowest cavity (SWEEP_SPEED_MIN) was not verified.
+MAX_CARRIER_PHASE = 1e5
+
 #: Cavity speeds are only searched up to this fraction of c.
 BETA_MAX = 0.999
 
@@ -58,6 +63,8 @@ class BoxConfig:
             raise InvalidConfigError(
                 f"carrier unresolved: omega0*W = {self.omega0 * self.W}"
             )
+        if not math.isfinite(self.omega_bar + self.delta_omega):
+            raise InvalidConfigError(f"frequency gamma*omega0*(1 + v) overflows for {self}")
 
     @property
     def gamma(self) -> float:
@@ -125,6 +132,12 @@ def closed_form(cfg: BoxConfig, x, t):
     )
 
 
+def _check_carrier_phase(omega0: float, W: float) -> None:
+    if omega0 * W > MAX_CARRIER_PHASE:
+        raise InvalidConfigError(
+            f"omega0*W must be <= {MAX_CARRIER_PHASE:g}, got {omega0 * W}")
+
+
 #: Minimum per-frequency standing amplitude |sin(k*probe)| to resolve both peaks.
 PROBE_AMPLITUDE_MIN = 0.02
 
@@ -185,6 +198,16 @@ def project_internal_states(cfg: BoxConfig, t: float) -> tuple[float, float]:
     return float(coeffs[0]), float(coeffs[1])
 
 
+#: Slowest cavity the position sweep resolves.  The sample times x_c/v grow as
+#: 1/v, and with them the rounding of the carrier phase; at omega0*W = 1e5 and
+#: this speed the helix flatness is still ~30 times inside its gate.
+SWEEP_SPEED_MIN = 1e-6
+
+#: Smallest omega0*L of the cavity window.  Near the wall node the windowed
+#: field shrinks with it, and below ~1e-12 the fit loses both amplitudes.
+SWEEP_WINDOW_PHASE_MIN = 1e-9
+
+
 def trace_states_vs_position(cfg: BoxConfig, n_positions: int = 160) -> InternalStateTrace:
     """Internal-state amplitudes as the cavity sweeps the well at speed v.
 
@@ -192,12 +215,27 @@ def trace_states_vs_position(cfg: BoxConfig, n_positions: int = 160) -> Internal
     to the cavity window (96 points) is fitted over 3 carrier periods (16
     samples each) to the local carrier model with known time factors,
     leaving the slow spatial envelope pair (cos(dk*x_c), sin(dk*x_c)).  The fitted envelope
-    wavenumber equals the de Broglie wavenumber gamma*m*v.
+    wavenumber equals the de Broglie wavenumber gamma*m*v.  The envelope phase
+    is unwrapped between neighbouring centers, so it must advance by less than
+    pi per step.
     """
-    centers = np.linspace(cfg.L / 2.0, cfg.W - cfg.L / 2.0, n_positions)
-    field = build_field(cfg)
     kb = wb = cfg.omega_bar  # lightlike waves: k = omega
     dk = dw = cfg.delta_omega
+    _check_carrier_phase(cfg.omega0, cfg.W)
+    if n_positions < 2:
+        raise InvalidConfigError(f"n_positions must be >= 2, got {n_positions}")
+    if cfg.v < SWEEP_SPEED_MIN:
+        raise InvalidConfigError(f"cavity speed must be >= {SWEEP_SPEED_MIN:g}, got {cfg.v}")
+    if cfg.omega0 * cfg.L < SWEEP_WINDOW_PHASE_MIN:
+        raise InvalidConfigError(
+            f"omega0*L must be >= {SWEEP_WINDOW_PHASE_MIN:g}, got {cfg.omega0 * cfg.L}")
+    step = dk * (cfg.W - cfg.L) / (n_positions - 1)
+    if step >= math.pi:
+        raise InvalidConfigError(
+            f"envelope phase step dk*(W - L)/(n_positions - 1) = {step:.3g} must be below "
+            "pi; raise n_positions")
+    centers = np.linspace(cfg.L / 2.0, cfg.W - cfg.L / 2.0, n_positions)
+    field = build_field(cfg)
     t_span = 3 * 2.0 * math.pi / wb
     n_t = 3 * 16
     a_cos = np.empty(len(centers))
@@ -244,6 +282,7 @@ def speed_for_mode(cfg_W: float, omega0: float, n: int) -> float:
     """Cavity speed whose de Broglie wavenumber satisfies dk*W = n*pi."""
     if n < 1:
         raise InvalidConfigError(f"mode index must be >= 1, got {n}")
+    _check_carrier_phase(omega0, cfg_W)
     return _bisect_speed(n * math.pi / cfg_W, omega0)
 
 

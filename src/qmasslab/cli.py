@@ -1,7 +1,7 @@
 """Command line front end: ``qmass-lab <scenario> --config file [options]``.
 
-Exit codes: 0 all metrics pass, 1 metric failure, 2 usage/config error,
-3 runtime/physics error.
+Exit codes: 0 all metrics pass, 1 metric failure, 2 bad input (usage, an
+unreadable config, an ``InvalidConfigError``), 3 any other ``QmassError``.
 """
 
 from __future__ import annotations

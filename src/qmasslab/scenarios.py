@@ -45,6 +45,13 @@ DEFAULTS: dict[str, dict] = {
 #: omega0 of its config; this speed only has to pass ``BoxConfig``'s range check.
 _QUANTIZE_CONFIG_SPEED = 0.05
 
+#: Rest frequencies the boost scenario accepts.  Its snapshot time t = 0.3 is
+#: fixed, so the carrier phase omega*t that each sample rounds grows with
+#: omega0 (the envelope gate fails from ~1e13), and the mass gate squares the
+#: energy (it underflows below ~1e-154).  Both stay far off inside this range.
+_BOOST_OMEGA0_MIN = 1e-9
+_BOOST_OMEGA0_MAX = 1e9
+
 #: Radius, in slit separations, beyond which a streamline must run radially.
 _FAR_FIELD_RADIUS = 20.0
 
@@ -151,8 +158,10 @@ def _require(condition: bool, message: str) -> None:
 
 
 def _run_boost(params: dict, out: Path, summary: RunSummary) -> None:
-    beta = params["beta"]
-    b = wavecore.boost_standing_wave(params["omega0"], beta)
+    omega0, beta = params["omega0"], params["beta"]
+    _require(_BOOST_OMEGA0_MIN <= omega0 <= _BOOST_OMEGA0_MAX,
+             f"omega0 must be in [{_BOOST_OMEGA0_MIN:g}, {_BOOST_OMEGA0_MAX:g}], got {omega0}")
+    b = wavecore.boost_standing_wave(omega0, beta)
     state = qmass.mass_state_of(b)
     x = wavecore.envelope_sampling_grid(b)
     snapshot = wavecore.evaluate(wavecore.superposition_of(b), x, 0.3)
@@ -170,6 +179,8 @@ def _run_boost(params: dict, out: Path, summary: RunSummary) -> None:
 
 
 def _slit_config(params: dict) -> doubleslit.SlitConfig:
+    _require(params["wavelength"] > 0,
+             f"wavelength must be positive, got {params['wavelength']}")
     return doubleslit.SlitConfig(d=params["d"], omega=2.0 * math.pi / params["wavelength"])
 
 
@@ -187,9 +198,12 @@ def _run_doubleslit_fringes(params: dict, out: Path, summary: RunSummary) -> Non
 def _run_doubleslit_map(params: dict, out: Path, summary: RunSummary) -> None:
     _require(min(params["nx"], params["ny"]) >= 2,
              f"nx and ny must be >= 2, got {params['nx']} and {params['ny']}")
-    _require(min(params["x_span"], params["y_span"]) > 0,
-             f"x_span and y_span must be positive, got {params['x_span']} and {params['y_span']}")
     cfg = _slit_config(params)
+    # The map stays inside the trajectory domain; far beyond it r**2 overflows.
+    _require(0 < params["x_span"] * cfg.d <= cfg.x_max
+             and 0 < params["y_span"] * cfg.d <= cfg.y_half,
+             f"x_span must be in (0, {cfg.x_max / cfg.d:g}] and y_span in "
+             f"(0, {cfg.y_half / cfg.d:g}], got {params['x_span']} and {params['y_span']}")
     x = np.linspace(0.0, params["x_span"] * cfg.d, params["nx"])
     y = np.linspace(-params["y_span"] * cfg.d, params["y_span"] * cfg.d, params["ny"])
     m = doubleslit.mass_map(cfg, x, y)
@@ -258,8 +272,6 @@ def _run_box_beat(params: dict, out: Path, summary: RunSummary) -> None:
 
 
 def _run_box_states(params: dict, out: Path, summary: RunSummary) -> None:
-    _require(params["n_positions"] >= 2,
-             f"n_positions must be >= 2, got {params['n_positions']}")
     cfg = boxwell.BoxConfig(
         W=params["W"], L=params["L"], omega0=params["omega0"], v=params["v"]
     )

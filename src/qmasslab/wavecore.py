@@ -200,13 +200,18 @@ def zero_crossings(x, values) -> np.ndarray:
 
 
 def measure_spatial_wavelength(x, values) -> float:
-    """Wavelength as twice the mean gap between successive zero crossings."""
+    """Wavelength as the mean gap between zero crossings of one direction.
+
+    Crossings alternate in direction, so every other one is taken.  An offset
+    of the signal shifts all crossings of one direction alike, and the gaps
+    between them do not depend on it.
+    """
     crossings = zero_crossings(x, values)
     if len(crossings) < 3:
         raise InsufficientSpanError(
             f"need at least 3 zero crossings, found {len(crossings)}"
         )
-    return 2.0 * float(np.mean(np.diff(crossings)))
+    return float(np.mean(np.diff(crossings[::2])))
 
 
 def _analytic_signal(v: np.ndarray) -> np.ndarray:
@@ -229,16 +234,26 @@ def measure_envelope_wavelength(x, values) -> float:
 
     The envelope magnitude is taken from the FFT analytic signal
     (``_analytic_signal``), squared and demeaned so the zero-crossing
-    estimator sees a clean oscillation at twice the envelope wavenumber; a
-    tenth of the samples at each edge is trimmed against the transform's
-    boundary artifacts.
+    estimator sees an oscillation at twice the envelope wavenumber.  Only the
+    central half of the samples is used: where the span is not exactly
+    commensurate with both spatial frequencies, the transform's errors
+    are largest near the edges.
     """
     x = np.asarray(x, dtype=float)
     env2 = np.abs(_analytic_signal(np.asarray(values, dtype=float))) ** 2
-    n = len(x) // 10
+    n = len(x) // 4
     sl = slice(n, len(x) - n)
     sig = env2[sl] - env2[sl].mean()
     return 2.0 * measure_spatial_wavelength(x[sl], sig)
+
+
+#: Speeds for which ``envelope_sampling_grid`` builds a grid.  Slower speeds
+#: need ever longer grids.  Near c a denominator of at most 256 leaves the span
+#: too far from commensurate: the envelope misses 1e-3 from about 0.996 on.
+#: Both ends sit just outside [1/128, 0.99], so that the speed recomputed from
+#: a frequency pair boosted by a beta in that range passes despite rounding.
+ENVELOPE_SPEED_MIN = 0.0078
+ENVELOPE_SPEED_MAX = 0.992
 
 
 def envelope_sampling_grid(b: BidirectionalWave) -> np.ndarray:
@@ -247,17 +262,18 @@ def envelope_sampling_grid(b: BidirectionalWave) -> np.ndarray:
     At least 4 envelope periods, 64 points per period of omega_plus.  The
     snapshot of a bidirectional wave holds the spatial frequencies
     k_plus and k_minus; choosing the span commensurate with both keeps the
-    FFT-based analytic signal free of boundary artifacts.  A speed below
-    about 1/128, a standing wave's 0 included, has no such span with a
-    denominator of at most 64.
+    FFT-based analytic signal free of boundary artifacts.  The speed must lie
+    in [ENVELOPE_SPEED_MIN, ENVELOPE_SPEED_MAX); a standing wave's 0 does not.
     """
     from fractions import Fraction
 
     pair = factor_carrier_envelope(b)
     beta = (b.omega_plus - b.omega_minus) / (b.omega_plus + b.omega_minus)
-    p = Fraction(beta).limit_denominator(64).numerator
-    if p == 0:
-        raise InvalidConfigError(f"speed {beta:.3g} is below about 1/128: no commensurate grid")
+    if not ENVELOPE_SPEED_MIN <= beta < ENVELOPE_SPEED_MAX:
+        raise InvalidConfigError(
+            f"speed {beta:.3g} is outside [{ENVELOPE_SPEED_MIN}, {ENVELOPE_SPEED_MAX}): "
+            "no commensurate grid")
+    p = Fraction(beta).limit_denominator(256).numerator
     m = p * max(1, math.ceil(4 / p))
     span = m * pair.envelope.wavelength
     dx_target = 2.0 * math.pi / b.omega_plus / 64

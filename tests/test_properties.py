@@ -3,12 +3,14 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qmasslab import boxwell as bw
 from qmasslab import qmass as qm
+from qmasslab import scenarios
 from qmasslab import wavecore as wc
+from qmasslab.errors import InvalidConfigError
 
 betas = st.floats(min_value=-0.99, max_value=0.99)
 omegas = st.floats(min_value=1e-3, max_value=1e3)
@@ -39,3 +41,35 @@ def test_mode_speed_quantizes_envelope(W, omega0, n):
     v = bw.speed_for_mode(W, omega0, n)
     dk = wc.gamma_of(v) * omega0 * v
     assert dk * W == pytest.approx(n * math.pi, rel=1e-9)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    omega0=omegas,
+    speed=st.floats(min_value=1 / 128, max_value=0.99, exclude_max=True),
+    sign=st.sampled_from([1.0, -1.0]),
+)
+def test_boost_gates_pass(omega0, speed, sign, tmp_path_factory):
+    out = tmp_path_factory.mktemp("boost")
+    summary = scenarios.run("boost", {"omega0": omega0, "beta": sign * speed}, out)
+    assert summary.passed, [(m.name, m.rel_error) for m in summary.metrics if not m.passed]
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    W=st.floats(min_value=0.01, max_value=100.0),
+    carrier_phase=st.floats(min_value=20.0, max_value=1e7),
+)
+def test_box_quantize_passes_or_rejects(W, carrier_phase, tmp_path_factory):
+    # Up to MAX_CARRIER_PHASE every gate passes on the correct modes; beyond it
+    # the input is rejected, never failed.
+    omega0 = carrier_phase / W
+    assume(omega0 * W >= bw.MIN_CARRIER_PHASE)
+    out = tmp_path_factory.mktemp("quantize")
+    params = {"W": W, "omega0": omega0}
+    if omega0 * W > bw.MAX_CARRIER_PHASE:
+        with pytest.raises(InvalidConfigError, match=r"omega0\*W must be <="):
+            scenarios.run("box-quantize", params, out)
+    else:
+        summary = scenarios.run("box-quantize", params, out)
+        assert summary.passed, [(m.name, m.rel_error) for m in summary.metrics if not m.passed]

@@ -329,6 +329,24 @@ class TestCli:
             ["box-beat", "--set", "probe=0.0295"],
             ["box-beat", "--set", "probe=1e-10"],
             ["boost", "--set", "omega0=1e308"],
+            ["box-states", "--set", "v=0.9", "--set", "n_positions=60"],
+            ["box-states", "--set", "v=0.99"],
+            ["box-states", "--set", "W=1000.0"],
+            ["box-states", "--set", "omega0=10000.0"],
+            ["doubleslit-map", "--set", "x_span=1e300", "--set", "nx=3", "--set", "ny=3"],
+            ["doubleslit-map", "--set", "wavelength=0.0"],
+            ["boost", "--set", "omega0=1e-320"],
+            ["boost", "--set", "omega0=1e300"],
+            ["box-beat", "--set", "omega0=1.7e308"],
+            ["box-states", "--set", "W=1.7e308"],
+            ["box-states", "--set", "v=1e-320"],
+            ["box-quantize", "--set", "W=1e300"],
+            ["box-quantize", "--set", "omega0=1e300"],
+            ["box-quantize", "--set", "W=10000.0"],
+            ["box-states", "--set", "v=1e-9"],
+            ["box-states", "--set", "L=1e-14"],
+            ["boost", "--set", "beta=0.995"],
+            ["boost", "--set", "beta=-0.9999"],
         ],
     )
     def test_mistyped_override_exit_2(self, argv, tmp_path, capsys):
