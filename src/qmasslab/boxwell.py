@@ -34,7 +34,7 @@ MIN_CARRIER_PHASE = 20.0
 
 #: Maximum omega0*W of the mode solver and the position sweep.  Beyond it the
 #: mode speeds, bisected to an absolute 1e-14, miss the 1e-9 momentum gate, and
-#: the sweep at its slowest cavity (SWEEP_SPEED_MIN) was not verified.
+#: the margin of the sweep at SWEEP_SPEED_MIN was measured only up to it.
 MAX_CARRIER_PHASE = 1e5
 
 #: Cavity speeds are only searched up to this fraction of c.

@@ -47,7 +47,7 @@ _QUANTIZE_CONFIG_SPEED = 0.05
 
 #: Rest frequencies the boost scenario accepts.  Its snapshot time t = 0.3 is
 #: fixed, so the carrier phase omega*t that each sample rounds grows with
-#: omega0 (the envelope gate fails from ~1e13), and the mass gate squares the
+#: omega0 (the envelope gate fails from ~1e14), and the mass gate squares the
 #: energy (it underflows below ~1e-154).  Both stay far off inside this range.
 _BOOST_OMEGA0_MIN = 1e-9
 _BOOST_OMEGA0_MAX = 1e9
