@@ -45,8 +45,10 @@ class SlitConfig:
     omega: float
 
     def __post_init__(self):
-        if not 0 < self.d < math.inf:
-            raise InvalidConfigError(f"slit separation must be positive and finite, got {self.d}")
+        # In this range r*r and 1/(r*r) stay normal floats for 1e-12*d <= r <= 71*d.
+        if not 1e-100 <= self.d <= 1e100:
+            raise InvalidConfigError(
+                f"slit separation must be positive, in [1e-100, 1e100], got {self.d}")
         if not 0 < self.omega < math.inf:
             raise InvalidConfigError(f"omega must be positive and finite, got {self.omega}")
 
@@ -107,34 +109,42 @@ class FringeReport:
     intensity: np.ndarray
 
 
+def _hypot(x: float, y: float) -> float:
+    """libm ``hypot``, the one ``np.hypot`` calls; ``math.hypot`` differs in the last bit."""
+    return abs(complex(x, y))
+
+
 def _point_state(p, cfg: SlitConfig):
     """Distances r and unit vectors u from each slit to p, and the unit momentum n.
 
-    n = (w1*u1 + w2*u2)/(w1 + w2) with energy weights w_i = 1/r_i**2.
+    n = (w1*u1 + w2*u2)/(w1 + w2) with energy weights w_i = 1/r_i**2, in plain
+    floats that repeat the numpy form's operation order bit for bit.
     """
-    p = np.asarray(p, dtype=float)
-    rel = p - cfg.slits
-    r = np.hypot(rel[:, 0], rel[:, 1])
-    if np.min(r) < 1e-12 * cfg.d:
+    x, y = p
+    h = cfg.d / 2.0
+    y1, y2 = y - h, y + h
+    r1, r2 = _hypot(x, y1), _hypot(x, y2)
+    if r1 < 1e-12 * cfg.d or r2 < 1e-12 * cfg.d:
         raise SingularPointError(f"point {p} coincides with a slit")
-    u = rel / r[:, None]
-    w = 1.0 / r**2
-    n = (w[0] * u[0] + w[1] * u[1]) / (w[0] + w[1])
-    return r, u, n
+    u1x, u1y, u2x, u2y = x / r1, y1 / r1, x / r2, y2 / r2
+    w1, w2 = 1.0 / (r1 * r1), 1.0 / (r2 * r2)
+    w = w1 + w2
+    n = ((w1 * u1x + w2 * u2x) / w, (w1 * u1y + w2 * u2y) / w)
+    return (r1, r2), ((u1x, u1y), (u2x, u2y)), n
 
 
 def _theta(u) -> float:
-    """Angle between the two unit vectors u[0], u[1]."""
-    return math.acos(float(np.clip(np.dot(u[0], u[1]), -1.0, 1.0)))
+    """Angle between the unit vectors u[0], u[1]; BLAS ``np.dot`` rounds unlike a*b + c*d."""
+    return math.acos(min(max(float(np.dot(*u)), -1.0), 1.0))
 
 
 def _region(r) -> Region:
-    a = 1.0 / r
-    ratio = a.min() / a.max()
+    a1, a2 = 1.0 / r[0], 1.0 / r[1]
+    ratio = min(a1, a2) / max(a1, a2)
     if ratio >= BALANCED_THRESHOLD:
         return Region.BALANCED
     if ratio <= NEAR_THRESHOLD:
-        return Region.NEAR_SLIT_1 if a[0] > a[1] else Region.NEAR_SLIT_2
+        return Region.NEAR_SLIT_1 if a1 > a2 else Region.NEAR_SLIT_2
     return Region.TRANSITION
 
 
@@ -167,22 +177,22 @@ def weighted_local_state(p, cfg: SlitConfig) -> LocalInterferenceState:
     weight gives a massless radial wave.
     """
     n = _point_state(p, cfg)[2]
-    speed = float(np.hypot(n[0], n[1]))
+    speed = _hypot(*n)
     m = cfg.omega * math.sqrt(max(0.0, 1.0 - speed**2))
-    return LocalInterferenceState(m=m, v=n)
+    return LocalInterferenceState(m=m, v=np.array(n))
 
 
 #: Stagnation threshold on |v| for trajectory termination.
 STAGNATION_SPEED = 1e-6
 
 
-def _flow_direction(p, cfg: SlitConfig):
+def _flow_direction(x: float, y: float, cfg: SlitConfig):
     """Unit direction and speed of the weighted velocity field; raises where it stagnates."""
-    n = _point_state(p, cfg)[2]
-    n_mag = np.hypot(n[0], n[1])
+    nx, ny = _point_state((x, y), cfg)[2]
+    n_mag = _hypot(nx, ny)
     if n_mag < STAGNATION_SPEED:
-        raise SingularPointError(f"flow stagnates at {p}: |v| = {n_mag:.3g}")
-    return n / n_mag, n_mag
+        raise SingularPointError(f"flow stagnates at {(x, y)}: |v| = {n_mag:.3g}")
+    return nx / n_mag, ny / n_mag, n_mag
 
 
 def integrate_trajectory(start, cfg: SlitConfig, max_steps: int = 10_000) -> Trajectory:
@@ -193,25 +203,27 @@ def integrate_trajectory(start, cfg: SlitConfig, max_steps: int = 10_000) -> Tra
     (|v| < 1e-6, or an RK4 stage at a slit) or at ``max_steps``.
     """
     step = cfg.d / 100.0
-    p = np.asarray(start, dtype=float).copy()
-    _point_state(p, cfg)  # raises at a slit
+    half, sixth = 0.5 * step, step / 6.0
+    x, y = map(float, start)
+    _point_state((x, y), cfg)  # raises at a slit
     x_min, x_max, y_half = cfg.x_min, cfg.x_max, cfg.y_half
-    points = [p.copy()]
+    points = [(x, y)]
     times = [0.0]
     termination = "max_steps"
     for _ in range(max_steps):
         try:
-            d1, n_mag = _flow_direction(p, cfg)
-            d2, _ = _flow_direction(p + 0.5 * step * d1, cfg)
-            d3, _ = _flow_direction(p + 0.5 * step * d2, cfg)
-            d4, _ = _flow_direction(p + step * d3, cfg)
+            ax, ay, n_mag = _flow_direction(x, y, cfg)
+            bx, by, _ = _flow_direction(x + half * ax, y + half * ay, cfg)
+            cx, cy, _ = _flow_direction(x + half * bx, y + half * by, cfg)
+            dx, dy, _ = _flow_direction(x + step * cx, y + step * cy, cfg)
         except SingularPointError:
             termination = "stagnation"
             break
-        p = p + step / 6.0 * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
-        points.append(p.copy())
+        x = x + sixth * (ax + 2.0 * bx + 2.0 * cx + dx)
+        y = y + sixth * (ay + 2.0 * by + 2.0 * cy + dy)
+        points.append((x, y))
         times.append(times[-1] + step / n_mag)
-        if not (x_min <= p[0] <= x_max and abs(p[1]) <= y_half):
+        if not (x_min <= x <= x_max and abs(y) <= y_half):
             termination = "boundary"
             break
     return Trajectory(np.array(points), np.array(times), termination)
@@ -249,6 +261,8 @@ def fringe_spacing_measured(cfg: SlitConfig, D: float, screen: str = "arc") -> F
     the axis.
     """
     predicted = fringe_spacing_predicted(cfg, D)
+    if not math.isfinite(predicted):
+        raise InvalidConfigError(f"fringe spacing D*lambda/d overflows for D = {D}")
     half_span = SCREEN_FRINGES / 2.0 * predicted
     n = int(SCREEN_FRINGES * 64) | 1
     s = np.linspace(-half_span, half_span, n)

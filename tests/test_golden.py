@@ -46,11 +46,29 @@ def test_every_scenario_has_a_golden_entry():
     assert set(GOLDEN) == set(scenarios.SCENARIOS)
 
 
+def _csv_digests(kind, params, out):
+    summary = scenarios.run(kind, params, out)
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in summary.files}
+
+
 @pytest.mark.parametrize("kind", scenarios.SCENARIOS)
 def test_default_csvs_byte_identical(kind, tmp_path):
-    summary = scenarios.run(kind, {}, tmp_path)
-    digests = {
-        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-        for name in summary.files
-    }
-    assert digests == GOLDEN[kind]
+    assert _csv_digests(kind, {}, tmp_path) == GOLDEN[kind]
+
+
+#: Digests of the benchmark's five-start entry, ``pipeline-warm/traj-5x2000`` in
+#: ``bench/golden.json``.  Start [10, -3] moves with a last-bit change of |v|
+#: (``math.hypot`` for libm ``hypot``), which the three default starts do not.
+TRAJ5_GOLDEN = {
+    "trajectory_000.csv": "6f930e6441b609e60bfb44a32bf9ffd8c234ccc12d01538ad9ae4f9214a71e8e",
+    "trajectory_001.csv": "8d423b4ae320aec02f87b66fdd31db77bf468f5238257c4f0cf013226971e9c4",
+    "trajectory_002.csv": "2410808950124b0def2f082bb522c6fff2e705196907a9e09e95936ed801ec09",
+    "trajectory_003.csv": "55c3d426d45d29f6c3e559e2381d40aaedba4f561106e382aacf4a81f765d885",
+    "trajectory_004.csv": "cfb34bbcf33f651044162065d01b10f17bd0d222ca9faa17d57a36c20d7cb6dd",
+}
+
+
+def test_five_start_trajectories_byte_identical(tmp_path):
+    starts = [[25.0, 0.0], [17.7, 17.7], [0.01, 0.5], [10.0, -3.0], [5.0, 1.0]]
+    params = {"starts": starts, "max_steps": 2000}
+    assert _csv_digests("doubleslit-traj", params, tmp_path) == TRAJ5_GOLDEN

@@ -2,11 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qmasslab import boxwell as bw
+from qmasslab import doubleslit as ds
 from qmasslab import qmass as qm
 from qmasslab import scenarios
 from qmasslab import wavecore as wc
@@ -73,3 +75,22 @@ def test_box_quantize_passes_or_rejects(W, carrier_phase, tmp_path_factory):
     else:
         summary = scenarios.run("box-quantize", params, out)
         assert summary.passed, [(m.name, m.rel_error) for m in summary.metrics if not m.passed]
+
+
+#: Finite floats, subnormals and both zeros included, up to a magnitude whose
+#: hypot with any other still fits a float (abs(complex) raises on overflow),
+#: and unit-range floats, where math.hypot misses libm on ~0.6% of pairs.
+hypot_args = st.one_of(st.floats(min_value=-1.2e308, max_value=1.2e308),
+                       st.floats(min_value=-1.0, max_value=1.0))
+
+
+@settings(max_examples=500)
+@given(x=hypot_args, y=hypot_args)
+@example(x=5e-324, y=-0.0)
+@example(x=-0.0, y=0.0)
+@example(x=2.225073858507201e-308, y=-5e-324)
+@example(x=1.7976931348623157e308, y=0.0)
+@example(x=-1.2e308, y=1.2e308)
+@example(x=0.024, y=0.01)  # math.hypot rounds this pair one ulp off
+def test_hypot_is_libm_hypot(x, y):
+    assert ds._hypot(x, y).hex() == float(np.hypot(x, y)).hex()

@@ -347,6 +347,12 @@ class TestCli:
             ["box-states", "--set", "L=1e-14"],
             ["boost", "--set", "beta=0.995"],
             ["boost", "--set", "beta=-0.9999"],
+            ["doubleslit-traj", "--set", "d=1e-170", "--set", "wavelength=1e-175",
+             "--set", "starts=[[2e-169,0]]"],
+            ["doubleslit-traj", "--set", "d=1e300", "--set", "starts=[[2e301,0]]"],
+            ["doubleslit-map", "--set", "d=1e-300", "--set", "nx=3", "--set", "ny=3"],
+            ["doubleslit-fringes", "--set", "d=5e-324"],
+            ["doubleslit-fringes", "--set", "wavelength=1.7e308"],
         ],
     )
     def test_mistyped_override_exit_2(self, argv, tmp_path, capsys):

@@ -42,6 +42,8 @@ def _bisect_root(f, lo, hi):
         (bw.BoxConfig, (INF, 0.1, 100.0, 0.05), InvalidConfigError, "must be finite"),
         (bw.BoxConfig, (1.0, 0.1, NAN, 0.05), InvalidConfigError, "must be finite"),
         (bw.BoxConfig, (1.0, 0.1, INF, 0.05), InvalidConfigError, "must be finite"),
+        (ds.SlitConfig, (9.9e-101, 1.0), InvalidConfigError, r"in \[1e-100, 1e100\]"),
+        (ds.SlitConfig, (1.01e100, 1.0), InvalidConfigError, r"in \[1e-100, 1e100\]"),
     ],
     ids=lambda v: getattr(v, "__name__", None) if isinstance(v, type) else None,
 )
