@@ -141,26 +141,30 @@ def _check_carrier_phase(omega0: float, W: float) -> None:
 #: Minimum per-frequency standing amplitude |sin(k*probe)| to resolve both peaks.
 PROBE_AMPLITUDE_MIN = 0.02
 
-#: Longest probe series; it holds 128*(1 + v)/v samples, so v must exceed ~1.2e-4.
+#: Longest probe series; it holds 128*(1 + v)/min(v, 1 - v) samples, so v must
+#: lie between about 1.2e-4 and 8191/8193 = 0.99976.
 PROBE_SAMPLES_MAX = 2**20
 
 
 def analyze_beats(cfg: BoxConfig, probe: float) -> BeatAnalysis:
     """Extract the fast (gamma*omega0) and slow (gamma*omega0*v) frequencies.
 
-    The probe time series, 8 slow periods sampled 16 times per fastest
-    period, is a two-tone signal at omega_pm; the spectral oracle measures
-    both peaks, and the fast/slow pair is their half-sum and half-difference.
+    The probe time series is a two-tone signal at omega_pm; the spectral
+    oracle measures both peaks, and the fast/slow pair is their half-sum and
+    half-difference.  It is sampled 16 times per period of omega_plus and spans
+    8 periods of the slow frequency or of omega_minus, whichever is slower:
+    8 periods put the two peaks 16 FFT bins apart, and near c omega_minus
+    also sits 8 bins above DC, clear of its mirror image's Hann main lobe.
     """
     kp = cfg.omega_bar + cfg.delta_omega
     km = cfg.omega_bar - cfg.delta_omega
     if min(abs(math.sin(kp * probe)), abs(math.sin(km * probe))) < PROBE_AMPLITUDE_MIN:
         raise InvalidConfigError(f"probe {probe} sits at a node of a component standing wave")
-    duration = 8.0 * 2.0 * math.pi / cfg.delta_omega
-    dt = 2.0 * math.pi / (cfg.omega_bar + cfg.delta_omega) / 16.0
+    duration = 8.0 * 2.0 * math.pi / min(cfg.delta_omega, km)
+    dt = 2.0 * math.pi / kp / 16.0
     if duration / dt > PROBE_SAMPLES_MAX:
         raise InvalidConfigError(
-            f"cavity speed {cfg.v:.3g} needs more than {PROBE_SAMPLES_MAX} probe samples"
+            f"cavity speed {cfg.v} needs more than {PROBE_SAMPLES_MAX} probe samples"
         )
     t = np.arange(0.0, duration, dt)
     series = evaluate(build_field(cfg), probe, t)

@@ -231,6 +231,8 @@ def integrate_trajectory(start, cfg: SlitConfig, max_steps: int = 10_000) -> Tra
 
 def fringe_spacing_predicted(cfg: SlitConfig, D: float) -> float:
     """Far-field bright-fringe spacing D*lambda/d."""
+    if not D > 0:
+        raise InvalidConfigError(f"screen distance D must be positive, got {D}")
     if D / cfg.d < 20.0:
         warnings.warn(
             f"far-field approximation weak: D/d = {D / cfg.d:.1f} < 20",
@@ -258,8 +260,14 @@ def fringe_spacing_measured(cfg: SlitConfig, D: float, screen: str = "arc") -> F
     vertical line x = D, spans SCREEN_FRINGES predicted spacings and is
     sampled 64 times per spacing.  Maxima are refined by quadratic
     interpolation and the spacing is the mean gap of the 5 maxima nearest
-    the axis.
+    the axis.  The arc spans SCREEN_FRINGES/2*lambda/d radians either side of
+    the axis, so that must stay below pi/2, in front of the slit plane; the
+    same bound gives the line screen the 2*lambda < d its 2nd-order maxima need.
     """
+    if SCREEN_FRINGES / 2.0 * cfg.wavelength / cfg.d >= math.pi / 2.0:
+        raise InvalidConfigError(
+            f"wavelength/d = {cfg.wavelength / cfg.d:.3g} must be below "
+            f"pi/{SCREEN_FRINGES:g}: the screen would reach behind the slits")
     predicted = fringe_spacing_predicted(cfg, D)
     if not math.isfinite(predicted):
         raise InvalidConfigError(f"fringe spacing D*lambda/d overflows for D = {D}")

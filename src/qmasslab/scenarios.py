@@ -185,7 +185,6 @@ def _slit_config(params: dict) -> doubleslit.SlitConfig:
 
 
 def _run_doubleslit_fringes(params: dict, out: Path, summary: RunSummary) -> None:
-    _require(params["D"] > 0, f"screen distance D must be positive, got {params['D']}")
     cfg = _slit_config(params)
     report = doubleslit.fringe_spacing_measured(cfg, params["D"], screen=params["screen"])
     summary.metrics.append(

@@ -3,7 +3,7 @@
 Natural units throughout (c = hbar = 1).  All waves are lightlike scalars:
 the wavenumber always equals omega and is never stored independently.
 Measurement utilities (zero-crossing wavelengths, the FFT analytic-signal
-envelope, Brent-refined spectral peaks, finite-difference residuals) are the
+envelope, Newton-refined spectral peaks, finite-difference residuals) are the
 numerical oracles used to verify the closed forms elsewhere; they need numpy
 only.
 """
@@ -281,103 +281,49 @@ def envelope_sampling_grid(b: BidirectionalWave) -> np.ndarray:
     return np.arange(n) * (span / n)
 
 
-_SQRT_EPS = math.sqrt(2.2e-16)
-_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
-_BRENT_MAXFUN = 500
+#: Newton steps allowed per peak, far above the handful a peak needs.
+_NEWTON_MAXITER = 100
+
+#: Relative step at which the peak search stops: sqrt of the float epsilon.
+_NEWTON_RTOL = 1.5e-8
 
 
-def _minimize_bounded(f, a: float, b: float, xatol: float):
-    """Minimum of a scalar function on [a, b] by Brent's bounded method.
+def _refine_peak(times, windowed, lo: float, hi: float) -> float:
+    """Frequency of the windowed DTFT power maximum inside the bracket [lo, hi].
 
-    Golden-section steps, replaced by a parabolic step through the three best
-    points whenever that step falls inside the bracket and shrinks fast
-    enough.  It stops once the bracket around the best point is within
-    ``2*tol1``, ``tol1 = sqrt(eps)*|x| + xatol/3``, or after
-    ``_BRENT_MAXFUN`` evaluations.  This is fmin of Forsythe, Malcolm and
-    Moler step for step, with the constants and tolerance update of the
-    widely used bounded ``minimize_scalar``, so it returns that routine's
-    point after the same evaluations (``tests/test_wavecore.py`` pins this).
-    Returns ``(x, f(x), evaluations)``.
+    Newton steps on the zero of d|X|**2/domega, X(omega) = sum(a*exp(-i*omega*t)).
+    One exponential against the weights a, a*t and a*t**2 gives X, S1 and S2,
+    and with them half the slope Im(conj(X)*S1) and half the curvature
+    |S1|**2 - Re(conj(X)*S2).  The slope's sign shrinks the bracket; a step
+    that would leave it, or one from where the curvature is not negative,
+    bisects it instead.  It stops once a Newton step is at most
+    _NEWTON_RTOL*|omega|.
     """
-    # xf is the best point so far, nfc the second best and fulc the third.
-    fulc = a + _GOLDEN * (b - a)
-    nfc = xf = fulc
-    rat = e = 0.0
-    fx = float(f(xf))
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                rat = p / q
-                x = xf + rat
-                if x - a < tol2 or b - x < tol2:
-                    rat = tol1 if xm >= xf else -tol1
-            else:
-                golden = True
-        if golden:
-            e = (a if xf >= xm else b) - xf
-            rat = _GOLDEN * e
-        x = xf + (1.0 if rat >= 0.0 else -1.0) * max(abs(rat), tol1)
-        fu = float(f(x))
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= _BRENT_MAXFUN:
-            break
-    return xf, fx, num
-
-
-def _refine_peak(times, windowed, omega_lo, omega_hi) -> tuple[float, float]:
-    """Maximize the windowed DTFT magnitude inside a bracket by bounded Brent."""
-
-    def neg_mag(om):
-        return -abs(np.dot(windowed, np.exp(-1j * om * times)))
-
-    om, fun, _ = _minimize_bounded(neg_mag, omega_lo, omega_hi, (omega_hi - omega_lo) * 1e-10)
-    return om, -fun
+    weights = np.stack([windowed, windowed * times, windowed * times**2]).astype(complex)
+    om = 0.5 * (lo + hi)
+    for _ in range(_NEWTON_MAXITER):
+        x, s1, s2 = (weights @ np.exp(-1j * om * times)).tolist()
+        slope = (x.conjugate() * s1).imag
+        curvature = abs(s1) ** 2 - (x.conjugate() * s2).real
+        if slope > 0.0:
+            lo = om
+        elif slope < 0.0:
+            hi = om
+        step = -slope / curvature if curvature < 0.0 else math.inf
+        # Tested before the bracket: a step below one ulp would land on its end.
+        if abs(step) <= _NEWTON_RTOL * abs(om):
+            return om + step
+        om = om + step if lo < om + step < hi else 0.5 * (lo + hi)
+    return om
 
 
 def measure_temporal_frequencies(times, values, count: int) -> np.ndarray:
     """Angular frequencies of the strongest spectral peaks, refined past bin width.
 
-    Peaks are picked from a Hann-windowed FFT magnitude and each refined by
-    maximizing the windowed DTFT magnitude between its neighbouring bins
-    with bounded Brent (``_minimize_bounded``).  Returned sorted by descending
-    peak magnitude; fewer than ``count`` entries if fewer distinct peaks exist.
+    Peaks are picked from a Hann-windowed FFT magnitude and each refined to
+    the windowed DTFT power maximum between its neighbouring bins
+    (``_refine_peak``).  Returned in descending order of the FFT-bin magnitude
+    that picked them; fewer than ``count`` entries if fewer distinct peaks exist.
     """
     t = np.asarray(times, dtype=float)
     v = np.asarray(values, dtype=float)
@@ -399,9 +345,7 @@ def measure_temporal_frequencies(times, values, count: int) -> np.ndarray:
     if len(peak_idx) == 0:
         raise InsufficientSpanError("no spectral peaks found")
     peak_idx = peak_idx[np.argsort(mags[peak_idx])[::-1][:count]]
-    refined = [_refine_peak(t, wv, omegas[i - 1], omegas[i + 1]) for i in peak_idx]
-    refined.sort(key=lambda om_mag: -om_mag[1])
-    return np.array([om for om, _ in refined])
+    return np.array([_refine_peak(t, wv, omegas[i - 1], omegas[i + 1]) for i in peak_idx])
 
 
 def sample_grid(

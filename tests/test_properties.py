@@ -77,6 +77,25 @@ def test_box_quantize_passes_or_rejects(W, carrier_phase, tmp_path_factory):
         assert summary.passed, [(m.name, m.rel_error) for m in summary.metrics if not m.passed]
 
 
+@settings(deadline=None, max_examples=25)
+@given(v=st.floats(min_value=0.5, max_value=0.999))
+@example(v=0.93)
+def test_box_beat_passes_or_rejects(v, tmp_path_factory):
+    # Near c the lower tone approaches DC; the default probe must still meet
+    # both gates, unless it sits at a node of a component standing wave.
+    out = tmp_path_factory.mktemp("beat")
+    cfg = bw.BoxConfig(W=1.0, L=0.1, omega0=100.0, v=v)
+    probe = scenarios.DEFAULTS["box-beat"]["probe"]
+    amplitudes = [abs(math.sin(k * probe))
+                  for k in (cfg.omega_bar + cfg.delta_omega, cfg.omega_bar - cfg.delta_omega)]
+    if min(amplitudes) < bw.PROBE_AMPLITUDE_MIN:
+        with pytest.raises(InvalidConfigError, match="node"):
+            scenarios.run("box-beat", {"v": v}, out)
+    else:
+        summary = scenarios.run("box-beat", {"v": v}, out)
+        assert summary.passed, [(m.name, m.rel_error) for m in summary.metrics if not m.passed]
+
+
 #: Finite floats, subnormals and both zeros included, up to a magnitude whose
 #: hypot with any other still fits a float (abs(complex) raises on overflow),
 #: and unit-range floats, where math.hypot misses libm on ~0.6% of pairs.

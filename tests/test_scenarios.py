@@ -353,6 +353,11 @@ class TestCli:
             ["doubleslit-map", "--set", "d=1e-300", "--set", "nx=3", "--set", "ny=3"],
             ["doubleslit-fringes", "--set", "d=5e-324"],
             ["doubleslit-fringes", "--set", "wavelength=1.7e308"],
+            ["box-beat", "--set", "v=0.9999"],
+            ["doubleslit-fringes", "--set", "wavelength=0.4"],
+            ["doubleslit-fringes", "--set", "wavelength=1.0"],
+            ["doubleslit-fringes", "--set", "d=1e-20"],
+            ["doubleslit-fringes", "--set", "wavelength=0.225"],
         ],
     )
     def test_mistyped_override_exit_2(self, argv, tmp_path, capsys):
@@ -429,10 +434,10 @@ class TestCli:
         assert code == 2
 
     def test_physics_error_exit_3(self, tmp_path, capsys):
-        # Near c the slow beat is too slow for the probe series to split the two peaks.
-        code = cli.main(["box-beat", "--out", str(tmp_path), "--set", "v=0.9999"])
+        # At this carrier k*probe ~ 3e19 absorbs every omega*t in rounding: the series is flat.
+        code = cli.main(["box-beat", "--out", str(tmp_path), "--set", "omega0=1e20"])
         assert code == 3
-        assert "fewer than two spectral peaks" in capsys.readouterr().err
+        assert "constant series has no spectral peaks" in capsys.readouterr().err
 
     def test_unknown_scenario_usage_error(self, tmp_path):
         assert cli.main(["nonsense", "--out", str(tmp_path)]) == 2

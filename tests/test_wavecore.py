@@ -243,29 +243,29 @@ _DTFT_TIMES = np.arange(400) * 0.1
 _DTFT_WINDOWED = np.hanning(400) * (
     np.sin(1.3 * _DTFT_TIMES) + 0.4 * np.cos(2.9 * _DTFT_TIMES + 0.2)
 )
+_DTFT_BIN = 2.0 * math.pi / 40.0  # 2*pi/(n*dt); both maxima lie within 1e-3 bin of their tones
 
 
 def _neg_dtft_magnitude(om):
     return -abs(np.dot(_DTFT_WINDOWED, np.exp(-1j * om * _DTFT_TIMES)))
 
 
-class TestMinimizeBounded:
+class TestRefinePeak:
     @settings(deadline=None, max_examples=150)
     @given(
-        lo=st.floats(0.05, 3.5),
-        width=st.floats(1e-3, 2.5),
-        rel_xatol=st.sampled_from([1e-10, 1e-6, 1e-2]),
+        tone=st.sampled_from([1.3, 2.9]),
+        u_lo=st.floats(0.05, 1.0),
+        u_hi=st.floats(0.05, 1.0),
     )
-    def test_matches_bounded_minimize_scalar_step_for_step(self, lo, width, rel_xatol):
+    def test_matches_bounded_minimize_scalar(self, tone, u_lo, u_hi):
         optimize = pytest.importorskip("scipy.optimize")
-        hi = lo + width
-        xatol = width * rel_xatol
+        lo, hi = tone - u_lo * _DTFT_BIN, tone + u_hi * _DTFT_BIN
         ref = optimize.minimize_scalar(
             _neg_dtft_magnitude, bounds=(lo, hi), method="bounded",
-            options={"xatol": xatol},
+            options={"xatol": 1e-13},
         )
-        x, fun, nfev = wc._minimize_bounded(_neg_dtft_magnitude, lo, hi, xatol)
-        assert (x, fun, nfev) == (ref.x, ref.fun, ref.nfev)
+        got = wc._refine_peak(_DTFT_TIMES, _DTFT_WINDOWED, lo, hi)
+        assert got == pytest.approx(ref.x, rel=1e-7)
 
 
 class TestTemporalFrequencies:
