@@ -22,8 +22,7 @@ for x in (0.2, 0.5, 1.0, 3.0, 10.0):
     st = ds.weighted_local_state((x, 0.0), cfg)
     theta = ds.intersection_angle((x, 0.0), cfg)
     print(f"  x = {x:5.1f}  theta = {math.degrees(theta):7.2f} deg  "
-          f"m = {st.m:8.4f}  |v| = {np.hypot(*st.v):.4f}  "
-          f"region = {ds.classify_region((x, 0.0), cfg).name}")
+          f"m = {st.m:8.4f}  |v| = {np.hypot(*st.v):.4f}")
 
 print()
 print("Mass map: the midpoint between the slits is a pure standing wave")

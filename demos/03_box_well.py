@@ -31,13 +31,12 @@ print(f"  fast measured {beats.fast:.6f}  (rel error {abs(beats.fast / cfg.omega
 print(f"  slow measured {beats.slow:.6f}  (rel error {abs(beats.slow / cfg.delta_omega - 1):.2e})")
 print()
 
-a_c, a_s = bw.project_internal_states(cfg, t=0.0)
-print(f"Snapshot state amplitudes at t = 0: cosine {a_c:.4f}, sine {a_s:.4f}")
-
 trace = bw.trace_states_vs_position(cfg)
 p = qmass.four_momentum_of(wavecore.boost_standing_wave(cfg.omega0, cfg.v)).p
 modulus = np.hypot(trace.a_cos, trace.a_sin)
 print("State helix as the cavity crosses the well:")
+print(f"  state amplitudes in the first window: cosine {trace.a_cos[0]:.4f}, "
+      f"sine {trace.a_sin[0]:.4f}")
 print(f"  fitted envelope wavenumber {trace.envelope_wavenumber:.9f} "
       f"vs p/hbar = {p:.9f}")
 print(f"  helix modulus flat to {np.max(modulus) / np.min(modulus) - 1:.2e}")

@@ -32,9 +32,10 @@ from .wavecore import (
 #: Minimum carrier cycles across the well, enforcing omega0*W >> 1.
 MIN_CARRIER_PHASE = 20.0
 
-#: Maximum omega0*W of the mode solver and the position sweep.  Beyond it the
-#: mode speeds, bisected to an absolute 1e-14, miss the 1e-9 momentum gate, and
-#: the margin of the sweep at SWEEP_SPEED_MIN was measured only up to it.
+#: Maximum omega0*W of every box oracle.  Beyond it the mode speeds, bisected
+#: to an absolute 1e-14, miss the 1e-9 momentum gate, the margin of the sweep
+#: at SWEEP_SPEED_MIN was measured only up to it, and from ~1e17 the probe
+#: series of ``analyze_beats`` rounds the time phase away.
 MAX_CARRIER_PHASE = 1e5
 
 #: Cavity speeds are only searched up to this fraction of c.
@@ -63,6 +64,9 @@ class BoxConfig:
             raise InvalidConfigError(
                 f"carrier unresolved: omega0*W = {self.omega0 * self.W}"
             )
+        if self.omega0 * self.W > MAX_CARRIER_PHASE:
+            raise InvalidConfigError(
+                f"omega0*W must be <= {MAX_CARRIER_PHASE:g}, got {self.omega0 * self.W}")
         if not math.isfinite(self.omega_bar + self.delta_omega):
             raise InvalidConfigError(f"frequency gamma*omega0*(1 + v) overflows for {self}")
 
@@ -132,12 +136,6 @@ def closed_form(cfg: BoxConfig, x, t):
     )
 
 
-def _check_carrier_phase(omega0: float, W: float) -> None:
-    if omega0 * W > MAX_CARRIER_PHASE:
-        raise InvalidConfigError(
-            f"omega0*W must be <= {MAX_CARRIER_PHASE:g}, got {omega0 * W}")
-
-
 #: Minimum per-frequency standing amplitude |sin(k*probe)| to resolve both peaks.
 PROBE_AMPLITUDE_MIN = 0.02
 
@@ -180,28 +178,6 @@ def analyze_beats(cfg: BoxConfig, probe: float) -> BeatAnalysis:
     )
 
 
-def project_internal_states(cfg: BoxConfig, t: float) -> tuple[float, float]:
-    """Least-squares snapshot amplitudes of the two internal-state shapes.
-
-    Fits F(., t) at 2048 points on [0, W] to
-    a_c*sin(kbar*x)*cos(dk*x) + a_s*cos(kbar*x)*sin(dk*x); the model is
-    exact, so the residual is at rounding level.
-    """
-    if cfg.delta_omega * cfg.W < 0.1:
-        raise InvalidConfigError(f"near-degenerate basis: dk*W = {cfg.delta_omega * cfg.W}")
-    x = np.linspace(0.0, cfg.W, 2048)
-    snapshot = evaluate(build_field(cfg), x, t)
-    basis = np.stack(
-        [
-            np.sin(cfg.omega_bar * x) * np.cos(cfg.delta_omega * x),
-            np.cos(cfg.omega_bar * x) * np.sin(cfg.delta_omega * x),
-        ],
-        axis=-1,
-    )
-    coeffs, *_ = np.linalg.lstsq(basis, snapshot, rcond=None)
-    return float(coeffs[0]), float(coeffs[1])
-
-
 #: Slowest cavity the position sweep resolves.  The sample times x_c/v grow as
 #: 1/v, and with them the rounding of the carrier phase; at omega0*W = 1e5 and
 #: this speed the helix flatness is still ~30 times inside its gate.
@@ -225,7 +201,6 @@ def trace_states_vs_position(cfg: BoxConfig, n_positions: int = 160) -> Internal
     """
     kb = wb = cfg.omega_bar  # lightlike waves: k = omega
     dk = dw = cfg.delta_omega
-    _check_carrier_phase(cfg.omega0, cfg.W)
     if n_positions < 2:
         raise InvalidConfigError(f"n_positions must be >= 2, got {n_positions}")
     if cfg.v < SWEEP_SPEED_MIN:
@@ -286,7 +261,9 @@ def speed_for_mode(cfg_W: float, omega0: float, n: int) -> float:
     """Cavity speed whose de Broglie wavenumber satisfies dk*W = n*pi."""
     if n < 1:
         raise InvalidConfigError(f"mode index must be >= 1, got {n}")
-    _check_carrier_phase(omega0, cfg_W)
+    if omega0 * cfg_W > MAX_CARRIER_PHASE:
+        raise InvalidConfigError(
+            f"omega0*W must be <= {MAX_CARRIER_PHASE:g}, got {omega0 * cfg_W}")
     return _bisect_speed(n * math.pi / cfg_W, omega0)
 
 

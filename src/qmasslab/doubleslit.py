@@ -10,7 +10,6 @@ the exact two-source intensity.
 
 from __future__ import annotations
 
-import enum
 import math
 import warnings
 from dataclasses import dataclass
@@ -18,19 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientSpanError, InvalidConfigError, SingularPointError
-
-
-class Region(enum.Enum):
-    NEAR_SLIT_1 = "near_slit_1"
-    NEAR_SLIT_2 = "near_slit_2"
-    BALANCED = "balanced"
-    TRANSITION = "transition"
-
-
-#: Amplitude ratio min(a_i)/max(a_i) at or above which a point is balanced.
-BALANCED_THRESHOLD = 0.9
-#: Amplitude ratio at or below which a point is near the stronger slit.
-NEAR_THRESHOLD = 0.1
 
 
 @dataclass(frozen=True)
@@ -115,10 +101,11 @@ def _hypot(x: float, y: float) -> float:
 
 
 def _point_state(p, cfg: SlitConfig):
-    """Distances r and unit vectors u from each slit to p, and the unit momentum n.
+    """Unit vectors u from each slit to p, and the unit momentum n.
 
     n = (w1*u1 + w2*u2)/(w1 + w2) with energy weights w_i = 1/r_i**2, in plain
-    floats that repeat the numpy form's operation order bit for bit.
+    floats.  Their operation order is pinned by the trajectory digests of
+    ``tests/test_golden.py``, ``traj-5x2000`` included.
     """
     x, y = p
     h = cfg.d / 2.0
@@ -130,7 +117,7 @@ def _point_state(p, cfg: SlitConfig):
     w1, w2 = 1.0 / (r1 * r1), 1.0 / (r2 * r2)
     w = w1 + w2
     n = ((w1 * u1x + w2 * u2x) / w, (w1 * u1y + w2 * u2y) / w)
-    return (r1, r2), ((u1x, u1y), (u2x, u2y)), n
+    return ((u1x, u1y), (u2x, u2y)), n
 
 
 def _theta(u) -> float:
@@ -138,19 +125,9 @@ def _theta(u) -> float:
     return math.acos(min(max(float(np.dot(*u)), -1.0), 1.0))
 
 
-def _region(r) -> Region:
-    a1, a2 = 1.0 / r[0], 1.0 / r[1]
-    ratio = min(a1, a2) / max(a1, a2)
-    if ratio >= BALANCED_THRESHOLD:
-        return Region.BALANCED
-    if ratio <= NEAR_THRESHOLD:
-        return Region.NEAR_SLIT_1 if a1 > a2 else Region.NEAR_SLIT_2
-    return Region.TRANSITION
-
-
 def intersection_angle(p, cfg: SlitConfig) -> float:
     """Angle in [0, pi] between the two wave vectors meeting at p."""
-    return _theta(_point_state(p, cfg)[1])
+    return _theta(_point_state(p, cfg)[0])
 
 
 def local_mass(theta: float, omega: float) -> float:
@@ -163,20 +140,15 @@ def local_speed(theta: float) -> float:
     return math.cos(theta / 2.0)
 
 
-def classify_region(p, cfg: SlitConfig) -> Region:
-    """Amplitude-ratio label with a_i = 1/r_i and the module thresholds."""
-    return _region(_point_state(p, cfg)[0])
-
-
 def weighted_local_state(p, cfg: SlitConfig) -> LocalInterferenceState:
-    """Amplitude-weighted local kinematics, valid through all regions.
+    """Amplitude-weighted local kinematics, valid near the slits and far from them.
 
     With energy weights w_i = a_i**2 the normalized momentum is
     n = (w1*u1 + w2*u2)/(w1 + w2); then v = n and m = omega*sqrt(1 - |n|**2).
-    Equal weights reduce to the balanced-region sin/cos forms; a vanishing
-    weight gives a massless radial wave.
+    Equal weights reduce to the sin/cos forms of ``local_mass`` and
+    ``local_speed``; a vanishing weight gives a massless radial wave.
     """
-    n = _point_state(p, cfg)[2]
+    n = _point_state(p, cfg)[1]
     speed = _hypot(*n)
     m = cfg.omega * math.sqrt(max(0.0, 1.0 - speed**2))
     return LocalInterferenceState(m=m, v=np.array(n))
@@ -188,7 +160,7 @@ STAGNATION_SPEED = 1e-6
 
 def _flow_direction(x: float, y: float, cfg: SlitConfig):
     """Unit direction and speed of the weighted velocity field; raises where it stagnates."""
-    nx, ny = _point_state((x, y), cfg)[2]
+    nx, ny = _point_state((x, y), cfg)[1]
     n_mag = _hypot(nx, ny)
     if n_mag < STAGNATION_SPEED:
         raise SingularPointError(f"flow stagnates at {(x, y)}: |v| = {n_mag:.3g}")

@@ -50,12 +50,10 @@ class FourMomentum:
 
 @dataclass(frozen=True)
 class MassState:
-    """Kinematic summary of a wave configuration."""
+    """Quantum rest mass and group speed of a wave configuration."""
 
     m: float
     v: float
-    E: float
-    p: float
 
 
 def four_momentum_of(b: BidirectionalWave) -> FourMomentum:
@@ -98,9 +96,9 @@ def boost_four_momentum(P: FourMomentum, beta: float) -> FourMomentum:
 
 
 def mass_state_of(b: BidirectionalWave) -> MassState:
-    """Quantum rest mass, group speed, energy and momentum of ``b``."""
+    """Quantum rest mass and group speed of ``b``."""
     P = four_momentum_of(b)
     m = invariant_mass(P)
     vvec = group_velocity(P)
     v = float(np.hypot(vvec[0], vvec[1]))
-    return MassState(m=m, v=v, E=P.E, p=P.p)
+    return MassState(m=m, v=v)

@@ -209,14 +209,19 @@ def _run_doubleslit_map(params: dict, out: Path, summary: RunSummary) -> None:
     midpoint_mass = doubleslit.weighted_local_state((0.0, 0.0), cfg).m
     axis_x = np.linspace(cfg.d / 100.0, 10.0 * cfg.d, 500)
     axis_m = doubleslit.mass_map(cfg, axis_x, np.array([0.0]))[:, 0]
-    _require(np.isfinite(axis_m).all() and np.isfinite(m).any(),
+    # The grid row nearest the axis holds the grid maximum; it passes through
+    # the midpoint only when ny is odd.
+    j = int(np.argmin(np.abs(y)))
+    _require(np.isfinite(axis_m).all() and np.isfinite(m[:, j]).any(),
              f"slit exclusion radius {cfg.exclusion_radius:g} covers an axis sample "
-             "or the whole grid; lower the wavelength")
+             "or the grid row nearest the axis; lower the wavelength")
+    row_maximum = max(doubleslit.weighted_local_state((xi, y[j]), cfg).m
+                      for xi in x[np.isfinite(m[:, j])])
     # A step that is not a decrease or flat, NaN included, is a violation.
     increases = int(np.sum(~(np.diff(axis_m) <= 0)))
     summary.metrics += [
         Metric("midpoint_mass", cfg.omega, midpoint_mass, 1e-9, "formula"),
-        Metric("grid_maximum", midpoint_mass, float(np.nanmax(m)), 1e-9, "oracle"),
+        Metric("grid_maximum", row_maximum, float(np.nanmax(m)), 1e-9, "oracle"),
         Metric("axis_monotone_violations", 0.0, float(increases), 0.0, "oracle"),
     ]
     export_grid(x, y, m, out / "mass_map.csv")

@@ -43,6 +43,11 @@ class TestBoxConfig:
         with pytest.raises(InvalidConfigError):
             bw.BoxConfig(W=1.0, L=0.1, omega0=10.0, v=0.1)
 
+    def test_carrier_phase_above_cap(self):
+        bw.BoxConfig(W=2.0, L=0.1, omega0=bw.MAX_CARRIER_PHASE / 2.0, v=0.1)
+        with pytest.raises(InvalidConfigError, match=r"omega0\*W must be <= 100000, got 200000"):
+            bw.BoxConfig(W=2.0, L=0.1, omega0=bw.MAX_CARRIER_PHASE, v=0.1)
+
 
 class TestBuildField:
     def test_matches_closed_form(self, cfg):
@@ -82,33 +87,6 @@ class TestAnalyzeBeats:
         node = math.pi / (cfg.omega_bar + cfg.delta_omega)
         with pytest.raises(InvalidConfigError, match="sits at a node"):
             bw.analyze_beats(cfg, probe=node)
-
-
-class TestInternalStateProjection:
-    def test_initial_snapshot(self, cfg):
-        a_c, a_s = bw.project_internal_states(cfg, 0.0)
-        assert a_c == pytest.approx(4.0, rel=1e-10)
-        assert a_s == pytest.approx(0.0, abs=1e-9)
-
-    def test_quarter_slow_period(self, cfg):
-        t = math.pi / (2.0 * cfg.delta_omega)
-        a_c, _ = bw.project_internal_states(cfg, t)
-        assert abs(a_c) < 5e-3 * 4.0
-
-    def test_basis_orthogonality(self, cfg):
-        kb, dk = 10 * math.pi, 2 * math.pi
-        # The integrand has period 1 on [0, 1], so the trapezoid rule over 4096
-        # equal steps is exact for its trigonometric terms up to rounding.
-        x = np.arange(4096) / 4096
-        f = np.sin(kb * x) * np.cos(dk * x) * np.cos(kb * x) * np.sin(dk * x)
-        overlap = float(np.mean(f))
-        assert abs(overlap) < 1e-10
-
-    def test_conditioning_guard(self):
-        v = bw._bisect_speed(0.01, 100.0)
-        cfg = bw.BoxConfig(W=1.0, L=0.1, omega0=100.0, v=v)
-        with pytest.raises(InvalidConfigError, match="near-degenerate basis"):
-            bw.project_internal_states(cfg, 0.0)
 
 
 class TestTraceStatesVsPosition:

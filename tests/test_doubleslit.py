@@ -71,34 +71,6 @@ class TestLocalKinematics:
         assert ds.local_speed(theta) == pytest.approx(np.hypot(*v), rel=1e-12)
 
 
-class TestClassifyRegion:
-    def test_axis_is_balanced(self, cfg):
-        assert ds.classify_region((3.0, 0.0), cfg) is ds.Region.BALANCED
-
-    def test_near_slit(self, cfg):
-        assert ds.classify_region((0.01, 0.5), cfg) is ds.Region.NEAR_SLIT_1
-        assert ds.classify_region((0.01, -0.5), cfg) is ds.Region.NEAR_SLIT_2
-
-    def test_transition(self, cfg):
-        # r1/r2 = 0.5 on the y-axis above both slits
-        p = (0.0, 1.5)  # r1 = 1, r2 = 2
-        assert ds.classify_region(p, cfg) is ds.Region.TRANSITION
-
-    def test_partition_and_reflection_symmetry(self, cfg):
-        rng = np.random.default_rng(9)
-        swap = {
-            ds.Region.NEAR_SLIT_1: ds.Region.NEAR_SLIT_2,
-            ds.Region.NEAR_SLIT_2: ds.Region.NEAR_SLIT_1,
-            ds.Region.BALANCED: ds.Region.BALANCED,
-            ds.Region.TRANSITION: ds.Region.TRANSITION,
-        }
-        for _ in range(200):
-            p = (rng.uniform(0.01, 5.0), rng.uniform(-3.0, 3.0))
-            label = ds.classify_region(p, cfg)
-            assert label in ds.Region
-            assert ds.classify_region((p[0], -p[1]), cfg) is swap[label]
-
-
 class TestWeightedLocalState:
     def test_equal_weights_match_closed_forms(self, cfg):
         rng = np.random.default_rng(13)

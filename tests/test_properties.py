@@ -78,21 +78,28 @@ def test_box_quantize_passes_or_rejects(W, carrier_phase, tmp_path_factory):
 
 
 @settings(deadline=None, max_examples=25)
-@given(v=st.floats(min_value=0.5, max_value=0.999))
-@example(v=0.93)
-def test_box_beat_passes_or_rejects(v, tmp_path_factory):
+@given(v=st.floats(min_value=0.5, max_value=0.999),
+       carrier_phase=st.floats(min_value=20.0, max_value=1e7))
+@example(v=0.93, carrier_phase=100.0)
+def test_box_beat_passes_or_rejects(v, carrier_phase, tmp_path_factory):
     # Near c the lower tone approaches DC; the default probe must still meet
     # both gates, unless it sits at a node of a component standing wave.
+    # Beyond MAX_CARRIER_PHASE the input is rejected, never failed.
     out = tmp_path_factory.mktemp("beat")
-    cfg = bw.BoxConfig(W=1.0, L=0.1, omega0=100.0, v=v)
+    params = {"v": v, "omega0": carrier_phase}  # W = 1
+    if carrier_phase > bw.MAX_CARRIER_PHASE:
+        with pytest.raises(InvalidConfigError, match=r"omega0\*W must be <="):
+            scenarios.run("box-beat", params, out)
+        return
+    cfg = bw.BoxConfig(W=1.0, L=0.1, omega0=carrier_phase, v=v)
     probe = scenarios.DEFAULTS["box-beat"]["probe"]
     amplitudes = [abs(math.sin(k * probe))
                   for k in (cfg.omega_bar + cfg.delta_omega, cfg.omega_bar - cfg.delta_omega)]
     if min(amplitudes) < bw.PROBE_AMPLITUDE_MIN:
         with pytest.raises(InvalidConfigError, match="node"):
-            scenarios.run("box-beat", {"v": v}, out)
+            scenarios.run("box-beat", params, out)
     else:
-        summary = scenarios.run("box-beat", {"v": v}, out)
+        summary = scenarios.run("box-beat", params, out)
         assert summary.passed, [(m.name, m.rel_error) for m in summary.metrics if not m.passed]
 
 

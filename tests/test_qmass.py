@@ -133,14 +133,16 @@ class TestMassState:
         rng = np.random.default_rng(23)
         for _ in range(200):
             om = np.sort(rng.uniform(1e-2, 10.0, 2))
-            st = qm.mass_state_of(qm.BidirectionalWave(om[1], om[0]))
-            assert st.E**2 == pytest.approx(st.m**2 + st.p**2, rel=1e-12)
+            b = qm.BidirectionalWave(om[1], om[0])
+            st, P = qm.mass_state_of(b), qm.four_momentum_of(b)
+            assert P.E**2 == pytest.approx(st.m**2 + P.p**2, rel=1e-12)
             assert 0.0 <= st.v <= 1.0
 
     def test_wavelength_momentum_product(self):
-        st = qm.mass_state_of(qm.BidirectionalWave(2.0, 0.5))
+        b = qm.BidirectionalWave(2.0, 0.5)
+        st = qm.mass_state_of(b)
         lam = qm.de_broglie_wavelength(st.m, st.v)
-        assert lam * st.p == pytest.approx(2 * math.pi, rel=1e-12)
+        assert lam * qm.four_momentum_of(b).p == pytest.approx(2 * math.pi, rel=1e-12)
 
     def test_route_equivalence_via_component_boost(self):
         # Boosting both components into the frame where the frequencies are

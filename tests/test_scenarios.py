@@ -358,6 +358,9 @@ class TestCli:
             ["doubleslit-fringes", "--set", "wavelength=1.0"],
             ["doubleslit-fringes", "--set", "d=1e-20"],
             ["doubleslit-fringes", "--set", "wavelength=0.225"],
+            ["box-beat", "--set", "omega0=1e17"],
+            ["box-beat", "--set", "omega0=1e20"],
+            ["box-beat", "--set", "W=2000.0"],
         ],
     )
     def test_mistyped_override_exit_2(self, argv, tmp_path, capsys):
@@ -404,6 +407,16 @@ class TestCli:
         assert "far-field" in capsys.readouterr().err
         assert not list(tmp_path.glob("trajectory_*.csv"))
 
+    @pytest.mark.parametrize("ny", [2, 4, 200, 201])
+    def test_map_grid_maximum_at_any_ny(self, ny, tmp_path):
+        # An even ny has no y = 0 row; the gate then predicts the row nearest the axis.
+        assert cli.main(["doubleslit-map", "--set", f"ny={ny}", "--out", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "summary.json").read_text())
+        gate = {m["name"]: m for m in doc["metrics"]}["grid_maximum"]
+        if ny % 2:
+            # The y = 0 row holds the midpoint, whose mass is omega.
+            assert gate["predicted"] == gate["measured"] == 2 * math.pi / 0.05
+
     def test_success_exit_code(self, tmp_path, capsys):
         code = cli.main(["boost", "--out", str(tmp_path)])
         assert code == 0
@@ -432,12 +445,6 @@ class TestCli:
             ["boost", "--config", str(tmp_path / "absent.json"), "--out", str(tmp_path)]
         )
         assert code == 2
-
-    def test_physics_error_exit_3(self, tmp_path, capsys):
-        # At this carrier k*probe ~ 3e19 absorbs every omega*t in rounding: the series is flat.
-        code = cli.main(["box-beat", "--out", str(tmp_path), "--set", "omega0=1e20"])
-        assert code == 3
-        assert "constant series has no spectral peaks" in capsys.readouterr().err
 
     def test_unknown_scenario_usage_error(self, tmp_path):
         assert cli.main(["nonsense", "--out", str(tmp_path)]) == 2

@@ -278,8 +278,17 @@ class TestTemporalFrequencies:
 
     def test_constant_errors(self):
         t = np.linspace(0, 1, 64)
-        with pytest.raises(InsufficientSpanError):
+        with pytest.raises(InsufficientSpanError, match="constant series has no spectral peaks"):
             wc.measure_temporal_frequencies(t, np.full_like(t, 2.5), 1)
+
+    def test_series_flat_to_rounding_has_no_peaks(self):
+        # A phase of 3e19 absorbs every 100*t < 2048 (half its ulp): all samples
+        # are equal, and whatever the mean leaves is too flat for a peak.
+        t = np.arange(64) / 64
+        v = np.cos(3e19 + 100.0 * t)
+        assert np.ptp(v) == 0.0
+        with pytest.raises(InsufficientSpanError, match="no spectral peaks"):
+            wc.measure_temporal_frequencies(t, v, 2)
 
     def test_short_series_errors(self):
         with pytest.raises(InsufficientSpanError):
