@@ -55,6 +55,13 @@ _BOOST_OMEGA0_MAX = 1e9
 #: Radius, in slit separations, beyond which a streamline must run radially.
 _FAR_FIELD_RADIUS = 20.0
 
+#: Least maximum m/omega of the doubleslit-map grid row nearest the axis.
+#: ``mass_map`` and ``weighted_local_state`` both cancel in 1 - |n|**2, so the
+#: two sides of the grid_maximum gate drift apart by up to 1.75*eps*(omega/m)**2
+#: (worst of a 22,804-grid random sweep); at this floor that is <= 1e-10, a
+#: tenth of the gate's tolerance.
+_MAP_ROW_MASS_FLOOR = 2e-3
+
 #: Rows of a CSV formatted per write; bounds the text held in memory.
 _CSV_BLOCK_ROWS = 4096
 
@@ -105,8 +112,9 @@ class RunSummary:
 def _write_csv(path: Path, header: str, *columns) -> None:
     """CSV of equal-length columns, every value with 17 significant digits.
 
-    Rows are formatted ``_CSV_BLOCK_ROWS`` at a time by one ``%`` call over
-    plain Python floats, so no text copy of the whole table is held in memory.
+    The series and trajectory writer.  Rows are formatted ``_CSV_BLOCK_ROWS``
+    at a time by one ``%`` call over plain Python floats, so no text copy of
+    the whole table is held in memory.
     """
     table = np.column_stack(columns)
     line = ",".join(["%.17g"] * table.shape[1]) + "\n"
@@ -123,8 +131,25 @@ def export_series(x, values, path: Path, header: str = "x,value") -> None:
 
 
 def export_grid(x, y, values, path: Path) -> None:
-    """Row-major x,y,value CSV of a rectangular grid (values[i, j] at x[i], y[j])."""
-    _write_csv(path, "x,y,value", np.repeat(x, len(y)), np.tile(y, len(x)), np.ravel(values))
+    """Row-major x,y,value CSV of a rectangular grid (values[i, j] at x[i], y[j]).
+
+    Every number is written with 17 significant digits, as ``_write_csv``
+    writes them, but each coordinate is formatted once: y becomes one list of
+    ``",<y[j]>,%.17g\\n"`` templates, each x is joined in front of them, and
+    only the values go through ``%`` per cell.  A row is formatted at most
+    ``_CSV_BLOCK_ROWS`` lines at a time, so no text copy of the grid is held.
+    """
+    x, y, values = (np.asarray(a, dtype=float) for a in (x, y, values))
+    if values.shape != (len(x), len(y)):
+        raise ValueError(f"values must have shape {(len(x), len(y))}, got {values.shape}")
+    pieces = [",%.17g,%%.17g\n" % yj for yj in y.tolist()]
+    with open(path, "w") as fh:
+        fh.write("x,y,value\n")
+        for xi, row in zip(x.tolist(), values):
+            xs = "%.17g" % xi
+            for start in range(0, len(pieces), _CSV_BLOCK_ROWS):
+                stop = start + _CSV_BLOCK_ROWS
+                fh.write(xs.join([""] + pieces[start:stop]) % tuple(row[start:stop].tolist()))
 
 
 def export_summary(summary: RunSummary, path: Path) -> None:
@@ -217,6 +242,10 @@ def _run_doubleslit_map(params: dict, out: Path, summary: RunSummary) -> None:
              "or the grid row nearest the axis; lower the wavelength")
     row_maximum = max(doubleslit.weighted_local_state((xi, y[j]), cfg).m
                       for xi in x[np.isfinite(m[:, j])])
+    _require(row_maximum >= _MAP_ROW_MASS_FLOOR * cfg.omega,
+             f"the grid row nearest the axis (y = {y[j]:g}) peaks at m/omega = "
+             f"{row_maximum / cfg.omega:.3g}, below {_MAP_ROW_MASS_FLOOR:g}, where the "
+             "grid_maximum gate cannot resolve the mass; lower y_span or use an odd ny")
     # A step that is not a decrease or flat, NaN included, is a violation.
     increases = int(np.sum(~(np.diff(axis_m) <= 0)))
     summary.metrics += [

@@ -82,16 +82,23 @@ def _float_arrays(size):
 SPECIALS = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, -2.2e-308, 0.1, 1e308])
 
 
+#: A block size the drawn tables cross, so every writer's block boundary is hit.
+SMALL_BLOCK = 3
+
+
 @settings(deadline=None, max_examples=60)
 @given(data=st.data(), n=st.integers(min_value=0, max_value=12))
 @example(data=None, n=len(SPECIALS))
+@example(data=None, n=0)
 def test_export_series_matches_per_value_format(data, n, tmp_path_factory):
     if data is None:
-        x, values = SPECIALS, SPECIALS[::-1].copy()
+        x, values = np.resize(SPECIALS, n), np.resize(SPECIALS[::-1], n)
     else:
         x, values = data.draw(_float_arrays(n)), data.draw(_float_arrays(n))
     path = tmp_path_factory.mktemp("series") / "s.csv"
-    scenarios.export_series(x, values, path, header="t,value")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scenarios, "_CSV_BLOCK_ROWS", SMALL_BLOCK)
+        scenarios.export_series(x, values, path, header="t,value")
     expected = ["t,value"] + [f"{_format_17g(a)},{_format_17g(b)}" for a, b in zip(x, values)]
     assert path.read_text() == "\n".join(expected) + "\n"
 
@@ -99,21 +106,33 @@ def test_export_series_matches_per_value_format(data, n, tmp_path_factory):
 @settings(deadline=None, max_examples=60)
 @given(data=st.data(), nx=st.integers(0, 5), ny=st.integers(0, 5))
 @example(data=None, nx=len(SPECIALS), ny=2)
+@example(data=None, nx=0, ny=4)
+@example(data=None, nx=4, ny=0)
+@example(data=None, nx=2, ny=2 * SMALL_BLOCK + 1)
 def test_export_grid_matches_per_value_format(data, nx, ny, tmp_path_factory):
     if data is None:
-        x, y = SPECIALS, SPECIALS[:2]
-        values = np.stack([SPECIALS[::-1], SPECIALS], axis=1)
+        x, y = np.resize(SPECIALS, nx), np.resize(SPECIALS[::-1], ny)
+        values = np.resize(np.roll(SPECIALS, 3), (nx, ny))
     else:
         x, y = data.draw(_float_arrays(nx)), data.draw(_float_arrays(ny))
         values = data.draw(_float_arrays((nx, ny)))
     path = tmp_path_factory.mktemp("grid") / "g.csv"
-    scenarios.export_grid(x, y, values, path)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scenarios, "_CSV_BLOCK_ROWS", SMALL_BLOCK)
+        scenarios.export_grid(x, y, values, path)
     expected = ["x,y,value"] + [
         f"{_format_17g(xi)},{_format_17g(yj)},{_format_17g(values[i, j])}"
         for i, xi in enumerate(x)
         for j, yj in enumerate(y)
     ]
     assert path.read_text() == "\n".join(expected) + "\n"
+
+
+@pytest.mark.parametrize("shape", [(3, 2), (6,), (2, 2), (2, 3, 1)])
+def test_export_grid_rejects_values_of_another_shape(shape, tmp_path):
+    # A grid of len(x) = 2 by len(y) = 3; no value may be dropped or repeated.
+    with pytest.raises(ValueError, match="shape"):
+        scenarios.export_grid([0.0, 1.0], [2.0, 3.0, 4.0], np.zeros(shape), tmp_path / "g.csv")
 
 
 @pytest.mark.parametrize("tolerance", [1.0, 3.55, -1e-3, float("nan")])
@@ -361,6 +380,9 @@ class TestCli:
             ["box-beat", "--set", "omega0=1e17"],
             ["box-beat", "--set", "omega0=1e20"],
             ["box-beat", "--set", "W=2000.0"],
+            ["doubleslit-map", "--set", "nx=20", "--set", "ny=2",
+             "--set", "x_span=0.052460200503873504", "--set", "y_span=27.98721296838158",
+             "--set", "wavelength=0.04303877525650084"],
         ],
     )
     def test_mistyped_override_exit_2(self, argv, tmp_path, capsys):
