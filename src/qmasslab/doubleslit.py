@@ -100,34 +100,36 @@ def _hypot(x: float, y: float) -> float:
     return abs(complex(x, y))
 
 
-def _point_state(p, cfg: SlitConfig):
-    """Unit vectors u from each slit to p, and the unit momentum n.
+def _momentum(x: float, y: float, h: float, r_min: float):
+    """Unit momentum n = (w1*u1 + w2*u2)/(w1 + w2) at (x, y), slits at (0, +-h).
 
-    n = (w1*u1 + w2*u2)/(w1 + w2) with energy weights w_i = 1/r_i**2, in plain
-    floats.  Their operation order is pinned by the trajectory digests of
-    ``tests/test_golden.py``, ``traj-5x2000`` included.
+    u_i is the unit vector from slit i to the point and w_i = 1/r_i**2 its
+    energy weight.  Plain floats, with r_i from libm ``hypot``; the operation
+    order is pinned by the trajectory digests of ``tests/test_golden.py``,
+    ``traj-5x2000`` included.  Raises ``SingularPointError`` within r_min of
+    a slit.
     """
-    x, y = p
-    h = cfg.d / 2.0
     y1, y2 = y - h, y + h
-    r1, r2 = _hypot(x, y1), _hypot(x, y2)
-    if r1 < 1e-12 * cfg.d or r2 < 1e-12 * cfg.d:
-        raise SingularPointError(f"point {p} coincides with a slit")
-    u1x, u1y, u2x, u2y = x / r1, y1 / r1, x / r2, y2 / r2
+    r1, r2 = abs(complex(x, y1)), abs(complex(x, y2))
+    if r1 < r_min or r2 < r_min:
+        raise SingularPointError(f"point {(x, y)} coincides with a slit")
     w1, w2 = 1.0 / (r1 * r1), 1.0 / (r2 * r2)
     w = w1 + w2
-    n = ((w1 * u1x + w2 * u2x) / w, (w1 * u1y + w2 * u2y) / w)
-    return ((u1x, u1y), (u2x, u2y)), n
-
-
-def _theta(u) -> float:
-    """Angle between the unit vectors u[0], u[1]; BLAS ``np.dot`` rounds unlike a*b + c*d."""
-    return math.acos(min(max(float(np.dot(*u)), -1.0), 1.0))
+    return (w1 * (x / r1) + w2 * (x / r2)) / w, (w1 * (y1 / r1) + w2 * (y2 / r2)) / w
 
 
 def intersection_angle(p, cfg: SlitConfig) -> float:
-    """Angle in [0, pi] between the two wave vectors meeting at p."""
-    return _theta(_point_state(p, cfg)[0])
+    """Angle in [0, pi] between the two wave vectors meeting at p.
+
+    Built from its own unit vectors, so tests can check ``weighted_local_state``
+    against it; BLAS ``np.dot`` rounds unlike a*b + c*d.
+    """
+    rel = np.asarray(p, dtype=float) - cfg.slits
+    r = np.hypot(rel[:, 0], rel[:, 1])
+    if r.min() < 1e-12 * cfg.d:
+        raise SingularPointError(f"point {p} coincides with a slit")
+    u1, u2 = rel / r[:, None]
+    return math.acos(min(max(float(np.dot(u1, u2)), -1.0), 1.0))
 
 
 def local_mass(theta: float, omega: float) -> float:
@@ -148,7 +150,8 @@ def weighted_local_state(p, cfg: SlitConfig) -> LocalInterferenceState:
     Equal weights reduce to the sin/cos forms of ``local_mass`` and
     ``local_speed``; a vanishing weight gives a massless radial wave.
     """
-    n = _point_state(p, cfg)[1]
+    x, y = map(float, p)
+    n = _momentum(x, y, cfg.d / 2.0, 1e-12 * cfg.d)
     speed = _hypot(*n)
     m = cfg.omega * math.sqrt(max(0.0, 1.0 - speed**2))
     return LocalInterferenceState(m=m, v=np.array(n))
@@ -158,47 +161,53 @@ def weighted_local_state(p, cfg: SlitConfig) -> LocalInterferenceState:
 STAGNATION_SPEED = 1e-6
 
 
-def _flow_direction(x: float, y: float, cfg: SlitConfig):
-    """Unit direction and speed of the weighted velocity field; raises where it stagnates."""
-    nx, ny = _point_state((x, y), cfg)[1]
-    n_mag = _hypot(nx, ny)
-    if n_mag < STAGNATION_SPEED:
-        raise SingularPointError(f"flow stagnates at {(x, y)}: |v| = {n_mag:.3g}")
-    return nx / n_mag, ny / n_mag, n_mag
-
-
 def integrate_trajectory(start, cfg: SlitConfig, max_steps: int = 10_000) -> Trajectory:
     """Fixed-step RK4 streamline of the local velocity direction field.
 
     Arc-length parameterized with step d/100; elapsed time accumulates as
     step/|v|.  Terminates at the domain boundary, on stagnation
-    (|v| < 1e-6, or an RK4 stage at a slit) or at ``max_steps``.
+    (|v| < 1e-6, or an RK4 stage at a slit) or at ``max_steps``; a start at
+    a slit raises ``SingularPointError``.  Each stage is one call of the
+    plain-float ``_momentum`` kernel with the slit geometry and step
+    constants fixed once per trajectory.
     """
-    step = cfg.d / 100.0
+    d = cfg.d
+    h, r_min = d / 2.0, 1e-12 * d
+    step = d / 100.0
     half, sixth = 0.5 * step, step / 6.0
+
+    def direction(x, y):
+        nx, ny = _momentum(x, y, h, r_min)
+        n_mag = abs(complex(nx, ny))
+        if n_mag < STAGNATION_SPEED:
+            raise SingularPointError(f"flow stagnates at {(x, y)}: |v| = {n_mag:.3g}")
+        return nx / n_mag, ny / n_mag, n_mag
+
     x, y = map(float, start)
-    _point_state((x, y), cfg)  # raises at a slit
+    _momentum(x, y, h, r_min)  # raises at a slit
     x_min, x_max, y_half = cfg.x_min, cfg.x_max, cfg.y_half
-    points = [(x, y)]
-    times = [0.0]
+    xs, ys, times = [x], [y], [0.0]
+    t = 0.0
     termination = "max_steps"
     for _ in range(max_steps):
         try:
-            ax, ay, n_mag = _flow_direction(x, y, cfg)
-            bx, by, _ = _flow_direction(x + half * ax, y + half * ay, cfg)
-            cx, cy, _ = _flow_direction(x + half * bx, y + half * by, cfg)
-            dx, dy, _ = _flow_direction(x + step * cx, y + step * cy, cfg)
+            ax, ay, n_mag = direction(x, y)
+            bx, by, _ = direction(x + half * ax, y + half * ay)
+            cx, cy, _ = direction(x + half * bx, y + half * by)
+            dx, dy, _ = direction(x + step * cx, y + step * cy)
         except SingularPointError:
             termination = "stagnation"
             break
         x = x + sixth * (ax + 2.0 * bx + 2.0 * cx + dx)
         y = y + sixth * (ay + 2.0 * by + 2.0 * cy + dy)
-        points.append((x, y))
-        times.append(times[-1] + step / n_mag)
+        t = t + step / n_mag
+        xs.append(x)
+        ys.append(y)
+        times.append(t)
         if not (x_min <= x <= x_max and abs(y) <= y_half):
             termination = "boundary"
             break
-    return Trajectory(np.array(points), np.array(times), termination)
+    return Trajectory(np.column_stack((xs, ys)), np.array(times), termination)
 
 
 def fringe_spacing_predicted(cfg: SlitConfig, D: float) -> float:

@@ -72,3 +72,24 @@ def test_five_start_trajectories_byte_identical(tmp_path):
     starts = [[25.0, 0.0], [17.7, 17.7], [0.01, 0.5], [10.0, -3.0], [5.0, 1.0]]
     params = {"starts": starts, "max_steps": 2000}
     assert _csv_digests("doubleslit-traj", params, tmp_path) == TRAJ5_GOLDEN
+
+
+#: Digests of the benchmark's other trajectory entries, ``pipeline-warm/traj-1x3000``
+#: and ``traj-3x2500`` in ``bench/golden.json``.  Start [25, 0] with 3000 steps is
+#: the one golden trajectory that stops at the domain boundary (after step 2501).
+TRAJ1_BOUNDARY_GOLDEN = {
+    "trajectory_000.csv": "5bb9b9dd86a2ea3d7c1b9ee22a9c242ae1690d1fbd98974bfe9c906b9859c63d",
+}
+TRAJ3_GOLDEN = {
+    "trajectory_000.csv": "26ea760f112e36820df1e3dfa5c6ff7de89ba9bbcd3e3eaffb68bc80a895e29c",
+    "trajectory_001.csv": "0bddecc9cc3714a942bf40e59a09cd7d258117709d62a3b6cc9af505f723e0bd",
+    "trajectory_002.csv": "52ec8ba3c974a9945a4c3b7d83c4968f1c3866f27c46c0d2f1f9a0d9f5b31f57",
+}
+
+
+@pytest.mark.parametrize("params, golden", [
+    ({"starts": [[25.0, 0.0]], "max_steps": 3000}, TRAJ1_BOUNDARY_GOLDEN),
+    ({"max_steps": 2500}, TRAJ3_GOLDEN),
+], ids=["traj-1x3000", "traj-3x2500"])
+def test_benchmark_trajectories_byte_identical(params, golden, tmp_path):
+    assert _csv_digests("doubleslit-traj", params, tmp_path) == golden
