@@ -104,10 +104,10 @@ def _momentum(x: float, y: float, h: float, r_min: float):
     """Unit momentum n = (w1*u1 + w2*u2)/(w1 + w2) at (x, y), slits at (0, +-h).
 
     u_i is the unit vector from slit i to the point and w_i = 1/r_i**2 its
-    energy weight.  Plain floats, with r_i from libm ``hypot``; the operation
-    order is pinned by the trajectory digests of ``tests/test_golden.py``,
-    ``traj-5x2000`` included.  Raises ``SingularPointError`` within r_min of
-    a slit.
+    energy weight.  Plain floats, with r_i from libm ``hypot`` (``_hypot``
+    inlined: each RK4 stage calls this).  The operation order is pinned by
+    the trajectory digests of ``tests/test_golden.py``, ``traj-5x2000``
+    included.  Raises ``SingularPointError`` within r_min of a slit.
     """
     y1, y2 = y - h, y + h
     r1, r2 = abs(complex(x, y1)), abs(complex(x, y2))
