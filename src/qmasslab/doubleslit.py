@@ -233,6 +233,12 @@ def screen_intensity(cfg: SlitConfig, points) -> np.ndarray:
 #: Predicted fringe spacings spanned by the fringe-spacing oracle's screen.
 SCREEN_FRINGES = 7.0
 
+#: Largest screen phase omega*D the fringe-spacing oracle accepts.
+#: ``screen_intensity`` rounds r1 - r2 at radius D, so the phase carries noise
+#: of about omega*eps*D; a sweep over d, lambda/d and both screens saw the
+#: spacing gate first fail between omega*D = 3e14 and 1e15, ~300x above this.
+MAX_SCREEN_PHASE = 1e12
+
 
 def fringe_spacing_measured(cfg: SlitConfig, D: float, screen: str = "arc") -> FringeReport:
     """Independent fringe-spacing oracle: locate intensity maxima on a screen.
@@ -244,6 +250,7 @@ def fringe_spacing_measured(cfg: SlitConfig, D: float, screen: str = "arc") -> F
     the axis.  The arc spans SCREEN_FRINGES/2*lambda/d radians either side of
     the axis, so that must stay below pi/2, in front of the slit plane; the
     same bound gives the line screen the 2*lambda < d its 2nd-order maxima need.
+    omega*D may not exceed MAX_SCREEN_PHASE.
     """
     if SCREEN_FRINGES / 2.0 * cfg.wavelength / cfg.d >= math.pi / 2.0:
         raise InvalidConfigError(
@@ -252,6 +259,10 @@ def fringe_spacing_measured(cfg: SlitConfig, D: float, screen: str = "arc") -> F
     predicted = fringe_spacing_predicted(cfg, D)
     if not math.isfinite(predicted):
         raise InvalidConfigError(f"fringe spacing D*lambda/d overflows for D = {D}")
+    if not cfg.omega * D <= MAX_SCREEN_PHASE:
+        raise InvalidConfigError(
+            f"omega*D = {cfg.omega * D:.3g} exceeds {MAX_SCREEN_PHASE:g}: the screen "
+            "intensity cannot resolve r1 - r2 at that distance")
     half_span = SCREEN_FRINGES / 2.0 * predicted
     n = int(SCREEN_FRINGES * 64) | 1
     s = np.linspace(-half_span, half_span, n)

@@ -2,8 +2,10 @@
 
 Each scenario maps a parameter block onto one physics pipeline and emits
 plot-ready CSV files plus a JSON summary of predicted-vs-measured metrics.
-Data files are byte-identical across repeated runs; wall-clock timing is
-isolated in the summary.
+A runner's keyword arguments are its scenario's parameters, and their
+defaults are the scenario's defaults.  Every data file is written by
+``export_series`` or ``export_grid``; data files are byte-identical across
+repeated runs, and wall-clock timing is isolated in the summary.
 """
 
 from __future__ import annotations
@@ -23,23 +25,6 @@ from . import boxwell, doubleslit, qmass, wavecore
 from .errors import InsufficientSpanError, InvalidConfigError, QmassError
 
 SCHEMA_VERSION = 1
-
-DEFAULTS: dict[str, dict] = {
-    "boost": {"omega0": 1.0, "beta": 0.6},
-    "doubleslit-map": {
-        "d": 1.0, "wavelength": 0.05, "nx": 201, "ny": 201,
-        "x_span": 5.0, "y_span": 2.5,
-    },
-    "doubleslit-traj": {
-        "d": 1.0, "wavelength": 0.05,
-        "starts": [[25.0, 0.0], [17.7, 17.7], [0.01, 0.5]],
-        "max_steps": 2000,
-    },
-    "doubleslit-fringes": {"d": 0.5, "wavelength": 0.01, "D": 50.0, "screen": "arc"},
-    "box-beat": {"W": 1.0, "omega0": 100.0, "v": 0.0627080, "probe": 0.275},
-    "box-states": {"W": 1.0, "L": 0.1, "omega0": 100.0, "v": 0.0627080, "n_positions": 160},
-    "box-quantize": {"W": 1.0, "omega0": 100.0, "n_max": 5},
-}
 
 #: ``boxwell.quantize`` solves its own speed for each mode and reads only W and
 #: omega0 of its config; this speed only has to pass ``BoxConfig``'s range check.
@@ -109,12 +94,12 @@ class RunSummary:
         return all(m.passed for m in self.metrics)
 
 
-def _write_csv(path: Path, header: str, *columns) -> None:
+def export_series(path: Path, header: str, *columns) -> None:
     """CSV of equal-length columns, every value with 17 significant digits.
 
-    The series and trajectory writer.  Rows are formatted ``_CSV_BLOCK_ROWS``
-    at a time by one ``%`` call over plain Python floats, so no text copy of
-    the whole table is held in memory.
+    A column is a 1-D array or a 2-D array of several columns.  Rows are
+    formatted ``_CSV_BLOCK_ROWS`` at a time by one ``%`` call over plain
+    Python floats, so no text copy of the whole table is held in memory.
     """
     table = np.column_stack(columns)
     line = ",".join(["%.17g"] * table.shape[1]) + "\n"
@@ -125,15 +110,10 @@ def _write_csv(path: Path, header: str, *columns) -> None:
             fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
-def export_series(x, values, path: Path, header: str = "x,value") -> None:
-    """Two-column CSV with fixed 17-significant-digit formatting."""
-    _write_csv(path, header, x, values)
-
-
 def export_grid(x, y, values, path: Path) -> None:
     """Row-major x,y,value CSV of a rectangular grid (values[i, j] at x[i], y[j]).
 
-    Every number is written with 17 significant digits, as ``_write_csv``
+    Every number is written with 17 significant digits, as ``export_series``
     writes them, but each coordinate is formatted once: y becomes one list of
     ``",<y[j]>,%.17g\\n"`` templates, each x is joined in front of them, and
     only the values go through ``%`` per cell.  A row is formatted at most
@@ -153,7 +133,7 @@ def export_grid(x, y, values, path: Path) -> None:
 
 
 def export_summary(summary: RunSummary, path: Path) -> None:
-    """Stable-ordered JSON summary; optional metrics are omitted, never null."""
+    """Stable-ordered JSON summary of the run, its metrics and its files."""
     doc = {
         "schema_version": SCHEMA_VERSION,
         "scenario": summary.kind,
@@ -182,8 +162,7 @@ def _require(condition: bool, message: str) -> None:
         raise InvalidConfigError(message)
 
 
-def _run_boost(params: dict, out: Path, summary: RunSummary) -> None:
-    omega0, beta = params["omega0"], params["beta"]
+def _run_boost(out: Path, summary: RunSummary, *, omega0=1.0, beta=0.6) -> None:
     _require(_BOOST_OMEGA0_MIN <= omega0 <= _BOOST_OMEGA0_MAX,
              f"omega0 must be in [{_BOOST_OMEGA0_MIN:g}, {_BOOST_OMEGA0_MAX:g}], got {omega0}")
     b = wavecore.boost_standing_wave(omega0, beta)
@@ -199,37 +178,36 @@ def _run_boost(params: dict, out: Path, summary: RunSummary) -> None:
                qmass.de_broglie_wavelength(state.m, state.v),
                measured_lam, 1e-3, "oracle"),
     ]
-    export_series(x, snapshot, out / "field.csv")
+    export_series(out / "field.csv", "x,value", x, snapshot)
     summary.files.append("field.csv")
 
 
-def _slit_config(params: dict) -> doubleslit.SlitConfig:
-    _require(params["wavelength"] > 0,
-             f"wavelength must be positive, got {params['wavelength']}")
-    return doubleslit.SlitConfig(d=params["d"], omega=2.0 * math.pi / params["wavelength"])
+def _slit_config(d: float, wavelength: float) -> doubleslit.SlitConfig:
+    _require(wavelength > 0, f"wavelength must be positive, got {wavelength}")
+    return doubleslit.SlitConfig(d=d, omega=2.0 * math.pi / wavelength)
 
 
-def _run_doubleslit_fringes(params: dict, out: Path, summary: RunSummary) -> None:
-    cfg = _slit_config(params)
-    report = doubleslit.fringe_spacing_measured(cfg, params["D"], screen=params["screen"])
+def _run_doubleslit_fringes(out: Path, summary: RunSummary, *,
+                            d=0.5, wavelength=0.01, D=50.0, screen="arc") -> None:
+    cfg = _slit_config(d, wavelength)
+    report = doubleslit.fringe_spacing_measured(cfg, D, screen=screen)
     summary.metrics.append(
         Metric("fringe_spacing", report.predicted, report.measured, 0.01, "oracle")
     )
-    export_series(report.s, report.intensity, out / "intensity.csv")
+    export_series(out / "intensity.csv", "x,value", report.s, report.intensity)
     summary.files.append("intensity.csv")
 
 
-def _run_doubleslit_map(params: dict, out: Path, summary: RunSummary) -> None:
-    _require(min(params["nx"], params["ny"]) >= 2,
-             f"nx and ny must be >= 2, got {params['nx']} and {params['ny']}")
-    cfg = _slit_config(params)
+def _run_doubleslit_map(out: Path, summary: RunSummary, *, d=1.0, wavelength=0.05,
+                        nx=201, ny=201, x_span=5.0, y_span=2.5) -> None:
+    _require(min(nx, ny) >= 2, f"nx and ny must be >= 2, got {nx} and {ny}")
+    cfg = _slit_config(d, wavelength)
     # The map stays inside the trajectory domain; far beyond it r**2 overflows.
-    _require(0 < params["x_span"] * cfg.d <= cfg.x_max
-             and 0 < params["y_span"] * cfg.d <= cfg.y_half,
+    _require(0 < x_span * cfg.d <= cfg.x_max and 0 < y_span * cfg.d <= cfg.y_half,
              f"x_span must be in (0, {cfg.x_max / cfg.d:g}] and y_span in "
-             f"(0, {cfg.y_half / cfg.d:g}], got {params['x_span']} and {params['y_span']}")
-    x = np.linspace(0.0, params["x_span"] * cfg.d, params["nx"])
-    y = np.linspace(-params["y_span"] * cfg.d, params["y_span"] * cfg.d, params["ny"])
+             f"(0, {cfg.y_half / cfg.d:g}], got {x_span} and {y_span}")
+    x = np.linspace(0.0, x_span * cfg.d, nx)
+    y = np.linspace(-y_span * cfg.d, y_span * cfg.d, ny)
     m = doubleslit.mass_map(cfg, x, y)
     midpoint_mass = doubleslit.weighted_local_state((0.0, 0.0), cfg).m
     axis_x = np.linspace(cfg.d / 100.0, 10.0 * cfg.d, 500)
@@ -257,15 +235,17 @@ def _run_doubleslit_map(params: dict, out: Path, summary: RunSummary) -> None:
     summary.files.append("mass_map.csv")
 
 
-def _run_doubleslit_traj(params: dict, out: Path, summary: RunSummary) -> None:
-    _require(params["max_steps"] >= 1, f"max_steps must be >= 1, got {params['max_steps']}")
-    cfg = _slit_config(params)
-    for x, y in params["starts"]:
+def _run_doubleslit_traj(out: Path, summary: RunSummary, *, d=1.0, wavelength=0.05,
+                         starts=[[25.0, 0.0], [17.7, 17.7], [0.01, 0.5]],
+                         max_steps=2000) -> None:
+    _require(max_steps >= 1, f"max_steps must be >= 1, got {max_steps}")
+    cfg = _slit_config(d, wavelength)
+    for x, y in starts:
         _require(cfg.x_min <= x <= cfg.x_max and abs(y) <= cfg.y_half,
                  f"start ({x}, {y}) lies outside {cfg.x_min:g} <= x <= {cfg.x_max:g}, "
                  f"|y| <= {cfg.y_half:g}")
-    trajectories = [doubleslit.integrate_trajectory(start, cfg, max_steps=params["max_steps"])
-                    for start in params["starts"]]
+    trajectories = [doubleslit.integrate_trajectory(start, cfg, max_steps=max_steps)
+                    for start in starts]
     far_deviations = []
     for traj in trajectories:
         r = np.hypot(traj.points[:, 0], traj.points[:, 1])
@@ -286,29 +266,28 @@ def _run_doubleslit_traj(params: dict, out: Path, summary: RunSummary) -> None:
     )
     for i, traj in enumerate(trajectories):
         name = f"trajectory_{i:03d}.csv"
-        _write_csv(out / name, "x,y,value", traj.points, traj.times)
+        export_series(out / name, "x,y,value", traj.points, traj.times)
         summary.files.append(name)
 
 
-def _run_box_beat(params: dict, out: Path, summary: RunSummary) -> None:
-    W, probe = params["W"], params["probe"]
+def _run_box_beat(out: Path, summary: RunSummary, *,
+                  W=1.0, omega0=100.0, v=0.0627080, probe=0.275) -> None:
     _require(0 < probe < W, f"probe must lie inside the well (0, {W}), got {probe}")
     # analyze_beats never reads the cavity length; W/10 passes BoxConfig's check.
-    cfg = boxwell.BoxConfig(W=W, L=W / 10.0, omega0=params["omega0"], v=params["v"])
+    cfg = boxwell.BoxConfig(W=W, L=W / 10.0, omega0=omega0, v=v)
     beats = boxwell.analyze_beats(cfg, probe)
     summary.metrics += [
         Metric("fast_frequency", cfg.omega_bar, beats.fast, 5e-3, "oracle"),
         Metric("slow_frequency", cfg.delta_omega, beats.slow, 5e-3, "oracle"),
     ]
-    export_series(beats.times, beats.values, out / "probe_series.csv", header="t,value")
+    export_series(out / "probe_series.csv", "t,value", beats.times, beats.values)
     summary.files.append("probe_series.csv")
 
 
-def _run_box_states(params: dict, out: Path, summary: RunSummary) -> None:
-    cfg = boxwell.BoxConfig(
-        W=params["W"], L=params["L"], omega0=params["omega0"], v=params["v"]
-    )
-    trace = boxwell.trace_states_vs_position(cfg, n_positions=params["n_positions"])
+def _run_box_states(out: Path, summary: RunSummary, *,
+                    W=1.0, L=0.1, omega0=100.0, v=0.0627080, n_positions=160) -> None:
+    cfg = boxwell.BoxConfig(W=W, L=L, omega0=omega0, v=v)
+    trace = boxwell.trace_states_vs_position(cfg, n_positions=n_positions)
     p = qmass.four_momentum_of(wavecore.boost_standing_wave(cfg.omega0, cfg.v)).p
     modulus = trace.a_cos**2 + trace.a_sin**2
     flatness = float(np.max(modulus) / np.min(modulus) - 1.0)
@@ -316,13 +295,12 @@ def _run_box_states(params: dict, out: Path, summary: RunSummary) -> None:
         Metric("envelope_wavenumber", p, trace.envelope_wavenumber, 5e-3, "oracle"),
         Metric("helix_modulus_flatness", 0.0, flatness, 0.02, "oracle"),
     ]
-    export_series(trace.x, trace.a_cos, out / "cosine_state.csv")
-    export_series(trace.x, trace.a_sin, out / "sine_state.csv")
+    export_series(out / "cosine_state.csv", "x,value", trace.x, trace.a_cos)
+    export_series(out / "sine_state.csv", "x,value", trace.x, trace.a_sin)
     summary.files += ["cosine_state.csv", "sine_state.csv"]
 
 
-def _run_box_quantize(params: dict, out: Path, summary: RunSummary) -> None:
-    W, omega0, n_max = params["W"], params["omega0"], params["n_max"]
+def _run_box_quantize(out: Path, summary: RunSummary, *, W=1.0, omega0=100.0, n_max=5) -> None:
     _require(W > 0, f"W must be positive, got {W}")
     # Beyond p = n*pi/W = omega0 the energy gate's tolerance (p/m)**2 reaches 1.
     _require(n_max * math.pi / W < omega0,
@@ -344,7 +322,7 @@ def _run_box_quantize(params: dict, out: Path, summary: RunSummary) -> None:
             Metric(f"kinetic_energy_n{rep.n}", exact, rep.kinetic_energy, 1e-7, "formula"),
         ]
         name = f"envelope_n{rep.n}.csv"
-        export_series(x, boxwell.quantized_envelope(rep.p_n, x), out / name)
+        export_series(out / name, "x,value", x, boxwell.quantized_envelope(rep.p_n, x))
         summary.files.append(name)
 
 
@@ -359,6 +337,9 @@ _RUNNERS = {
 }
 
 SCENARIOS = tuple(_RUNNERS)
+
+#: Each scenario's parameters and their defaults, in its runner's order.
+DEFAULTS: dict[str, dict] = {kind: runner.__kwdefaults__ for kind, runner in _RUNNERS.items()}
 
 
 def _number(value):
@@ -416,7 +397,7 @@ def run(kind: str, params: dict | None = None, out_dir=".") -> RunSummary:
     out.mkdir(parents=True, exist_ok=True)
     summary = RunSummary(kind=kind, params=merged)
     start = time.perf_counter()
-    _RUNNERS[kind](merged, out, summary)
+    _RUNNERS[kind](out, summary, **merged)
     summary.duration_s = time.perf_counter() - start
     export_summary(summary, out / "summary.json")
     return summary

@@ -1,4 +1,6 @@
 import dataclasses
+import inspect
+import itertools
 import json
 import math
 import os
@@ -98,7 +100,7 @@ def test_export_series_matches_per_value_format(data, n, tmp_path_factory):
     path = tmp_path_factory.mktemp("series") / "s.csv"
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scenarios, "_CSV_BLOCK_ROWS", SMALL_BLOCK)
-        scenarios.export_series(x, values, path, header="t,value")
+        scenarios.export_series(path, "t,value", x, values)
     expected = ["t,value"] + [f"{_format_17g(a)},{_format_17g(b)}" for a, b in zip(x, values)]
     assert path.read_text() == "\n".join(expected) + "\n"
 
@@ -225,6 +227,39 @@ def _run_python(*args, cwd=None):
     )
 
 
+def test_readme_parameter_table_matches_defaults():
+    # Each row of the README's scenario table lists `name` (default) pairs in order.
+    lines = (ROOT / "README.md").read_text().splitlines()
+    start = lines.index("| scenario | parameters (default) | range |") + 2
+    table = []
+    for line in itertools.takewhile(lambda row: row.startswith("|"), lines[start:]):
+        kind, cell = re.match(r"\| `([\w-]+)` \| (.*?) \|", line).groups()
+        pairs = re.findall(r"`(\w+)` \(`?(.*?)`?\)(?=, `|$)", cell)
+        table.append((kind, [(name, json.loads(value)) for name, value in pairs]))
+    assert table == [(kind, list(defaults.items()))
+                     for kind, defaults in scenarios.DEFAULTS.items()]
+
+
+@pytest.mark.parametrize("kind", scenarios.SCENARIOS)
+def test_every_data_file_goes_through_the_public_writers(kind, tmp_path, monkeypatch):
+    written = []
+
+    def recorder(writer):
+        signature = inspect.signature(writer)
+
+        def record(*args, **kwargs):
+            written.append(signature.bind(*args, **kwargs).arguments["path"].name)
+            return writer(*args, **kwargs)
+
+        return record
+
+    for name in ("export_series", "export_grid"):
+        monkeypatch.setattr(scenarios, name, recorder(getattr(scenarios, name)))
+    summary = scenarios.run(kind, FAST_PARAMS[kind], tmp_path)
+    assert written == summary.files
+    assert sorted(p.name for p in tmp_path.glob("*.csv")) == sorted(summary.files)
+
+
 @pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.stem)
 def test_demo_runs(demo, tmp_path):
     proc = _run_python(str(demo), cwd=tmp_path)
@@ -341,6 +376,7 @@ class TestCli:
             ["boost", "--set", "beta=0.0"],
             ["doubleslit-fringes", "--set", "D=-50.0"],
             ["doubleslit-fringes", "--set", "D=0.0"],
+            ["doubleslit-fringes", "--set", "D=1e12"],
             ["doubleslit-traj", "--set", "starts=[[1e308,0.0]]"],
             ["doubleslit-traj", "--set", "starts=[[-1.0,0.0]]"],
             ["doubleslit-map", "--set", "x_span=-1.0"],
@@ -438,6 +474,10 @@ class TestCli:
         if ny % 2:
             # The y = 0 row holds the midpoint, whose mass is omega.
             assert gate["predicted"] == gate["measured"] == 2 * math.pi / 0.05
+
+    def test_fringes_far_screen_below_phase_cap_passes(self, tmp_path):
+        # omega*D = 6.3e11 at the default wavelength, below MAX_SCREEN_PHASE = 1e12.
+        assert cli.main(["doubleslit-fringes", "--set", "D=1e9", "--out", str(tmp_path)]) == 0
 
     def test_success_exit_code(self, tmp_path, capsys):
         code = cli.main(["boost", "--out", str(tmp_path)])
