@@ -43,6 +43,7 @@ print(f"  {len(traj.points)} points, terminated: {traj.termination}, "
 print()
 print("Fringe spacing on a screen at D = 50 d:")
 report = ds.fringe_spacing_measured(ds.SlitConfig(d=0.5, omega=2 * math.pi / 0.01), 50.0)
-print(f"  predicted D*lambda/d = {report.predicted:.6f}")
+print(f"  far field D*lambda/d = {50.0 * 0.01 / 0.5:.6f}")
+print(f"  predicted from the 2nd-order path difference = {report.predicted:.6f}")
 print(f"  measured from intensity maxima = {report.measured:.6f} "
       f"(rel error {abs(report.measured / report.predicted - 1):.2e})")

@@ -11,7 +11,6 @@ the exact two-source intensity.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -211,15 +210,29 @@ def integrate_trajectory(start, cfg: SlitConfig, max_steps: int = 10_000) -> Tra
 
 
 def fringe_spacing_predicted(cfg: SlitConfig, D: float) -> float:
-    """Far-field bright-fringe spacing D*lambda/d."""
+    """Far-field bright-fringe spacing D*lambda/d, the unit of the oracle's screen.
+
+    It is the limit of ``fringe_gap_predicted`` for D >> d and lambda << d.
+    """
     if not D > 0:
         raise InvalidConfigError(f"screen distance D must be positive, got {D}")
-    if D / cfg.d < 20.0:
-        warnings.warn(
-            f"far-field approximation weak: D/d = {D / cfg.d:.1f} < 20",
-            stacklevel=2,
-        )
     return D * cfg.wavelength / cfg.d
+
+
+def fringe_gap_predicted(cfg: SlitConfig, D: float, screen: str = "arc") -> float:
+    """Mean gap of the 5 central maxima (orders -2 to 2) on the arc or line screen.
+
+    The 2nd-order maximum lies where the path difference r2 - r1 is
+    Delta = 2*lambda: on the arc of radius D at the angle
+    asin(Delta*sqrt(4*D**2 + d**2 - Delta**2)/(2*D*d)), on the line x = D where
+    that hyperbola crosses it.  The gap is half its arc length or height.
+    Needs Delta < d.
+    """
+    delta = 2.0 * cfg.wavelength
+    d = cfg.d
+    if screen == "arc":
+        return D * math.asin(delta * math.sqrt(4.0 * D**2 + d**2 - delta**2) / (2.0 * D * d)) / 2.0
+    return delta / (4.0 * d) * math.sqrt((4.0 * D**2 + d**2 - delta**2) / (1.0 - (delta / d) ** 2))
 
 
 def screen_intensity(cfg: SlitConfig, points) -> np.ndarray:
@@ -230,7 +243,7 @@ def screen_intensity(cfg: SlitConfig, points) -> np.ndarray:
     return a1**2 + a2**2 + 2.0 * a1 * a2 * np.cos(cfg.omega * (r1 - r2))
 
 
-#: Predicted fringe spacings spanned by the fringe-spacing oracle's screen.
+#: Far-field fringe spacings D*lambda/d spanned by the fringe-spacing oracle's screen.
 SCREEN_FRINGES = 7.0
 
 #: Largest screen phase omega*D the fringe-spacing oracle accepts.
@@ -239,40 +252,60 @@ SCREEN_FRINGES = 7.0
 #: spacing gate first fail between omega*D = 3e14 and 1e15, ~300x above this.
 MAX_SCREEN_PHASE = 1e12
 
+#: Least screen distance D/d the fringe-spacing oracle accepts.  Nearer, the
+#: slits' unequal 1/r amplitudes move the maxima off ``fringe_gap_predicted``
+#: on the arc (worst over lambda/d < pi/7: 7.7e-3 at D/d = 2, 1.5e-2 at 1.5).
+MIN_SCREEN_DISTANCE = 2.0
+
+#: Largest lambda/d the flat (line) screen accepts.  Along it the 1/r**2
+#: fall-off moves the maxima off ``fringe_gap_predicted`` (1.1e-2 at 0.25),
+#: and near 0.44 the 2nd-order maxima leave the screen.
+MAX_LINE_WAVELENGTH = 0.2
+
 
 def fringe_spacing_measured(cfg: SlitConfig, D: float, screen: str = "arc") -> FringeReport:
     """Independent fringe-spacing oracle: locate intensity maxima on a screen.
 
     The screen is an arc of radius D about the midpoint (default) or the
-    vertical line x = D, spans SCREEN_FRINGES predicted spacings and is
-    sampled 64 times per spacing.  Maxima are refined by quadratic
-    interpolation and the spacing is the mean gap of the 5 maxima nearest
-    the axis.  The arc spans SCREEN_FRINGES/2*lambda/d radians either side of
-    the axis, so that must stay below pi/2, in front of the slit plane; the
-    same bound gives the line screen the 2*lambda < d its 2nd-order maxima need.
-    omega*D may not exceed MAX_SCREEN_PHASE.
+    vertical line x = D, spans SCREEN_FRINGES far-field spacings D*lambda/d and
+    is sampled 64 times per spacing.  Maxima are refined by quadratic
+    interpolation and the spacing is the mean gap of the 5 maxima nearest the
+    axis, predicted by ``fringe_gap_predicted``.  The arc spans
+    SCREEN_FRINGES/2*lambda/d radians either side of the axis, so lambda/d
+    must stay below pi/SCREEN_FRINGES, in front of the slit plane; the line
+    screen needs lambda/d <= MAX_LINE_WAVELENGTH.  Both need
+    D >= MIN_SCREEN_DISTANCE*d and omega*D <= MAX_SCREEN_PHASE.
     """
-    if SCREEN_FRINGES / 2.0 * cfg.wavelength / cfg.d >= math.pi / 2.0:
+    if screen not in ("arc", "line"):
+        raise InvalidConfigError(f"unknown screen kind {screen!r}; choose 'arc' or 'line'")
+    ratio = cfg.wavelength / cfg.d
+    if SCREEN_FRINGES / 2.0 * ratio >= math.pi / 2.0:
         raise InvalidConfigError(
-            f"wavelength/d = {cfg.wavelength / cfg.d:.3g} must be below "
+            f"wavelength/d = {ratio:.3g} must be below "
             f"pi/{SCREEN_FRINGES:g}: the screen would reach behind the slits")
-    predicted = fringe_spacing_predicted(cfg, D)
-    if not math.isfinite(predicted):
+    if screen == "line" and ratio > MAX_LINE_WAVELENGTH:
+        raise InvalidConfigError(
+            f"wavelength/d = {ratio:.3g} must be <= {MAX_LINE_WAVELENGTH:g} on the line "
+            "screen: its 1/r**2 fall-off moves the maxima")
+    spacing = fringe_spacing_predicted(cfg, D)
+    if not D >= MIN_SCREEN_DISTANCE * cfg.d:
+        raise InvalidConfigError(
+            f"D/d = {D / cfg.d:.3g} must be >= {MIN_SCREEN_DISTANCE:g}: nearer, the "
+            "unequal slit amplitudes move the maxima")
+    if not math.isfinite(spacing):
         raise InvalidConfigError(f"fringe spacing D*lambda/d overflows for D = {D}")
     if not cfg.omega * D <= MAX_SCREEN_PHASE:
         raise InvalidConfigError(
             f"omega*D = {cfg.omega * D:.3g} exceeds {MAX_SCREEN_PHASE:g}: the screen "
             "intensity cannot resolve r1 - r2 at that distance")
-    half_span = SCREEN_FRINGES / 2.0 * predicted
+    half_span = SCREEN_FRINGES / 2.0 * spacing
     n = int(SCREEN_FRINGES * 64) | 1
     s = np.linspace(-half_span, half_span, n)
     if screen == "arc":
         phi = s / D
         pts = np.stack([D * np.cos(phi), D * np.sin(phi)], axis=-1)
-    elif screen == "line":
-        pts = np.stack([np.full_like(s, D), s], axis=-1)
     else:
-        raise InvalidConfigError(f"unknown screen kind {screen!r}; choose 'arc' or 'line'")
+        pts = np.stack([np.full_like(s, D), s], axis=-1)
     intensity = screen_intensity(cfg, pts)
     i = np.arange(1, n - 1)
     mask = (intensity[i] > intensity[i - 1]) & (intensity[i] >= intensity[i + 1])
@@ -288,7 +321,7 @@ def fringe_spacing_measured(cfg: SlitConfig, D: float, screen: str = "arc") -> F
     central.sort()
     measured = float(np.mean(np.diff(central)))
     return FringeReport(
-        predicted=predicted,
+        predicted=fringe_gap_predicted(cfg, D, screen),
         measured=measured,
         maxima=maxima,
         s=s,

@@ -47,7 +47,7 @@ _FAR_FIELD_RADIUS = 20.0
 #: tenth of the gate's tolerance.
 _MAP_ROW_MASS_FLOOR = 2e-3
 
-#: Rows of a CSV formatted per write; bounds the text held in memory.
+#: Rows of a series CSV formatted per write; bounds the text held in memory.
 _CSV_BLOCK_ROWS = 4096
 
 
@@ -94,8 +94,8 @@ class RunSummary:
         return all(m.passed for m in self.metrics)
 
 
-def export_series(path: Path, header: str, *columns) -> None:
-    """CSV of equal-length columns, every value with 17 significant digits.
+def export_series(path: Path, header: str, *columns) -> str:
+    """Write equal-length columns as CSV, 17 significant digits; return ``path.name``.
 
     A column is a 1-D array or a 2-D array of several columns.  Rows are
     formatted ``_CSV_BLOCK_ROWS`` at a time by one ``%`` call over plain
@@ -108,16 +108,17 @@ def export_series(path: Path, header: str, *columns) -> None:
         for start in range(0, len(table), _CSV_BLOCK_ROWS):
             block = table[start:start + _CSV_BLOCK_ROWS]
             fh.write(line * len(block) % tuple(block.ravel().tolist()))
+    return path.name
 
 
-def export_grid(x, y, values, path: Path) -> None:
-    """Row-major x,y,value CSV of a rectangular grid (values[i, j] at x[i], y[j]).
+def export_grid(path: Path, x, y, values) -> str:
+    """Write values[i, j] at (x[i], y[j]) as row-major x,y,value CSV; return ``path.name``.
 
     Every number is written with 17 significant digits, as ``export_series``
     writes them, but each coordinate is formatted once: y becomes one list of
     ``",<y[j]>,%.17g\\n"`` templates, each x is joined in front of them, and
-    only the values go through ``%`` per cell.  A row is formatted at most
-    ``_CSV_BLOCK_ROWS`` lines at a time, so no text copy of the grid is held.
+    each row's values go through one ``%`` call.  One row's text is held at a
+    time; ``_CSV_BLOCK_ROWS`` bounds only ``export_series``.
     """
     x, y, values = (np.asarray(a, dtype=float) for a in (x, y, values))
     if values.shape != (len(x), len(y)):
@@ -126,13 +127,11 @@ def export_grid(x, y, values, path: Path) -> None:
     with open(path, "w") as fh:
         fh.write("x,y,value\n")
         for xi, row in zip(x.tolist(), values):
-            xs = "%.17g" % xi
-            for start in range(0, len(pieces), _CSV_BLOCK_ROWS):
-                stop = start + _CSV_BLOCK_ROWS
-                fh.write(xs.join([""] + pieces[start:stop]) % tuple(row[start:stop].tolist()))
+            fh.write(("%.17g" % xi).join([""] + pieces) % tuple(row.tolist()))
+    return path.name
 
 
-def export_summary(summary: RunSummary, path: Path) -> None:
+def export_summary(path: Path, summary: RunSummary) -> None:
     """Stable-ordered JSON summary of the run, its metrics and its files."""
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -178,8 +177,7 @@ def _run_boost(out: Path, summary: RunSummary, *, omega0=1.0, beta=0.6) -> None:
                qmass.de_broglie_wavelength(state.m, state.v),
                measured_lam, 1e-3, "oracle"),
     ]
-    export_series(out / "field.csv", "x,value", x, snapshot)
-    summary.files.append("field.csv")
+    summary.files.append(export_series(out / "field.csv", "x,value", x, snapshot))
 
 
 def _slit_config(d: float, wavelength: float) -> doubleslit.SlitConfig:
@@ -191,11 +189,10 @@ def _run_doubleslit_fringes(out: Path, summary: RunSummary, *,
                             d=0.5, wavelength=0.01, D=50.0, screen="arc") -> None:
     cfg = _slit_config(d, wavelength)
     report = doubleslit.fringe_spacing_measured(cfg, D, screen=screen)
-    summary.metrics.append(
-        Metric("fringe_spacing", report.predicted, report.measured, 0.01, "oracle")
-    )
-    export_series(out / "intensity.csv", "x,value", report.s, report.intensity)
-    summary.files.append("intensity.csv")
+    summary.metrics.append(Metric("fringe_spacing", report.predicted, report.measured,
+                                  0.01, "oracle"))
+    summary.files.append(
+        export_series(out / "intensity.csv", "x,value", report.s, report.intensity))
 
 
 def _run_doubleslit_map(out: Path, summary: RunSummary, *, d=1.0, wavelength=0.05,
@@ -231,8 +228,7 @@ def _run_doubleslit_map(out: Path, summary: RunSummary, *, d=1.0, wavelength=0.0
         Metric("grid_maximum", row_maximum, float(np.nanmax(m)), 1e-9, "oracle"),
         Metric("axis_monotone_violations", 0.0, float(increases), 0.0, "oracle"),
     ]
-    export_grid(x, y, m, out / "mass_map.csv")
-    summary.files.append("mass_map.csv")
+    summary.files.append(export_grid(out / "mass_map.csv", x, y, m))
 
 
 def _run_doubleslit_traj(out: Path, summary: RunSummary, *, d=1.0, wavelength=0.05,
@@ -261,13 +257,11 @@ def _run_doubleslit_traj(out: Path, summary: RunSummary, *, d=1.0, wavelength=0.
             f"no trajectory steps beyond {_FAR_FIELD_RADIUS:g}*d, so the far-field "
             "direction cannot be measured; start farther out or raise max_steps"
         )
-    summary.metrics.append(
-        Metric("far_field_radial_deviation_rad", 0.0, max(far_deviations), 1e-3, "oracle")
-    )
+    summary.metrics.append(Metric("far_field_radial_deviation_rad", 0.0, max(far_deviations),
+                                  1e-3, "oracle"))
     for i, traj in enumerate(trajectories):
-        name = f"trajectory_{i:03d}.csv"
-        export_series(out / name, "x,y,value", traj.points, traj.times)
-        summary.files.append(name)
+        summary.files.append(export_series(out / f"trajectory_{i:03d}.csv", "x,y,value",
+                                           traj.points, traj.times))
 
 
 def _run_box_beat(out: Path, summary: RunSummary, *,
@@ -280,8 +274,8 @@ def _run_box_beat(out: Path, summary: RunSummary, *,
         Metric("fast_frequency", cfg.omega_bar, beats.fast, 5e-3, "oracle"),
         Metric("slow_frequency", cfg.delta_omega, beats.slow, 5e-3, "oracle"),
     ]
-    export_series(out / "probe_series.csv", "t,value", beats.times, beats.values)
-    summary.files.append("probe_series.csv")
+    summary.files.append(
+        export_series(out / "probe_series.csv", "t,value", beats.times, beats.values))
 
 
 def _run_box_states(out: Path, summary: RunSummary, *,
@@ -295,9 +289,8 @@ def _run_box_states(out: Path, summary: RunSummary, *,
         Metric("envelope_wavenumber", p, trace.envelope_wavenumber, 5e-3, "oracle"),
         Metric("helix_modulus_flatness", 0.0, flatness, 0.02, "oracle"),
     ]
-    export_series(out / "cosine_state.csv", "x,value", trace.x, trace.a_cos)
-    export_series(out / "sine_state.csv", "x,value", trace.x, trace.a_sin)
-    summary.files += ["cosine_state.csv", "sine_state.csv"]
+    for name, values in (("cosine_state.csv", trace.a_cos), ("sine_state.csv", trace.a_sin)):
+        summary.files.append(export_series(out / name, "x,value", trace.x, values))
 
 
 def _run_box_quantize(out: Path, summary: RunSummary, *, W=1.0, omega0=100.0, n_max=5) -> None:
@@ -321,9 +314,8 @@ def _run_box_quantize(out: Path, summary: RunSummary, *, W=1.0, omega0=100.0, n_
             ),
             Metric(f"kinetic_energy_n{rep.n}", exact, rep.kinetic_energy, 1e-7, "formula"),
         ]
-        name = f"envelope_n{rep.n}.csv"
-        export_series(out / name, "x,value", x, boxwell.quantized_envelope(rep.p_n, x))
-        summary.files.append(name)
+        summary.files.append(export_series(out / f"envelope_n{rep.n}.csv", "x,value",
+                                           x, boxwell.quantized_envelope(rep.p_n, x)))
 
 
 _RUNNERS = {
@@ -399,5 +391,5 @@ def run(kind: str, params: dict | None = None, out_dir=".") -> RunSummary:
     start = time.perf_counter()
     _RUNNERS[kind](out, summary, **merged)
     summary.duration_s = time.perf_counter() - start
-    export_summary(summary, out / "summary.json")
+    export_summary(out / "summary.json", summary)
     return summary

@@ -5,7 +5,7 @@ import pytest
 
 from qmasslab import doubleslit as ds
 from qmasslab import qmass as qm
-from qmasslab.errors import InsufficientSpanError, SingularPointError
+from qmasslab.errors import InsufficientSpanError, InvalidConfigError, SingularPointError
 
 
 @pytest.fixture
@@ -154,9 +154,21 @@ class TestFringeSpacing:
             2 * ds.fringe_spacing_predicted(cfg, 50.0)
         )
 
-    def test_near_screen_warns(self, cfg):
-        with pytest.warns(UserWarning):
-            ds.fringe_spacing_predicted(cfg, 10.0)
+    def test_near_screen_rejected(self, cfg):
+        # Nearer than 2d the unequal slit amplitudes move the maxima off the prediction.
+        with pytest.raises(InvalidConfigError, match="D/d"):
+            ds.fringe_spacing_measured(cfg, 1.9 * cfg.d)
+        report = ds.fringe_spacing_measured(cfg, 2.0 * cfg.d)
+        assert report.measured == pytest.approx(report.predicted, rel=0.01)
+
+    def test_gap_tends_to_arc_far_field_limit(self):
+        # As D/d grows the path-difference form tends to D*asin(2*lambda/d)/2 on the arc,
+        # which exceeds D*lambda/d by 2.9% at lambda/d = 0.2.
+        cfg = ds.SlitConfig(d=0.5, omega=2 * math.pi / 0.1)
+        errors = [abs(ds.fringe_gap_predicted(cfg, D) / (D * math.asin(0.4) / 2.0) - 1.0)
+                  for D in (1.0, 10.0, 100.0, 1000.0)]
+        assert errors == sorted(errors, reverse=True)
+        assert errors[-1] < 1e-7
 
     def test_measured_reference(self):
         cfg = ds.SlitConfig(d=0.5, omega=2 * math.pi / 0.01)

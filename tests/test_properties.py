@@ -103,6 +103,32 @@ def test_box_beat_passes_or_rejects(v, carrier_phase, tmp_path_factory):
         assert summary.passed, [(m.name, m.rel_error) for m in summary.metrics if not m.passed]
 
 
+@settings(deadline=None, max_examples=60)
+@given(log_d=st.floats(min_value=-3.0, max_value=3.0),
+       # lambda/d stops a relative 1e-9 short of pi/7, which the screen span rejects.
+       ratio=st.floats(min_value=1e-12, max_value=math.pi / 7 * (1 - 1e-9)),
+       log_distance=st.floats(min_value=0.0, max_value=4.0),
+       screen=st.sampled_from(["arc", "line"]))
+@example(log_d=math.log10(0.37), ratio=0.4484, log_distance=math.log10(2.0), screen="arc")
+@example(log_d=3.0, ratio=0.2, log_distance=4.0, screen="line")
+def test_fringes_pass_or_reject(log_d, ratio, log_distance, screen, tmp_path_factory):
+    # The fringe gate passes on correct fields, or the input is rejected: nearer
+    # than 2d, beyond MAX_SCREEN_PHASE, or on the line screen above
+    # MAX_LINE_WAVELENGTH.  The two examples are the worst cases of a sweep.
+    d = 10.0**log_d
+    D = 10.0**log_distance * d
+    params = {"d": d, "wavelength": ratio * d, "D": D, "screen": screen}
+    cfg = ds.SlitConfig(d=d, omega=2.0 * math.pi / params["wavelength"])
+    out = tmp_path_factory.mktemp("fringes")
+    if (D < ds.MIN_SCREEN_DISTANCE * d or cfg.omega * D > ds.MAX_SCREEN_PHASE
+            or (screen == "line" and cfg.wavelength / d > ds.MAX_LINE_WAVELENGTH)):
+        with pytest.raises(InvalidConfigError):
+            scenarios.run("doubleslit-fringes", params, out)
+    else:
+        summary = scenarios.run("doubleslit-fringes", params, out)
+        assert summary.passed, [(m.name, m.rel_error) for m in summary.metrics]
+
+
 #: Finite floats, subnormals and both zeros included, up to a magnitude whose
 #: hypot with any other still fits a float (abs(complex) raises on overflow),
 #: and unit-range floats, where math.hypot misses libm on ~0.6% of pairs.

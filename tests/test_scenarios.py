@@ -64,7 +64,8 @@ def test_repeated_runs_byte_identical(tmp_path):
 
 def test_export_grid_layout(tmp_path):
     path = tmp_path / "grid.csv"
-    scenarios.export_grid([0.0, 1.0], [2.0, 3.0], [[4.0, 5.0], [6.0, 7.0]], path)
+    name = scenarios.export_grid(path, [0.0, 1.0], [2.0, 3.0], [[4.0, 5.0], [6.0, 7.0]])
+    assert name == "grid.csv"
     lines = path.read_text().splitlines()
     assert lines[0] == "x,y,value"
     assert len(lines) == 5
@@ -84,7 +85,7 @@ def _float_arrays(size):
 SPECIALS = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, -2.2e-308, 0.1, 1e308])
 
 
-#: A block size the drawn tables cross, so every writer's block boundary is hit.
+#: A block size the drawn series cross, so the series writer's block boundary is hit.
 SMALL_BLOCK = 3
 
 
@@ -100,7 +101,7 @@ def test_export_series_matches_per_value_format(data, n, tmp_path_factory):
     path = tmp_path_factory.mktemp("series") / "s.csv"
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scenarios, "_CSV_BLOCK_ROWS", SMALL_BLOCK)
-        scenarios.export_series(path, "t,value", x, values)
+        assert scenarios.export_series(path, "t,value", x, values) == "s.csv"
     expected = ["t,value"] + [f"{_format_17g(a)},{_format_17g(b)}" for a, b in zip(x, values)]
     assert path.read_text() == "\n".join(expected) + "\n"
 
@@ -119,9 +120,7 @@ def test_export_grid_matches_per_value_format(data, nx, ny, tmp_path_factory):
         x, y = data.draw(_float_arrays(nx)), data.draw(_float_arrays(ny))
         values = data.draw(_float_arrays((nx, ny)))
     path = tmp_path_factory.mktemp("grid") / "g.csv"
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(scenarios, "_CSV_BLOCK_ROWS", SMALL_BLOCK)
-        scenarios.export_grid(x, y, values, path)
+    scenarios.export_grid(path, x, y, values)
     expected = ["x,y,value"] + [
         f"{_format_17g(xi)},{_format_17g(yj)},{_format_17g(values[i, j])}"
         for i, xi in enumerate(x)
@@ -134,7 +133,7 @@ def test_export_grid_matches_per_value_format(data, nx, ny, tmp_path_factory):
 def test_export_grid_rejects_values_of_another_shape(shape, tmp_path):
     # A grid of len(x) = 2 by len(y) = 3; no value may be dropped or repeated.
     with pytest.raises(ValueError, match="shape"):
-        scenarios.export_grid([0.0, 1.0], [2.0, 3.0, 4.0], np.zeros(shape), tmp_path / "g.csv")
+        scenarios.export_grid(tmp_path / "g.csv", [0.0, 1.0], [2.0, 3.0, 4.0], np.zeros(shape))
 
 
 @pytest.mark.parametrize("tolerance", [1.0, 3.55, -1e-3, float("nan")])
@@ -419,6 +418,8 @@ class TestCli:
             ["doubleslit-map", "--set", "nx=20", "--set", "ny=2",
              "--set", "x_span=0.052460200503873504", "--set", "y_span=27.98721296838158",
              "--set", "wavelength=0.04303877525650084"],
+            ["doubleslit-fringes", "--set", "D=0.9"],
+            ["doubleslit-fringes", "--set", "screen=line", "--set", "wavelength=0.15"],
         ],
     )
     def test_mistyped_override_exit_2(self, argv, tmp_path, capsys):
@@ -478,6 +479,25 @@ class TestCli:
     def test_fringes_far_screen_below_phase_cap_passes(self, tmp_path):
         # omega*D = 6.3e11 at the default wavelength, below MAX_SCREEN_PHASE = 1e12.
         assert cli.main(["doubleslit-fringes", "--set", "D=1e9", "--out", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("overrides", [
+        ["wavelength=0.22"],
+        ["screen=line", "wavelength=0.05"],
+        ["D=1.0"],
+    ], ids=["arc-wide-angle", "line-wide-angle", "arc-near-screen"])
+    def test_fringes_pass_outside_far_field(self, overrides, tmp_path):
+        # D*lambda/d misses these by 2.2e-1, 2.0e-2 and 3.1e-2 at d = 0.5.
+        argv = ["doubleslit-fringes", "--out", str(tmp_path)]
+        for item in overrides:
+            argv += ["--set", item]
+        assert cli.main(argv) == 0
+
+    def test_fringe_gate_fails_on_far_field_prediction(self, tmp_path, monkeypatch):
+        # The look-alike D*lambda/d misses the near screen D = 2d by 3.1e-2.
+        monkeypatch.setattr(doubleslit, "fringe_gap_predicted",
+                            lambda cfg, D, screen="arc": D * cfg.wavelength / cfg.d)
+        argv = ["doubleslit-fringes", "--set", "D=1.0", "--out", str(tmp_path)]
+        assert cli.main(argv) == 1
 
     def test_success_exit_code(self, tmp_path, capsys):
         code = cli.main(["boost", "--out", str(tmp_path)])
