@@ -209,16 +209,6 @@ def integrate_trajectory(start, cfg: SlitConfig, max_steps: int = 10_000) -> Tra
     return Trajectory(np.column_stack((xs, ys)), np.array(times), termination)
 
 
-def fringe_spacing_predicted(cfg: SlitConfig, D: float) -> float:
-    """Far-field bright-fringe spacing D*lambda/d, the unit of the oracle's screen.
-
-    It is the limit of ``fringe_gap_predicted`` for D >> d and lambda << d.
-    """
-    if not D > 0:
-        raise InvalidConfigError(f"screen distance D must be positive, got {D}")
-    return D * cfg.wavelength / cfg.d
-
-
 def fringe_gap_predicted(cfg: SlitConfig, D: float, screen: str = "arc") -> float:
     """Mean gap of the 5 central maxima (orders -2 to 2) on the arc or line screen.
 
@@ -226,7 +216,7 @@ def fringe_gap_predicted(cfg: SlitConfig, D: float, screen: str = "arc") -> floa
     Delta = 2*lambda: on the arc of radius D at the angle
     asin(Delta*sqrt(4*D**2 + d**2 - Delta**2)/(2*D*d)), on the line x = D where
     that hyperbola crosses it.  The gap is half its arc length or height.
-    Needs Delta < d.
+    Needs Delta < d.  For D >> d and lambda << d both tend to D*lambda/d.
     """
     delta = 2.0 * cfg.wavelength
     d = cfg.d
@@ -287,11 +277,11 @@ def fringe_spacing_measured(cfg: SlitConfig, D: float, screen: str = "arc") -> F
         raise InvalidConfigError(
             f"wavelength/d = {ratio:.3g} must be <= {MAX_LINE_WAVELENGTH:g} on the line "
             "screen: its 1/r**2 fall-off moves the maxima")
-    spacing = fringe_spacing_predicted(cfg, D)
     if not D >= MIN_SCREEN_DISTANCE * cfg.d:
         raise InvalidConfigError(
             f"D/d = {D / cfg.d:.3g} must be >= {MIN_SCREEN_DISTANCE:g}: nearer, the "
             "unequal slit amplitudes move the maxima")
+    spacing = D * cfg.wavelength / cfg.d  # the far-field spacing, the screen's unit
     if not math.isfinite(spacing):
         raise InvalidConfigError(f"fringe spacing D*lambda/d overflows for D = {D}")
     if not cfg.omega * D <= MAX_SCREEN_PHASE:

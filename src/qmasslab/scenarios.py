@@ -40,13 +40,6 @@ _BOOST_OMEGA0_MAX = 1e9
 #: Radius, in slit separations, beyond which a streamline must run radially.
 _FAR_FIELD_RADIUS = 20.0
 
-#: Least maximum m/omega of the doubleslit-map grid row nearest the axis.
-#: ``mass_map`` and ``weighted_local_state`` both cancel in 1 - |n|**2, so the
-#: two sides of the grid_maximum gate drift apart by up to 1.75*eps*(omega/m)**2
-#: (worst of a 22,804-grid random sweep); at this floor that is <= 1e-10, a
-#: tenth of the gate's tolerance.
-_MAP_ROW_MASS_FLOOR = 2e-3
-
 #: Rows of a series CSV formatted per write; bounds the text held in memory.
 _CSV_BLOCK_ROWS = 4096
 
@@ -206,26 +199,25 @@ def _run_doubleslit_map(out: Path, summary: RunSummary, *, d=1.0, wavelength=0.0
     x = np.linspace(0.0, x_span * cfg.d, nx)
     y = np.linspace(-y_span * cfg.d, y_span * cfg.d, ny)
     m = doubleslit.mass_map(cfg, x, y)
-    midpoint_mass = doubleslit.weighted_local_state((0.0, 0.0), cfg).m
     axis_x = np.linspace(cfg.d / 100.0, 10.0 * cfg.d, 500)
     axis_m = doubleslit.mass_map(cfg, axis_x, np.array([0.0]))[:, 0]
-    # The grid row nearest the axis holds the grid maximum; it passes through
-    # the midpoint only when ny is odd.
-    j = int(np.argmin(np.abs(y)))
-    _require(np.isfinite(axis_m).all() and np.isfinite(m[:, j]).any(),
-             f"slit exclusion radius {cfg.exclusion_radius:g} covers an axis sample "
-             "or the grid row nearest the axis; lower the wavelength")
-    row_maximum = max(doubleslit.weighted_local_state((xi, y[j]), cfg).m
-                      for xi in x[np.isfinite(m[:, j])])
-    _require(row_maximum >= _MAP_ROW_MASS_FLOOR * cfg.omega,
-             f"the grid row nearest the axis (y = {y[j]:g}) peaks at m/omega = "
-             f"{row_maximum / cfg.omega:.3g}, below {_MAP_ROW_MASS_FLOOR:g}, where the "
-             "grid_maximum gate cannot resolve the mass; lower y_span or use an odd ny")
+    _require(np.isfinite(axis_m).all(),
+             f"slit exclusion radius {cfg.exclusion_radius:g} covers an axis sample; "
+             "lower the wavelength")
+    # On the slit plane x = 0 both waves run along y, r1 = |y - h| and r2 = |y + h|
+    # from the slits (h = d/2).  Between the slits they counter-propagate, so the
+    # energy weights 1/r**2 give |n| = |r1**2 - r2**2|/(r1**2 + r2**2), and m is
+    # omega*2*r1*r2/(r1**2 + r2**2) = omega*(h**2 - y**2)/(h**2 + y**2), omega times
+    # the fringe visibility; beyond the slits both run outward, |n| = 1 and m = 0.
+    # Rounding 1 - |n|**2 at |n| = 1 costs a correct map ~sqrt(2*eps)*omega.
+    plane_y = np.linspace(-2.0 * cfg.d, 2.0 * cfg.d, 401)
+    q = (plane_y / (cfg.d / 2.0)) ** 2
+    plane_m = doubleslit.mass_map(cfg, [0.0], plane_y)[0]
+    plane_error = np.nanmax(np.abs(plane_m - cfg.omega * np.maximum(1.0 - q, 0.0) / (1.0 + q)))
     # A step that is not a decrease or flat, NaN included, is a violation.
     increases = int(np.sum(~(np.diff(axis_m) <= 0)))
     summary.metrics += [
-        Metric("midpoint_mass", cfg.omega, midpoint_mass, 1e-9, "formula"),
-        Metric("grid_maximum", row_maximum, float(np.nanmax(m)), 1e-9, "oracle"),
+        Metric("slit_plane_mass", 0.0, float(plane_error / cfg.omega), 1e-6, "formula"),
         Metric("axis_monotone_violations", 0.0, float(increases), 0.0, "oracle"),
     ]
     summary.files.append(export_grid(out / "mass_map.csv", x, y, m))

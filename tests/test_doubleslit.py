@@ -146,13 +146,23 @@ class TestTrajectories:
 
 class TestFringeSpacing:
     def test_predicted_reference(self):
+        # D*lambda/d = 1 at the scenario defaults; the path-difference form adds
+        # 2.8e-4 on the arc and 8.1e-4 on the line.
         cfg = ds.SlitConfig(d=0.5, omega=2 * math.pi / 0.01)
-        assert ds.fringe_spacing_predicted(cfg, 50.0) == pytest.approx(1.0)
+        assert ds.fringe_gap_predicted(cfg, 50.0, "arc") == pytest.approx(1.0, rel=3e-4)
+        assert ds.fringe_gap_predicted(cfg, 50.0, "line") == pytest.approx(1.0, rel=9e-4)
 
-    def test_predicted_linear_in_D(self, cfg):
-        assert ds.fringe_spacing_predicted(cfg, 100.0) == pytest.approx(
-            2 * ds.fringe_spacing_predicted(cfg, 50.0)
-        )
+    @pytest.mark.parametrize("screen", ["arc", "line"])
+    def test_gap_tends_to_far_field_spacing(self, screen):
+        # For D >> d and lambda << d both screens tend to the textbook D*lambda/d.
+        errors = []
+        for scale in (1e1, 1e2, 1e3, 1e4):
+            cfg = ds.SlitConfig(d=0.5, omega=2 * math.pi * scale / 0.5)  # lambda = d/scale
+            D = scale * cfg.d
+            far_field = D * cfg.wavelength / cfg.d
+            errors.append(abs(ds.fringe_gap_predicted(cfg, D, screen) / far_field - 1.0))
+        assert errors == sorted(errors, reverse=True)
+        assert errors[-1] < 1e-7
 
     def test_near_screen_rejected(self, cfg):
         # Nearer than 2d the unequal slit amplitudes move the maxima off the prediction.
@@ -220,6 +230,20 @@ class TestMassMap:
     def test_exclusion_radius_masks(self, cfg):
         m = ds.mass_map(cfg, np.array([0.001]), np.array([0.5]))
         assert np.isnan(m[0, 0])
+
+    def test_matches_point_state_at_every_finite_cell(self):
+        # The map and the RK4 point state round 1 - |n|**2 apart, by at most
+        # ~sqrt(2*eps) of omega where |n| -> 1.
+        rng = np.random.default_rng(16)
+        for _ in range(200):
+            d = 10.0 ** rng.uniform(-3.0, 3.0)
+            cfg = ds.SlitConfig(d=d, omega=2 * math.pi / (d * 10.0 ** rng.uniform(-3.0, 0.0)))
+            x = np.concatenate([[0.0], rng.uniform(0.0, 5.0 * d, 14)])
+            y = rng.uniform(-5.0 * d, 5.0 * d, 15)
+            m = ds.mass_map(cfg, x, y)
+            for i, j in zip(*np.nonzero(np.isfinite(m))):
+                point = ds.weighted_local_state((x[i], y[j]), cfg).m
+                assert abs(m[i, j] - point) <= 1e-6 * cfg.omega, (d, cfg.omega, x[i], y[j])
 
     def test_theta_reflection_symmetry(self, cfg):
         x = np.linspace(0.2, 4.0, 21)

@@ -129,6 +129,36 @@ def test_fringes_pass_or_reject(log_d, ratio, log_distance, screen, tmp_path_fac
         assert summary.passed, [(m.name, m.rel_error) for m in summary.metrics]
 
 
+@settings(deadline=None, max_examples=60)
+@given(log_d=st.floats(min_value=-3.0, max_value=3.0),
+       log_ratio=st.floats(min_value=-6.0, max_value=math.log10(2.0)),
+       nx=st.integers(min_value=2, max_value=29),
+       ny=st.integers(min_value=2, max_value=29),
+       log_x_span=st.floats(min_value=-2.0, max_value=math.log10(50.0)),
+       log_y_span=st.floats(min_value=-2.0, max_value=math.log10(50.0)))
+# Two rows ~28d off the axis, peaking at m/omega ~ 3e-5.
+@example(log_d=0.0, log_ratio=math.log10(0.04303877525650084), nx=20, ny=2,
+         log_x_span=math.log10(0.052460200503873504), log_y_span=math.log10(27.98721296838158))
+# The exclusion disc just clears, and just covers, the first axis sample.
+@example(log_d=0.0, log_ratio=math.log10(1.0001), nx=5, ny=5, log_x_span=0.0, log_y_span=0.0)
+@example(log_d=0.0, log_ratio=math.log10(1.0004), nx=5, ny=5, log_x_span=0.0, log_y_span=0.0)
+def test_doubleslit_map_passes_or_rejects(log_d, log_ratio, nx, ny, log_x_span, log_y_span,
+                                          tmp_path_factory):
+    # Every gate passes on the correct map, or the input is rejected exactly when
+    # the slit exclusion disc covers the first (nearest) axis sample (d/100, 0).
+    d = 10.0**log_d
+    params = {"d": d, "wavelength": 10.0**log_ratio * d, "nx": nx, "ny": ny,
+              "x_span": min(10.0**log_x_span, 50.0), "y_span": min(10.0**log_y_span, 50.0)}
+    cfg = ds.SlitConfig(d=d, omega=2.0 * math.pi / params["wavelength"])
+    out = tmp_path_factory.mktemp("map")
+    if np.hypot(d / 100.0, d / 2.0) < cfg.exclusion_radius:
+        with pytest.raises(InvalidConfigError, match="covers an axis sample"):
+            scenarios.run("doubleslit-map", params, out)
+    else:
+        summary = scenarios.run("doubleslit-map", params, out)
+        assert summary.passed, [(m.name, m.rel_error) for m in summary.metrics]
+
+
 #: Finite floats, subnormals and both zeros included, up to a magnitude whose
 #: hypot with any other still fits a float (abs(complex) raises on overflow),
 #: and unit-range floats, where math.hypot misses libm on ~0.6% of pairs.

@@ -269,8 +269,7 @@ def test_demo_runs(demo, tmp_path):
 # Every metric of every scenario, with overrides that keep each run small.
 GATES = {
     "boost": ([], ["quantum_rest_mass", "group_speed", "envelope_wavelength"]),
-    "doubleslit-map": (["nx=21", "ny=21"],
-                       ["midpoint_mass", "grid_maximum", "axis_monotone_violations"]),
+    "doubleslit-map": (["nx=21", "ny=21"], ["slit_plane_mass", "axis_monotone_violations"]),
     "doubleslit-traj": (["starts=[[25.0,0.0]]", "max_steps=200"],
                         ["far_field_radial_deviation_rad"]),
     "doubleslit-fringes": ([], ["fringe_spacing"]),
@@ -281,8 +280,9 @@ GATES = {
 }
 
 
-def _assert_only_gate_fails(kind, gate, tmp_path, capsys):
-    overrides, gates = GATES[kind]
+def _assert_only_gate_fails(kind, gate, tmp_path, capsys, overrides=None):
+    default_overrides, gates = GATES[kind]
+    overrides = default_overrides if overrides is None else overrides
     argv = [kind, "--out", str(tmp_path)]
     for item in overrides:
         argv += ["--set", item]
@@ -309,9 +309,14 @@ def test_every_gate_can_fail(kind, gate, tmp_path, monkeypatch, capsys):
 
 
 def _rising_axis(mass_map):
-    # Reversed along x, the axis profile rises away from the slits; the grid
-    # maximum is unchanged.
+    # Reversed along x, the axis profile rises away from the slits; the
+    # one-column slit-plane profile is unchanged.
     return lambda cfg, x, y: mass_map(cfg, x, y)[::-1]
+
+
+def _heavier_mass(mass_map):
+    # 1e-5 too heavy everywhere: the axis profile still falls.
+    return lambda cfg, x, y: (1.0 + 1e-5) * mass_map(cfg, x, y)
 
 
 def _kinked_path(integrate):
@@ -333,6 +338,7 @@ def _unequal_states(trace_states):
 # Each gate whose prediction is 0, with the physics function its runner measures
 # and a corruption of that function's result that the gate must catch.
 ZERO_GATES = {
+    "slit_plane_mass": ("doubleslit-map", doubleslit, "mass_map", _heavier_mass),
     "axis_monotone_violations": ("doubleslit-map", doubleslit, "mass_map", _rising_axis),
     "far_field_radial_deviation_rad": (
         "doubleslit-traj", doubleslit, "integrate_trajectory", _kinked_path),
@@ -348,6 +354,36 @@ def test_zero_predicted_gate_catches_corrupted_input(gate, tmp_path, monkeypatch
     kind, module, name, corrupt = ZERO_GATES[gate]
     monkeypatch.setattr(module, name, corrupt(getattr(module, name)))
     _assert_only_gate_fails(kind, gate, tmp_path, capsys)
+
+
+def _mass_map_weighted(k):
+    """``doubleslit.mass_map`` with source weights r**-k in place of the energy weights r**-2."""
+    def mass_map(cfg, x, y):
+        X, Y = np.meshgrid(np.asarray(x, float), np.asarray(y, float), indexing="ij")
+        h = cfg.d / 2.0
+        r1, r2 = np.hypot(X, Y - h), np.hypot(X, Y + h)
+        excluded = (r1 < cfg.exclusion_radius) | (r2 < cfg.exclusion_radius)
+        r1, r2 = np.where(excluded, np.nan, r1), np.where(excluded, np.nan, r2)
+        w1, w2 = r1 ** -k, r2 ** -k
+        nx = (w1 * X / r1 + w2 * X / r2) / (w1 + w2)
+        ny = (w1 * (Y - h) / r1 + w2 * (Y + h) / r2) / (w1 + w2)
+        return cfg.omega * np.sqrt(1.0 - np.clip(nx * nx + ny * ny, 0.0, 1.0))
+    return mass_map
+
+
+@pytest.mark.parametrize("k", [1, 0], ids=["amplitude-weights", "no-weights"])
+def test_map_gate_catches_look_alike_weights(k, tmp_path, monkeypatch, capsys):
+    # On the axis the two weights are equal whatever k is, so only the slit
+    # plane, where the waves counter-propagate, tells these maps apart: they
+    # miss its closed form by 0.38 (k = 1) and 0.94 (k = 0) at the defaults.
+    monkeypatch.setattr(doubleslit, "mass_map", _mass_map_weighted(k))
+    _assert_only_gate_fails("doubleslit-map", "slit_plane_mass", tmp_path, capsys, overrides=[])
+
+
+def test_map_with_energy_weights_passes(tmp_path, monkeypatch):
+    # The look-alike builder above with the paper's weights r**-2 is the real map.
+    monkeypatch.setattr(doubleslit, "mass_map", _mass_map_weighted(2))
+    assert cli.main(["doubleslit-map", "--out", str(tmp_path)]) == 0
 
 
 class TestCli:
@@ -415,9 +451,7 @@ class TestCli:
             ["box-beat", "--set", "omega0=1e17"],
             ["box-beat", "--set", "omega0=1e20"],
             ["box-beat", "--set", "W=2000.0"],
-            ["doubleslit-map", "--set", "nx=20", "--set", "ny=2",
-             "--set", "x_span=0.052460200503873504", "--set", "y_span=27.98721296838158",
-             "--set", "wavelength=0.04303877525650084"],
+            ["doubleslit-map", "--set", "wavelength=1.0004"],
             ["doubleslit-fringes", "--set", "D=0.9"],
             ["doubleslit-fringes", "--set", "screen=line", "--set", "wavelength=0.15"],
         ],
@@ -468,13 +502,24 @@ class TestCli:
 
     @pytest.mark.parametrize("ny", [2, 4, 200, 201])
     def test_map_grid_maximum_at_any_ny(self, ny, tmp_path):
-        # An even ny has no y = 0 row; the gate then predicts the row nearest the axis.
+        # An even ny has no y = 0 row; the slit-plane gate reads its own column.
         assert cli.main(["doubleslit-map", "--set", f"ny={ny}", "--out", str(tmp_path)]) == 0
         doc = json.loads((tmp_path / "summary.json").read_text())
-        gate = {m["name"]: m for m in doc["metrics"]}["grid_maximum"]
+        gate = {m["name"]: m for m in doc["metrics"]}["slit_plane_mass"]
+        assert gate["measured"] <= 1e-6
+        values = np.loadtxt(tmp_path / "mass_map.csv", delimiter=",", skiprows=1)[:, 2]
+        omega = 2 * math.pi / 0.05
+        assert np.nanmax(values) <= omega
         if ny % 2:
             # The y = 0 row holds the midpoint, whose mass is omega.
-            assert gate["predicted"] == gate["measured"] == 2 * math.pi / 0.05
+            assert np.nanmax(values) == omega
+
+    def test_map_thin_row_far_off_axis_passes(self, tmp_path):
+        # Both grid rows lie ~28d off the axis, where m/omega peaks at ~3e-5.
+        argv = ["doubleslit-map", "--set", "nx=20", "--set", "ny=2",
+                "--set", "x_span=0.052460200503873504", "--set", "y_span=27.98721296838158",
+                "--set", "wavelength=0.04303877525650084", "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
 
     def test_fringes_far_screen_below_phase_cap_passes(self, tmp_path):
         # omega*D = 6.3e11 at the default wavelength, below MAX_SCREEN_PHASE = 1e12.
