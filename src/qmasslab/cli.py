@@ -1,7 +1,8 @@
 """Command line front end: ``qmass-lab <scenario> --config file [options]``.
 
 Exit codes: 0 all metrics pass, 1 metric failure, 2 bad input (usage, an
-unreadable config, an ``InvalidConfigError``), 3 any other ``QmassError``.
+unreadable config, an ``InvalidConfigError``, a grid too large for memory),
+3 any other ``QmassError``.
 """
 
 from __future__ import annotations
@@ -65,6 +66,10 @@ def main(argv=None) -> int:
         summary = run(args.scenario, params, args.out)
     except (InvalidConfigError, OSError) as exc:
         print(f"qmass-lab: config error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"qmass-lab: config error: {args.scenario} does not fit in memory: {exc}",
+              file=sys.stderr)
         return 2
     except QmassError as exc:
         print(f"qmass-lab: {args.scenario}: {exc}", file=sys.stderr)

@@ -319,20 +319,33 @@ def fringe_spacing_measured(cfg: SlitConfig, D: float, screen: str = "arc") -> F
     )
 
 
+#: Cells per row block of ``mass_map``; a block's temporaries stay in cache.
+_MAP_BLOCK_CELLS = 1 << 14
+
+
 def mass_map(cfg: SlitConfig, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Local quantum rest mass on a grid; NaN inside the slit exclusion radius.
 
     Returns an array of shape (len(x), len(y)) with [i, j] = m(x[i], y[j]).
+    The grid is filled in blocks of rows of about ``_MAP_BLOCK_CELLS`` (16k)
+    cells, so the memory held is the output grid plus one block's
+    temporaries.  Every cell is the same elementwise IEEE result whatever
+    the block size.
     """
-    X, Y = np.meshgrid(np.asarray(x, float), np.asarray(y, float), indexing="ij")
-    y1, y2 = cfg.d / 2.0, -cfg.d / 2.0
-    r1 = np.hypot(X, Y - y1)
-    r2 = np.hypot(X, Y - y2)
-    excluded = (r1 < cfg.exclusion_radius) | (r2 < cfg.exclusion_radius)
-    r1 = np.where(excluded, np.nan, r1)
-    r2 = np.where(excluded, np.nan, r2)
-    w1, w2 = 1.0 / r1**2, 1.0 / r2**2
-    nx = (w1 * X / r1 + w2 * X / r2) / (w1 + w2)
-    ny = (w1 * (Y - y1) / r1 + w2 * (Y - y2) / r2) / (w1 + w2)
-    n2 = np.clip(nx**2 + ny**2, 0.0, 1.0)
-    return cfg.omega * np.sqrt(1.0 - n2)
+    x, y = np.asarray(x, float), np.asarray(y, float)
+    y1, y2 = y - cfg.d / 2.0, y + cfg.d / 2.0
+    m = np.empty((len(x), len(y)))
+    rows = max(1, _MAP_BLOCK_CELLS // max(1, len(y)))
+    for start in range(0, len(x), rows):
+        X = x[start:start + rows, None]
+        r1 = np.hypot(X, y1)
+        r2 = np.hypot(X, y2)
+        excluded = (r1 < cfg.exclusion_radius) | (r2 < cfg.exclusion_radius)
+        r1 = np.where(excluded, np.nan, r1)
+        r2 = np.where(excluded, np.nan, r2)
+        w1, w2 = 1.0 / r1**2, 1.0 / r2**2
+        nx = (w1 * X / r1 + w2 * X / r2) / (w1 + w2)
+        ny = (w1 * y1 / r1 + w2 * y2 / r2) / (w1 + w2)
+        n2 = np.clip(nx**2 + ny**2, 0.0, 1.0)
+        m[start:start + rows] = cfg.omega * np.sqrt(1.0 - n2)
+    return m

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from qmasslab import boxwell, cli, doubleslit, scenarios
+from qmasslab import boxwell, cli, doubleslit, scenarios, wavecore
 from qmasslab.errors import InvalidConfigError, QmassError
 
 # fast overrides keeping every scenario well under a second
@@ -386,6 +386,23 @@ def test_map_with_energy_weights_passes(tmp_path, monkeypatch):
     assert cli.main(["doubleslit-map", "--out", str(tmp_path)]) == 0
 
 
+def test_states_gates_catch_dropped_lorentz_factor(tmp_path, monkeypatch, capsys):
+    # The cavity field built from omega0*(1 +- v), without gamma: box-beat still
+    # passes it at its defaults, while box-states misses its envelope wavenumber
+    # by 0.84 and its helix flatness by ~2.6e3 times the tolerance.
+    def build_field(cfg):
+        waves = []
+        for omega in (cfg.omega0 * (1.0 + cfg.v), cfg.omega0 * (1.0 - cfg.v)):
+            waves.append(wavecore.PlaneWave(omega, (1.0, 0.0), 0.0))
+            waves.append(wavecore.PlaneWave(omega, (-1.0, 0.0), math.pi))
+        return wavecore.Superposition(tuple(waves))
+
+    monkeypatch.setattr(boxwell, "build_field", build_field)
+    assert cli.main(["box-states", "--out", str(tmp_path)]) == 1
+    failed = re.findall(r"^FAIL (\S+): predicted=", capsys.readouterr().out, re.M)
+    assert failed == ["envelope_wavenumber", "helix_modulus_flatness"]
+
+
 class TestCli:
     @pytest.mark.parametrize(
         "argv",
@@ -499,6 +516,18 @@ class TestCli:
         assert cli.main(argv + ["--out", str(tmp_path)]) == 3
         assert "far-field" in capsys.readouterr().err
         assert not list(tmp_path.glob("trajectory_*.csv"))
+
+    def test_grid_too_large_for_memory_exit_2(self, tmp_path, monkeypatch, capsys):
+        def mass_map(cfg, x, y):
+            raise MemoryError(f"Unable to allocate a ({len(x)}, {len(y)}) grid")
+
+        monkeypatch.setattr(doubleslit, "mass_map", mass_map)
+        argv = ["doubleslit-map", "--set", "nx=100000", "--set", "ny=100000"]
+        assert cli.main(argv + ["--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "does not fit in memory" in err
+        assert "(100000, 100000)" in err
+        assert not (tmp_path / "mass_map.csv").exists()
 
     @pytest.mark.parametrize("ny", [2, 4, 200, 201])
     def test_map_grid_maximum_at_any_ny(self, ny, tmp_path):
