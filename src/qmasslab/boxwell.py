@@ -151,8 +151,9 @@ def analyze_beats(cfg: BoxConfig, probe: float) -> BeatAnalysis:
     oracle measures both peaks, and the fast/slow pair is their half-sum and
     half-difference.  It is sampled 16 times per period of omega_plus and spans
     8 periods of the slow frequency or of omega_minus, whichever is slower:
-    8 periods put the two peaks 16 FFT bins apart, and near c omega_minus
-    also sits 8 bins above DC, clear of its mirror image's Hann main lobe.
+    8 periods put the two peaks at least 16 bins of the oracle's zero-padded
+    FFT apart, and near c omega_minus also sits at least 8 padded bins above
+    DC, clear of its mirror image's Hann main lobe.
     """
     kp = cfg.omega_bar + cfg.delta_omega
     km = cfg.omega_bar - cfg.delta_omega

@@ -288,21 +288,56 @@ _NEWTON_MAXITER = 100
 _NEWTON_RTOL = 1.5e-8
 
 
+def _smooth_length(n: int) -> int:
+    """Smallest 2**a * 3**b * 5**c >= n, a length the FFT transforms fast."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # p35 times the smallest power of two reaching ceil(n / p35)
+            best = min(best, p35 << ((n - 1) // p35).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _uniform_exp(phase: float, n: int) -> np.ndarray:
+    """exp(-i*phase*k) for k = 0 .. n - 1, from about 2*sqrt(n) exponentials.
+
+    With k = a*B + b and B = ceil(sqrt(n)), the series is the outer product
+    of exp(-i*phase*B*a) and exp(-i*phase*b), flattened and cut to n.  The
+    sums against it stay one matrix-vector product with three rows: BLAS
+    splits a product with many rows, such as the (A, B) blocks against
+    exp(-i*phase*b), across threads, which can cost milliseconds a call.
+    """
+    b_len = math.isqrt(n - 1) + 1
+    inner = np.exp(-1j * phase * np.arange(b_len))
+    outer = np.exp(-1j * (phase * b_len) * np.arange(-(-n // b_len)))
+    return np.outer(outer, inner).ravel()[:n]
+
+
 def _refine_peak(times, windowed, lo: float, hi: float) -> float:
     """Frequency of the windowed DTFT power maximum inside the bracket [lo, hi].
 
     Newton steps on the zero of d|X|**2/domega, X(omega) = sum(a*exp(-i*omega*t)).
-    One exponential against the weights a, a*t and a*t**2 gives X, S1 and S2,
-    and with them half the slope Im(conj(X)*S1) and half the curvature
+    ``times`` must be uniform, t0 + k*dt with dt = times[1] - times[0] > 0.
+    t0 only turns the phase of X, so the sums run over tau = k*dt, against
+    the separable exp(-i*omega*tau) of ``_uniform_exp``.  One exponential
+    against the weights a, a*tau and a*tau**2 gives X, S1 and S2, and with
+    them half the slope Im(conj(X)*S1) and half the curvature
     |S1|**2 - Re(conj(X)*S2).  The slope's sign shrinks the bracket; a step
     that would leave it, or one from where the curvature is not negative,
     bisects it instead.  It stops once a Newton step is at most
     _NEWTON_RTOL*|omega|.
     """
-    weights = np.stack([windowed, windowed * times, windowed * times**2]).astype(complex)
+    n = len(windowed)
+    dt = float(times[1] - times[0])
+    tau = np.arange(n) * dt
+    weights = np.stack([windowed, windowed * tau, windowed * tau**2]).astype(complex)
     om = 0.5 * (lo + hi)
     for _ in range(_NEWTON_MAXITER):
-        x, s1, s2 = (weights @ np.exp(-1j * om * times)).tolist()
+        x, s1, s2 = (weights @ _uniform_exp(om * dt, n)).tolist()
         slope = (x.conjugate() * s1).imag
         curvature = abs(s1) ** 2 - (x.conjugate() * s2).real
         if slope > 0.0:
@@ -320,25 +355,39 @@ def _refine_peak(times, windowed, lo: float, hi: float) -> float:
 def measure_temporal_frequencies(times, values, count: int) -> np.ndarray:
     """Angular frequencies of the strongest spectral peaks, refined past bin width.
 
-    Peaks are picked from a Hann-windowed FFT magnitude and each refined to
-    the windowed DTFT power maximum between its neighbouring bins
-    (``_refine_peak``).  Returned in descending order of the FFT-bin magnitude
-    that picked them; fewer than ``count`` entries if fewer distinct peaks exist.
+    ``times`` must be finite, uniform and increasing, ``values`` finite and
+    of the same length.  Peaks are picked from a Hann-windowed FFT magnitude,
+    zero-padded to the next 2**a * 3**b * 5**c length (``_smooth_length``):
+    the padded spectrum samples the same windowed DTFT on a finer grid, and
+    the FFT never falls back to a slow prime length.  Each peak is refined to
+    the windowed DTFT power maximum between its neighbouring padded bins
+    (``_refine_peak``).  Returned in descending order of the padded-bin
+    magnitude that picked them; fewer than ``count`` entries if fewer
+    distinct peaks exist.
     """
+    if count < 1:
+        raise InvalidConfigError(f"count must be >= 1, got {count}")
     t = np.asarray(times, dtype=float)
     v = np.asarray(values, dtype=float)
+    if t.ndim != 1 or t.shape != v.shape:
+        raise InvalidConfigError(
+            f"times and values must be 1-D of one length, got {t.shape} and {v.shape}")
+    if not (np.isfinite(t).all() and np.isfinite(v).all()):
+        raise InvalidConfigError("times and values must be finite")
     if len(t) < 16:
         raise InsufficientSpanError(f"series too short: {len(t)} samples")
     dt = t[1] - t[0]
-    if not np.allclose(np.diff(t), dt, rtol=1e-9, atol=0.0):
+    if not dt > 0.0:
+        raise InvalidConfigError(f"time step must be positive, got {dt}")
+    if np.max(np.abs(np.diff(t) - dt)) > 1e-9 * dt:
         raise InsufficientSpanError("time steps must be uniform")
     v = v - v.mean()
     if np.max(np.abs(v)) < 1e-300:
         raise InsufficientSpanError("constant series has no spectral peaks")
-    window = np.hanning(len(v))
-    wv = window * v
-    mags = np.abs(np.fft.rfft(wv))
-    omegas = 2.0 * math.pi * np.fft.rfftfreq(len(v), dt)
+    wv = np.hanning(len(v)) * v
+    padded = _smooth_length(len(v))
+    mags = np.abs(np.fft.rfft(wv, padded))
+    omegas = 2.0 * math.pi * np.fft.rfftfreq(padded, dt)
     interior = np.arange(1, len(mags) - 1)
     is_peak = (mags[interior] >= mags[interior - 1]) & (mags[interior] > mags[interior + 1])
     peak_idx = interior[is_peak & (mags[interior] > 1e-6 * mags.max())]

@@ -1,8 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qmasslab import boxwell as bw
@@ -250,6 +251,76 @@ def _neg_dtft_magnitude(om):
     return -abs(np.dot(_DTFT_WINDOWED, np.exp(-1j * om * _DTFT_TIMES)))
 
 
+def _direct_exp(om, times):
+    """The DTFT kernel exp(-i*om*t), one complex exponential per sample."""
+    return np.exp(-1j * om * np.asarray(times))
+
+
+def _refine_peak_direct(times, windowed, lo, hi):
+    """Reference Newton refinement: the same steps, each on a direct exponential."""
+    weights = np.stack([windowed, windowed * times, windowed * times**2]).astype(complex)
+    om = 0.5 * (lo + hi)
+    for _ in range(wc._NEWTON_MAXITER):
+        x, s1, s2 = (weights @ _direct_exp(om, times)).tolist()
+        slope = (x.conjugate() * s1).imag
+        curvature = abs(s1) ** 2 - (x.conjugate() * s2).real
+        if slope > 0.0:
+            lo = om
+        elif slope < 0.0:
+            hi = om
+        step = -slope / curvature if curvature < 0.0 else math.inf
+        if abs(step) <= wc._NEWTON_RTOL * abs(om):
+            return om + step
+        om = om + step if lo < om + step < hi else 0.5 * (lo + hi)
+    return om
+
+
+def _direct_peaks(times, values, peaks):
+    """Each peak re-refined by ``_refine_peak_direct`` within one unpadded bin of it."""
+    t = np.asarray(times)
+    wv = np.hanning(len(t)) * (values - np.mean(values))
+    bin_width = 2.0 * math.pi / (len(t) * (t[1] - t[0]))
+    return [_refine_peak_direct(t, wv, p - bin_width, p + bin_width) for p in peaks]
+
+
+def _next_5_smooth(n):
+    """Smallest 2**a * 3**b * 5**c >= n, by trying n, n + 1, ..."""
+    m = n
+    while True:
+        rest = m
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return m
+        m += 1
+
+
+@pytest.mark.parametrize("ns", [range(1, 5000), [6529, 4395, 2**20 + 1, 10**6 + 1]],
+                         ids=["all-below-5000", "probe-lengths"])
+def test_smooth_length_matches_brute_force(ns):
+    for n in ns:
+        assert wc._smooth_length(n) == _next_5_smooth(n), n
+
+
+class TestUniformExp:
+    @settings(deadline=None, max_examples=150)
+    @given(n=st.integers(1, 20000), phase=st.floats(-math.pi, math.pi))
+    @example(n=6529, phase=3.0)
+    @example(n=1, phase=0.5)
+    @example(n=82, phase=-2.0)  # one past a square: the last block holds one sample
+    def test_separable_sums_match_direct_exponential(self, n, phase):
+        k = np.arange(n)
+        ref = _direct_exp(phase, k)
+        got = wc._uniform_exp(phase, n)
+        assert got.shape == (n,)
+        # Both round the phase to within a few ulps of |phase|*n.
+        tol = 1e-15 * (8.0 + abs(phase) * n)
+        assert np.max(np.abs(got - ref)) <= tol
+        weights = np.random.default_rng(n).standard_normal((3, n))
+        assert np.max(np.abs(weights @ got - weights @ ref)) <= tol * np.sum(np.abs(weights))
+
+
 class TestRefinePeak:
     @settings(deadline=None, max_examples=150)
     @given(
@@ -294,6 +365,67 @@ class TestTemporalFrequencies:
         with pytest.raises(InsufficientSpanError):
             wc.measure_temporal_frequencies(np.arange(8), np.arange(8.0), 1)
 
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_count_below_one_rejected(self, count):
+        t = np.arange(0, 50, 0.005)
+        with pytest.raises(InvalidConfigError, match="count must be >= 1"):
+            wc.measure_temporal_frequencies(t, np.cos(5 * t), count)
+
+    @pytest.mark.parametrize("times", [np.arange(0, 50, 0.005)[::-1], np.zeros(10000)])
+    def test_step_not_positive_rejected(self, times):
+        v = np.cos(5 * times) + np.cos(100 * times + 0.4)
+        with pytest.raises(InvalidConfigError, match="time step must be positive"):
+            wc.measure_temporal_frequencies(times, v, 2)
+
+    @pytest.mark.parametrize("jitter, uniform", [(0.9e-9, True), (1.1e-9, False)])
+    def test_steps_must_agree_to_1e_9(self, jitter, uniform):
+        t = np.arange(1000) * 0.05
+        t[500:] += jitter * 0.05  # one step off by jitter*dt
+        v = np.cos(2.0 * t)
+        if uniform:
+            assert wc.measure_temporal_frequencies(t, v, 1)[0] == pytest.approx(2.0, rel=1e-3)
+        else:
+            with pytest.raises(InsufficientSpanError, match="time steps must be uniform"):
+                wc.measure_temporal_frequencies(t, v, 1)
+
+    @pytest.mark.parametrize("where", ["values", "times"])
+    @pytest.mark.parametrize("bad", [INF, -INF, NAN])
+    def test_non_finite_sample_rejected_without_warning(self, where, bad):
+        t = np.arange(0, 50, 0.005)
+        v = np.cos(5 * t) + np.cos(100 * t + 0.4)
+        (v if where == "values" else t)[1234] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidConfigError, match="must be finite"):
+                wc.measure_temporal_frequencies(t, v, 2)
+
+    @pytest.mark.parametrize("shape", [(999,), (2, 500)])
+    def test_times_and_values_of_other_shapes_rejected(self, shape):
+        t = np.arange(1000) * 0.05
+        v = np.cos(np.arange(np.prod(shape)) * 0.5).reshape(shape)
+        with pytest.raises(InvalidConfigError, match="1-D of one length"):
+            wc.measure_temporal_frequencies(t, v, 1)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        n=st.integers(64, 8000),
+        t0=st.floats(-100.0, 100.0),
+        tones=st.tuples(st.floats(0.05, 0.45), st.floats(0.05, 0.45)),
+        phase=st.floats(0.0, 2.0 * math.pi),
+    )
+    @example(n=6529, t0=0.0, tones=(0.1, 0.4), phase=0.3)
+    def test_matches_direct_refinement_at_any_offset(self, n, t0, tones, phase):
+        # Tones in cycles per sample, at least 12 bins apart; t0 only turns the phase.
+        assume(abs(tones[0] - tones[1]) * n >= 12 and min(tones) * n >= 12)
+        dt = 0.01
+        t = t0 + np.arange(n) * dt
+        k = np.arange(n)
+        v = np.cos(2 * math.pi * tones[0] * k + phase) + 0.5 * np.cos(2 * math.pi * tones[1] * k)
+        got = wc.measure_temporal_frequencies(t, v, 2)
+        assert len(got) == 2
+        ref = _direct_peaks(t, v, got)
+        assert got == pytest.approx(ref, rel=1e-9)
+
 
 class TestWaveEquationResidual:
     def test_single_wave_small_residual(self):
@@ -312,3 +444,22 @@ class TestWaveEquationResidual:
         bad = wc.Superposition((wc.PlaneWave(2.0, (0.8, 0.6)),))
         x, t = wc.sample_grid(2.0, (0.0, 30.0), (0.0, 30.0))
         assert wc.wave_equation_residual(bad, x, t) > 1e-1
+
+
+class TestAnalyzeBeatsOracle:
+    @settings(deadline=None, max_examples=40)
+    @given(
+        omega0=st.floats(20.0, 1e4),
+        v=st.floats(0.01, 0.95),
+        probe=st.floats(0.05, 0.95),
+    )
+    @example(omega0=100.0, v=0.02, probe=0.275)  # 6529 samples, a prime length
+    def test_matches_direct_refinement(self, omega0, v, probe):
+        cfg = bw.BoxConfig(W=1.0, L=0.1, omega0=omega0, v=v)
+        try:
+            res = bw.analyze_beats(cfg, probe)
+        except InvalidConfigError:
+            assume(False)  # a probe at a node of a component wave
+        peaks = [res.fast + res.slow, res.fast - res.slow]
+        ref = _direct_peaks(res.times, res.values, peaks)
+        assert peaks == pytest.approx(ref, rel=1e-9)
