@@ -20,14 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientSpanError, InvalidConfigError
-from .wavecore import (
-    PlaneWave,
-    Superposition,
-    evaluate,
-    gamma_of,
-    measure_temporal_frequencies,
-)
+from .errors import InvalidConfigError
+from .wavecore import PlaneWave, Superposition, evaluate, gamma_of, measure_tone_pair
 
 #: Minimum carrier cycles across the well, enforcing omega0*W >> 1.
 MIN_CARRIER_PHASE = 20.0
@@ -139,38 +133,23 @@ def closed_form(cfg: BoxConfig, x, t):
 #: Minimum per-frequency standing amplitude |sin(k*probe)| to resolve both peaks.
 PROBE_AMPLITUDE_MIN = 0.02
 
-#: Longest probe series; it holds 128*(1 + v)/min(v, 1 - v) samples, so v must
-#: lie between about 1.2e-4 and 8191/8193 = 0.99976.
-PROBE_SAMPLES_MAX = 2**20
-
 
 def analyze_beats(cfg: BoxConfig, probe: float) -> BeatAnalysis:
     """Extract the fast (gamma*omega0) and slow (gamma*omega0*v) frequencies.
 
-    The probe time series is a two-tone signal at omega_pm; the spectral
-    oracle measures both peaks, and the fast/slow pair is their half-sum and
-    half-difference.  It is sampled 16 times per period of omega_plus and spans
-    8 periods of the slow frequency or of omega_minus, whichever is slower:
-    8 periods put the two peaks at least 16 bins of the oracle's zero-padded
-    FFT apart, and near c omega_minus also sits at least 8 padded bins above
-    DC, clear of its mirror image's Hann main lobe.
+    At the probe the field is a two-tone signal at omega_pm, each tone
+    weighted by its standing amplitude |sin(k*probe)|.  ``measure_tone_pair``
+    measures both tones over 8 periods of the slow frequency or of
+    omega_minus, whichever is slower, and the fast/slow pair is their
+    half-sum and half-difference.  The series holds
+    128*(1 + v)/min(v, 1 - v) samples, so under the kernel's 2**20 cap v must
+    lie between about 1.2e-4 and 8191/8193 = 0.99976.
     """
     kp = cfg.omega_bar + cfg.delta_omega
     km = cfg.omega_bar - cfg.delta_omega
     if min(abs(math.sin(kp * probe)), abs(math.sin(km * probe))) < PROBE_AMPLITUDE_MIN:
         raise InvalidConfigError(f"probe {probe} sits at a node of a component standing wave")
-    duration = 8.0 * 2.0 * math.pi / min(cfg.delta_omega, km)
-    dt = 2.0 * math.pi / kp / 16.0
-    if duration / dt > PROBE_SAMPLES_MAX:
-        raise InvalidConfigError(
-            f"cavity speed {cfg.v} needs more than {PROBE_SAMPLES_MAX} probe samples"
-        )
-    t = np.arange(0.0, duration, dt)
-    series = evaluate(build_field(cfg), probe, t)
-    peaks = measure_temporal_frequencies(t, series, count=2)
-    if len(peaks) < 2:
-        raise InsufficientSpanError("fewer than two spectral peaks at this probe")
-    hi, lo = max(peaks), min(peaks)
+    t, series, hi, lo = measure_tone_pair(build_field(cfg), probe, min(cfg.delta_omega, km))
     return BeatAnalysis(
         fast=(hi + lo) / 2.0,
         slow=(hi - lo) / 2.0,

@@ -158,16 +158,18 @@ def _run_boost(out: Path, summary: RunSummary, *, omega0=1.0, beta=0.6) -> None:
     _require(_BOOST_OMEGA0_MIN <= omega0 <= _BOOST_OMEGA0_MAX,
              f"omega0 must be in [{_BOOST_OMEGA0_MIN:g}, {_BOOST_OMEGA0_MAX:g}], got {omega0}")
     b = wavecore.boost_standing_wave(omega0, beta)
-    state = qmass.mass_state_of(b)
+    # The grid rejects a speed it cannot resolve, a standing wave's 0 among them.
     x = wavecore.envelope_sampling_grid(b)
-    snapshot = wavecore.evaluate(wavecore.superposition_of(b), x, 0.3)
+    field = wavecore.superposition_of(b)
+    snapshot = wavecore.evaluate(field, x, 0.3)
     measured_lam = wavecore.measure_envelope_wavelength(x, snapshot)
+    # At x = 0 the two traveling tones are a unit-amplitude pair at omega_pm.
+    _, _, hi, lo = wavecore.measure_tone_pair(
+        field, 0.0, min((b.omega_plus - b.omega_minus) / 2.0, b.omega_minus))
     summary.metrics += [
-        Metric("quantum_rest_mass", math.sqrt(b.omega_plus * b.omega_minus),
-               state.m, 1e-12, "formula"),
-        Metric("group_speed", abs(beta), state.v, 1e-12, "formula"),
-        Metric("envelope_wavelength",
-               qmass.de_broglie_wavelength(state.m, state.v),
+        Metric("quantum_rest_mass", omega0, math.sqrt(hi * lo), 1e-4, "oracle"),
+        Metric("group_speed", abs(beta), (hi - lo) / (hi + lo), 1e-4, "oracle"),
+        Metric("envelope_wavelength", qmass.de_broglie_wavelength(omega0, abs(beta)),
                measured_lam, 1e-3, "oracle"),
     ]
     summary.files.append(export_series(out / "field.csv", "x,value", x, snapshot))
@@ -294,17 +296,12 @@ def _run_box_quantize(out: Path, summary: RunSummary, *, W=1.0, omega0=100.0, n_
     reports = boxwell.quantize(cfg, n_max)
     x = np.linspace(0.0, cfg.W, 513)
     for rep in reports:
-        # Exact relativistic kinetic energy sqrt(m**2 + p**2) - m of p = n*pi/W,
-        # m = omega0, written without cancellation.
-        x2 = (rep.p_schrodinger / cfg.omega0) ** 2
-        exact = cfg.omega0 * x2 / (math.sqrt(1.0 + x2) + 1.0)
         summary.metrics += [
             Metric(f"momentum_n{rep.n}", rep.p_schrodinger, rep.p_n, 1e-9, "formula"),
             Metric(
                 f"energy_n{rep.n}", rep.schrodinger_energy, rep.kinetic_energy,
                 (rep.p_n / cfg.omega0) ** 2, "formula",
             ),
-            Metric(f"kinetic_energy_n{rep.n}", exact, rep.kinetic_energy, 1e-7, "formula"),
         ]
         summary.files.append(export_series(out / f"envelope_n{rep.n}.csv", "x,value",
                                            x, boxwell.quantized_envelope(rep.p_n, x)))

@@ -3,9 +3,9 @@
 Natural units throughout (c = hbar = 1).  All waves are lightlike scalars:
 the wavenumber always equals omega and is never stored independently.
 Measurement utilities (zero-crossing wavelengths, the FFT analytic-signal
-envelope, Newton-refined spectral peaks, finite-difference residuals) are the
-numerical oracles used to verify the closed forms elsewhere; they need numpy
-only.
+envelope, Newton-refined spectral peaks and a two-tone kernel on them,
+finite-difference residuals) are the numerical oracles used to verify the
+closed forms elsewhere; they need numpy only.
 """
 
 from __future__ import annotations
@@ -395,6 +395,29 @@ def measure_temporal_frequencies(times, values, count: int) -> np.ndarray:
         raise InsufficientSpanError("no spectral peaks found")
     peak_idx = peak_idx[np.argsort(mags[peak_idx])[::-1][:count]]
     return np.array([_refine_peak(t, wv, omegas[i - 1], omegas[i + 1]) for i in peak_idx])
+
+
+def measure_tone_pair(field: Superposition, x: float, slowest: float):
+    """``(t, series, hi, lo)``: a two-tone ``field`` sampled at ``x``, and its two tones.
+
+    The series is sampled 16 times per period of ``field.omega_max`` and spans
+    8 periods of ``slowest``, which the caller sets to the slower of the
+    tones' half-difference and the lower tone: 8 periods put the two peaks at
+    least 16 bins of the oracle's zero-padded FFT apart, and near c the lower
+    tone also sits at least 8 padded bins above DC, clear of its mirror
+    image's Hann main lobe.  A series of more than 2**20 samples is rejected.
+    """
+    duration = 8.0 * 2.0 * math.pi / slowest
+    dt = 2.0 * math.pi / field.omega_max / 16.0
+    if duration / dt > 2**20:
+        raise InvalidConfigError(f"tones up to {field.omega_max:g} over 8 periods of "
+                                 f"{slowest:g} need more than 2**20 samples")
+    t = np.arange(0.0, duration, dt)
+    series = evaluate(field, x, t)
+    peaks = measure_temporal_frequencies(t, series, count=2)
+    if len(peaks) < 2:
+        raise InsufficientSpanError(f"fewer than two spectral peaks at x = {x}")
+    return t, series, max(peaks), min(peaks)
 
 
 def sample_grid(

@@ -144,6 +144,15 @@ class TestQuantization:
             discrepancy = abs(rep.kinetic_energy - rep.schrodinger_energy) / rep.schrodinger_energy
             assert discrepancy < (rep.p_n / cfg.omega0) ** 2
 
+    @pytest.mark.parametrize("W, omega0", [(1.0, 100.0), (10.0, 100.0), (1.0, 1000.0)])
+    def test_kinetic_energy_is_exact(self, W, omega0):
+        # The exact sqrt(m**2 + p**2) - m of p = n*pi/W, m = omega0, without cancellation.
+        cfg = bw.BoxConfig(W=W, L=W / 10.0, omega0=omega0, v=0.05)
+        for rep in bw.quantize(cfg, 10):
+            x2 = (rep.p_schrodinger / omega0) ** 2
+            exact = omega0 * x2 / (math.sqrt(1.0 + x2) + 1.0)
+            assert rep.kinetic_energy == pytest.approx(exact, rel=1e-7)
+
     def test_measured_envelope_wavelength(self):
         # mode 4 leaves enough interior crossings for the spatial oracle
         v = bw.speed_for_mode(1.0, 100.0, 4)

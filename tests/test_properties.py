@@ -16,6 +16,8 @@ from qmasslab.errors import InvalidConfigError, SingularPointError
 
 betas = st.floats(min_value=-0.99, max_value=0.99)
 omegas = st.floats(min_value=1e-3, max_value=1e3)
+#: Log-uniform over the boost runner's whole omega0 range [1e-9, 1e9].
+boost_omegas = st.floats(min_value=-9.0, max_value=9.0).map(lambda e: 10.0**e)
 
 
 @settings(deadline=None)
@@ -47,7 +49,21 @@ def test_mode_speed_quantizes_envelope(W, omega0, n):
 
 @settings(deadline=None, max_examples=60)
 @given(
-    omega0=omegas,
+    omega0=boost_omegas,
+    speed=st.floats(min_value=1e-3, max_value=0.999),
+    sign=st.sampled_from([1.0, -1.0]),
+)
+def test_measured_tone_pair_keeps_rest_frequency(omega0, speed, sign):
+    # The invariant mass measured from the boosted field: sqrt(w+*w-) = omega0.
+    b = wc.boost_standing_wave(omega0, sign * speed)
+    slowest = min((b.omega_plus - b.omega_minus) / 2.0, b.omega_minus)
+    _, _, hi, lo = wc.measure_tone_pair(wc.superposition_of(b), 0.0, slowest)
+    assert hi * lo == pytest.approx(omega0**2, rel=2e-4)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    omega0=boost_omegas,
     speed=st.floats(min_value=1 / 128, max_value=0.99, exclude_max=True),
     sign=st.sampled_from([1.0, -1.0]),
 )

@@ -174,6 +174,9 @@ def test_mistyped_parameter_rejected(kind, params, tmp_path):
 
 
 def test_energy_gate_catches_one_percent_error(tmp_path, monkeypatch):
+    # energy_n* allows (p_n/m)**2 about the Schrodinger energy, so a 1% error in
+    # the kinetic energy fails it at n <= 2 only.  The exact relativistic energy,
+    # pinned at 1e-7 in test_boxwell, misses it at every n.
     quantize = boxwell.quantize
     monkeypatch.setattr(
         boxwell,
@@ -184,8 +187,12 @@ def test_energy_gate_catches_one_percent_error(tmp_path, monkeypatch):
         ],
     )
     summary = scenarios.run("box-quantize", {"n_max": 5}, tmp_path)
-    failed = {m.name for m in summary.metrics if not m.passed}
-    assert {f"kinetic_energy_n{n}" for n in range(1, 6)} <= failed
+    assert {m.name for m in summary.metrics if not m.passed} == {"energy_n1", "energy_n2"}
+    cfg = boxwell.BoxConfig(W=1.0, L=0.1, omega0=100.0, v=0.05)
+    for rep in boxwell.quantize(cfg, 5):
+        x2 = (rep.p_schrodinger / cfg.omega0) ** 2
+        exact = cfg.omega0 * x2 / (math.sqrt(1.0 + x2) + 1.0)
+        assert rep.kinetic_energy != pytest.approx(exact, rel=1e-7)
 
 
 @pytest.mark.parametrize("params", [{"W": 10.0}, {"omega0": 1000.0}])
@@ -276,7 +283,7 @@ GATES = {
     "box-beat": ([], ["fast_frequency", "slow_frequency"]),
     "box-states": (["n_positions=16"], ["envelope_wavenumber", "helix_modulus_flatness"]),
     "box-quantize": (["n_max=2"], [f"{gate}_n{n}" for n in (1, 2)
-                                   for gate in ("momentum", "energy", "kinetic_energy")]),
+                                   for gate in ("momentum", "energy")]),
 }
 
 
@@ -401,6 +408,23 @@ def test_states_gates_catch_dropped_lorentz_factor(tmp_path, monkeypatch, capsys
     assert cli.main(["box-states", "--out", str(tmp_path)]) == 1
     failed = re.findall(r"^FAIL (\S+): predicted=", capsys.readouterr().out, re.M)
     assert failed == ["envelope_wavenumber", "helix_modulus_flatness"]
+
+
+def test_boost_gates_catch_dropped_lorentz_factor(tmp_path, monkeypatch, capsys):
+    # The boosted pair omega0*(1 +- |beta|), without gamma: its measured mass
+    # sqrt(w+*w-) = omega0*sqrt(1 - beta**2) misses omega0 by 0.20 at the
+    # defaults, and its envelope the rest-frame de Broglie wavelength by 0.25.
+    # (w+ - w-)/(w+ + w-) is still |beta|, so group_speed passes.
+    def boost_standing_wave(omega0, beta):
+        b = abs(beta)
+        axis = (1.0, 0.0) if beta > 0 else (-1.0, 0.0)
+        return wavecore.BidirectionalWave(omega0 * (1.0 + b), omega0 * (1.0 - b), axis)
+
+    monkeypatch.setattr(wavecore, "boost_standing_wave", boost_standing_wave)
+    assert cli.main(["boost", "--out", str(tmp_path)]) == 1
+    lines = re.findall(r"^(PASS|FAIL) (\S+): predicted=", capsys.readouterr().out, re.M)
+    assert {name: word for word, name in lines} == {
+        "quantum_rest_mass": "FAIL", "group_speed": "PASS", "envelope_wavelength": "FAIL"}
 
 
 class TestCli:
