@@ -9,10 +9,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
-from .errors import InvalidConfigError, QmassError
-from .scenarios import SCENARIOS, run
+# ``import numpy`` starts OpenBLAS's thread pool, about a third of numpy's import
+# time (on a 2-vCPU host, median 225 ms with the pool and 157 ms on one thread),
+# and this package's small products only lose by threading.  A user's own value
+# wins, and a process that loaded numpy before this module keeps its environment.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from .errors import InvalidConfigError, QmassError  # noqa: E402  (after the pin)
+from .scenarios import SCENARIOS, run  # noqa: E402
 
 
 def _parse_override(text: str) -> tuple[str, object]:

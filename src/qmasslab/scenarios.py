@@ -3,9 +3,11 @@
 Each scenario maps a parameter block onto one physics pipeline and emits
 plot-ready CSV files plus a JSON summary of predicted-vs-measured metrics.
 A runner's keyword arguments are its scenario's parameters, and their
-defaults are the scenario's defaults.  Every data file is written by
-``export_series`` or ``export_grid``; data files are byte-identical across
-repeated runs, and wall-clock timing is isolated in the summary.
+defaults are the scenario's defaults.  Each runner imports the physics modules
+it calls, so a process that runs one scenario loads no other's.  Every data
+file is written by ``export_series`` or ``export_grid``; data files are
+byte-identical across repeated runs, and wall-clock timing is isolated in the
+summary.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import boxwell, doubleslit, qmass, wavecore
 from .errors import InsufficientSpanError, InvalidConfigError, QmassError
 
 SCHEMA_VERSION = 1
@@ -155,6 +156,8 @@ def _require(condition: bool, message: str) -> None:
 
 
 def _run_boost(out: Path, summary: RunSummary, *, omega0=1.0, beta=0.6) -> None:
+    from . import qmass, wavecore
+
     _require(_BOOST_OMEGA0_MIN <= omega0 <= _BOOST_OMEGA0_MAX,
              f"omega0 must be in [{_BOOST_OMEGA0_MIN:g}, {_BOOST_OMEGA0_MAX:g}], got {omega0}")
     b = wavecore.boost_standing_wave(omega0, beta)
@@ -176,12 +179,16 @@ def _run_boost(out: Path, summary: RunSummary, *, omega0=1.0, beta=0.6) -> None:
 
 
 def _slit_config(d: float, wavelength: float) -> doubleslit.SlitConfig:
+    from . import doubleslit
+
     _require(wavelength > 0, f"wavelength must be positive, got {wavelength}")
     return doubleslit.SlitConfig(d=d, omega=2.0 * math.pi / wavelength)
 
 
 def _run_doubleslit_fringes(out: Path, summary: RunSummary, *,
                             d=0.5, wavelength=0.01, D=50.0, screen="arc") -> None:
+    from . import doubleslit
+
     cfg = _slit_config(d, wavelength)
     report = doubleslit.fringe_spacing_measured(cfg, D, screen=screen)
     summary.metrics.append(Metric("fringe_spacing", report.predicted, report.measured,
@@ -192,6 +199,8 @@ def _run_doubleslit_fringes(out: Path, summary: RunSummary, *,
 
 def _run_doubleslit_map(out: Path, summary: RunSummary, *, d=1.0, wavelength=0.05,
                         nx=201, ny=201, x_span=5.0, y_span=2.5) -> None:
+    from . import doubleslit
+
     _require(min(nx, ny) >= 2, f"nx and ny must be >= 2, got {nx} and {ny}")
     cfg = _slit_config(d, wavelength)
     # The map stays inside the trajectory domain; far beyond it r**2 overflows.
@@ -228,6 +237,8 @@ def _run_doubleslit_map(out: Path, summary: RunSummary, *, d=1.0, wavelength=0.0
 def _run_doubleslit_traj(out: Path, summary: RunSummary, *, d=1.0, wavelength=0.05,
                          starts=[[25.0, 0.0], [17.7, 17.7], [0.01, 0.5]],
                          max_steps=2000) -> None:
+    from . import doubleslit
+
     _require(max_steps >= 1, f"max_steps must be >= 1, got {max_steps}")
     cfg = _slit_config(d, wavelength)
     for x, y in starts:
@@ -260,6 +271,8 @@ def _run_doubleslit_traj(out: Path, summary: RunSummary, *, d=1.0, wavelength=0.
 
 def _run_box_beat(out: Path, summary: RunSummary, *,
                   W=1.0, omega0=100.0, v=0.0627080, probe=0.275) -> None:
+    from . import boxwell
+
     _require(0 < probe < W, f"probe must lie inside the well (0, {W}), got {probe}")
     # analyze_beats never reads the cavity length; W/10 passes BoxConfig's check.
     cfg = boxwell.BoxConfig(W=W, L=W / 10.0, omega0=omega0, v=v)
@@ -274,6 +287,8 @@ def _run_box_beat(out: Path, summary: RunSummary, *,
 
 def _run_box_states(out: Path, summary: RunSummary, *,
                     W=1.0, L=0.1, omega0=100.0, v=0.0627080, n_positions=160) -> None:
+    from . import boxwell, qmass, wavecore
+
     cfg = boxwell.BoxConfig(W=W, L=L, omega0=omega0, v=v)
     trace = boxwell.trace_states_vs_position(cfg, n_positions=n_positions)
     p = qmass.four_momentum_of(wavecore.boost_standing_wave(cfg.omega0, cfg.v)).p
@@ -288,6 +303,8 @@ def _run_box_states(out: Path, summary: RunSummary, *,
 
 
 def _run_box_quantize(out: Path, summary: RunSummary, *, W=1.0, omega0=100.0, n_max=5) -> None:
+    from . import boxwell
+
     _require(W > 0, f"W must be positive, got {W}")
     # Beyond p = n*pi/W = omega0 the energy gate's tolerance (p/m)**2 reaches 1.
     _require(n_max * math.pi / W < omega0,

@@ -317,24 +317,21 @@ def _uniform_exp(phase: float, n: int) -> np.ndarray:
     return np.outer(outer, inner).ravel()[:n]
 
 
-def _refine_peak(times, windowed, lo: float, hi: float) -> float:
+def _refine_peak(weights, dt: float, lo: float, hi: float) -> float:
     """Frequency of the windowed DTFT power maximum inside the bracket [lo, hi].
 
-    Newton steps on the zero of d|X|**2/domega, X(omega) = sum(a*exp(-i*omega*t)).
-    ``times`` must be uniform, t0 + k*dt with dt = times[1] - times[0] > 0.
-    t0 only turns the phase of X, so the sums run over tau = k*dt, against
-    the separable exp(-i*omega*tau) of ``_uniform_exp``.  One exponential
-    against the weights a, a*tau and a*tau**2 gives X, S1 and S2, and with
-    them half the slope Im(conj(X)*S1) and half the curvature
-    |S1|**2 - Re(conj(X)*S2).  The slope's sign shrinks the bracket; a step
-    that would leave it, or one from where the curvature is not negative,
-    bisects it instead.  It stops once a Newton step is at most
-    _NEWTON_RTOL*|omega|.
+    Newton steps on the zero of d|X|**2/domega, X(omega) = sum(a*exp(-i*omega*t)),
+    for a series a sampled at the uniform times t0 + k*dt, dt > 0.  t0 only
+    turns the phase of X, so the sums run over tau = k*dt, against the
+    separable exp(-i*omega*tau) of ``_uniform_exp``.  ``weights`` is the
+    complex (3, n) stack of a, a*tau and a*tau**2, built once per series:
+    one exponential against it gives X, S1 and S2, and with them half the
+    slope Im(conj(X)*S1) and half the curvature |S1|**2 - Re(conj(X)*S2).
+    The slope's sign shrinks the bracket; a step that would leave it, or one
+    from where the curvature is not negative, bisects it instead.  It stops
+    once a Newton step is at most _NEWTON_RTOL*|omega|.
     """
-    n = len(windowed)
-    dt = float(times[1] - times[0])
-    tau = np.arange(n) * dt
-    weights = np.stack([windowed, windowed * tau, windowed * tau**2]).astype(complex)
+    n = weights.shape[1]
     om = 0.5 * (lo + hi)
     for _ in range(_NEWTON_MAXITER):
         x, s1, s2 = (weights @ _uniform_exp(om * dt, n)).tolist()
@@ -376,7 +373,7 @@ def measure_temporal_frequencies(times, values, count: int) -> np.ndarray:
         raise InvalidConfigError("times and values must be finite")
     if len(t) < 16:
         raise InsufficientSpanError(f"series too short: {len(t)} samples")
-    dt = t[1] - t[0]
+    dt = float(t[1] - t[0])
     if not dt > 0.0:
         raise InvalidConfigError(f"time step must be positive, got {dt}")
     if np.max(np.abs(np.diff(t) - dt)) > 1e-9 * dt:
@@ -394,7 +391,10 @@ def measure_temporal_frequencies(times, values, count: int) -> np.ndarray:
     if len(peak_idx) == 0:
         raise InsufficientSpanError("no spectral peaks found")
     peak_idx = peak_idx[np.argsort(mags[peak_idx])[::-1][:count]]
-    return np.array([_refine_peak(t, wv, omegas[i - 1], omegas[i + 1]) for i in peak_idx])
+    tau = np.arange(len(wv)) * dt
+    weights = np.stack([wv, wv * tau, wv * tau**2]).astype(complex)
+    return np.array([_refine_peak(weights, dt, omegas[i - 1], omegas[i + 1])
+                     for i in peak_idx])
 
 
 def measure_tone_pair(field: Superposition, x: float, slowest: float):

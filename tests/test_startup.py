@@ -1,0 +1,97 @@
+"""What a fresh ``qmass-lab`` process loads and how many BLAS threads it starts.
+
+Every case runs in a subprocess whose environment sets no BLAS thread count,
+so the package's own startup is what is seen.
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = json.loads((ROOT / "bench" / "golden.json").read_text())
+
+#: Variables that set OpenBLAS's thread count, in the order it reads them.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _run_clean(code, threads=None):
+    """Run ``python -c code`` with ``src`` on the path and no BLAS thread setting
+    except ``OPENBLAS_NUM_THREADS=threads`` when given; return its stdout."""
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+_REPORT_PIN = "import os; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+
+
+@pytest.mark.parametrize("imports, user_value, expected", [
+    ("import qmasslab.cli", None, "1"),
+    ("import qmasslab.cli", "2", "2"),
+    ("import numpy, qmasslab.cli", None, "None"),
+    ("import qmasslab.scenarios", None, "None"),
+], ids=["cli-pins", "user-value-kept", "numpy-first-untouched", "library-untouched"])
+def test_blas_pin_scope(imports, user_value, expected):
+    assert _run_clean(f"{imports}; {_REPORT_PIN}", user_value).strip() == expected
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc task list")
+def test_cli_process_holds_one_thread():
+    code = "import os, qmasslab.cli; print(len(os.listdir('/proc/self/task')))"
+    assert _run_clean(code) == "1\n"
+
+
+def test_package_import_loads_no_numpy():
+    assert _run_clean("import sys, qmasslab; print('numpy' in sys.modules)") == "False\n"
+
+
+def test_every_public_name_resolves():
+    code = (
+        "import json, qmasslab, qmasslab.wavecore as wc; "
+        "print(json.dumps([getattr(qmasslab, n).__name__ for n in qmasslab.__all__])); "
+        "print(all(getattr(qmasslab, n) is getattr(wc, n) for n in qmasslab.__all__[:3]), "
+        "hasattr(qmasslab, 'no_such_name'))"
+    )
+    names, identity = _run_clean(code).splitlines()
+    assert json.loads(names) == ["PlaneWave", "Superposition", "BidirectionalWave"] + [
+        f"qmasslab.{m}" for m in ("wavecore", "qmass", "doubleslit", "boxwell", "scenarios")]
+    assert identity == "True False"
+
+
+@pytest.mark.parametrize("argv, unloaded", [
+    (["doubleslit-fringes"], {"boxwell"}),
+    (["boost"], {"boxwell", "doubleslit"}),
+], ids=["doubleslit-fringes", "boost"])
+def test_scenario_loads_only_its_physics(argv, unloaded, tmp_path):
+    code = (
+        "import json, sys; from qmasslab import cli; "
+        f"code = cli.main({argv + ['--out', str(tmp_path)]!r}); "
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('qmasslab'))]))"
+    )
+    exit_code, loaded = json.loads(_run_clean(code).splitlines()[-1])
+    assert exit_code == 0
+    assert not {f"qmasslab.{m}" for m in unloaded} & set(loaded), loaded
+
+
+@pytest.mark.parametrize("threads", [None, "2"], ids=["pinned", "two-threads"])
+def test_box_states_bytes_independent_of_blas_threads(threads, tmp_path):
+    # box-states is the one default scenario whose CSVs pass through LAPACK (lstsq).
+    code = (
+        "import sys; from qmasslab.cli import main; "
+        f"sys.exit(main(['box-states', '--out', {str(tmp_path)!r}]))"
+    )
+    _run_clean(code, threads)
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("cosine_state.csv", "sine_state.csv")}
+    assert digests == GOLDEN["pipeline-warm"]["states-160"]

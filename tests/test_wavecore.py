@@ -245,6 +245,10 @@ _DTFT_WINDOWED = np.hanning(400) * (
     np.sin(1.3 * _DTFT_TIMES) + 0.4 * np.cos(2.9 * _DTFT_TIMES + 0.2)
 )
 _DTFT_BIN = 2.0 * math.pi / 40.0  # 2*pi/(n*dt); both maxima lie within 1e-3 bin of their tones
+# The (3, n) weight stack of _refine_peak; the times start at 0, so tau is the times.
+_DTFT_WEIGHTS = np.stack(
+    [_DTFT_WINDOWED, _DTFT_WINDOWED * _DTFT_TIMES, _DTFT_WINDOWED * _DTFT_TIMES**2]
+).astype(complex)
 
 
 def _neg_dtft_magnitude(om):
@@ -335,7 +339,7 @@ class TestRefinePeak:
             _neg_dtft_magnitude, bounds=(lo, hi), method="bounded",
             options={"xatol": 1e-13},
         )
-        got = wc._refine_peak(_DTFT_TIMES, _DTFT_WINDOWED, lo, hi)
+        got = wc._refine_peak(_DTFT_WEIGHTS, 0.1, lo, hi)
         assert got == pytest.approx(ref.x, rel=1e-7)
 
 
