@@ -1,7 +1,8 @@
 """Command line front end: ``qmass-lab <scenario> --config file [options]``.
 
 Exit codes: 0 all metrics pass, 1 metric failure, 2 bad input (usage, an
-unreadable config, an ``InvalidConfigError``, a grid too large for memory),
+unreadable config, an ``InvalidConfigError``, a run too large for memory;
+the ``doubleslit-map`` grid is streamed to its CSV, so only its axes are held),
 3 any other ``QmassError``.
 """
 

@@ -93,35 +93,52 @@ def export_series(path: Path, header: str, *columns) -> str:
 
     A column is a 1-D array or a 2-D array of several columns.  Rows are
     formatted ``_CSV_BLOCK_ROWS`` at a time by one ``%`` call over plain
-    Python floats, so no text copy of the whole table is held in memory.
+    Python floats, from a block stacked out of slices of the columns, so
+    neither a copy of the whole table nor its text is held in memory.
     """
-    table = np.column_stack(columns)
-    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    columns = [np.asarray(c) for c in columns]
+    n = len(columns[0])
+    if any(len(c) != n for c in columns):
+        raise ValueError(f"columns must have equal length, got {[len(c) for c in columns]}")
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for start in range(0, len(table), _CSV_BLOCK_ROWS):
-            block = table[start:start + _CSV_BLOCK_ROWS]
+        for start in range(0, n, _CSV_BLOCK_ROWS):
+            block = np.column_stack([c[start:start + _CSV_BLOCK_ROWS] for c in columns])
+            line = ",".join(["%.17g"] * block.shape[1]) + "\n"
             fh.write(line * len(block) % tuple(block.ravel().tolist()))
     return path.name
 
 
-def export_grid(path: Path, x, y, values) -> str:
-    """Write values[i, j] at (x[i], y[j]) as row-major x,y,value CSV; return ``path.name``.
+def export_grid(path: Path, x, y, blocks) -> str:
+    """Write a grid as row-major x,y,value CSV from its row blocks; return ``path.name``.
+
+    ``blocks`` yields the grid's values in x order as 2-D blocks of shape
+    ``(rows, len(y))``, block[k, j] being the value at (x[i + k], y[j]) for
+    the block's first row i; together they hold ``len(x)`` rows.  Each block
+    is written before the next is drawn, so a caller that computes blocks
+    lazily never holds the grid.  A block of another width, or more or fewer
+    rows in all, raises ``ValueError``.
 
     Every number is written with 17 significant digits, as ``export_series``
     writes them, but each coordinate is formatted once: y becomes one list of
     ``",<y[j]>,%.17g\\n"`` templates, each x is joined in front of them, and
-    each row's values go through one ``%`` call.  One row's text is held at a
-    time; ``_CSV_BLOCK_ROWS`` bounds only ``export_series``.
+    each row's values go through one ``%`` call.
     """
-    x, y, values = (np.asarray(a, dtype=float) for a in (x, y, values))
-    if values.shape != (len(x), len(y)):
-        raise ValueError(f"values must have shape {(len(x), len(y))}, got {values.shape}")
+    x, y = (np.asarray(a, dtype=float) for a in (x, y))
     pieces = [",%.17g,%%.17g\n" % yj for yj in y.tolist()]
+    done = 0
     with open(path, "w") as fh:
         fh.write("x,y,value\n")
-        for xi, row in zip(x.tolist(), values):
-            fh.write(("%.17g" % xi).join([""] + pieces) % tuple(row.tolist()))
+        for block in blocks:
+            block = np.asarray(block, dtype=float)
+            if block.ndim != 2 or block.shape[1] != len(y) or done + len(block) > len(x):
+                raise ValueError(f"after {done} of {len(x)} rows, a block must have shape "
+                                 f"(rows <= {len(x) - done}, {len(y)}), got {block.shape}")
+            for xi, row in zip(x[done:done + len(block)].tolist(), block):
+                fh.write(("%.17g" % xi).join([""] + pieces) % tuple(row.tolist()))
+            done += len(block)
+    if done != len(x):
+        raise ValueError(f"blocks hold {done} rows, the grid has {len(x)}")
     return path.name
 
 
@@ -207,9 +224,6 @@ def _run_doubleslit_map(out: Path, summary: RunSummary, *, d=1.0, wavelength=0.0
     _require(0 < x_span * cfg.d <= cfg.x_max and 0 < y_span * cfg.d <= cfg.y_half,
              f"x_span must be in (0, {cfg.x_max / cfg.d:g}] and y_span in "
              f"(0, {cfg.y_half / cfg.d:g}], got {x_span} and {y_span}")
-    x = np.linspace(0.0, x_span * cfg.d, nx)
-    y = np.linspace(-y_span * cfg.d, y_span * cfg.d, ny)
-    m = doubleslit.mass_map(cfg, x, y)
     axis_x = np.linspace(cfg.d / 100.0, 10.0 * cfg.d, 500)
     axis_m = doubleslit.mass_map(cfg, axis_x, np.array([0.0]))[:, 0]
     _require(np.isfinite(axis_m).all(),
@@ -231,7 +245,12 @@ def _run_doubleslit_map(out: Path, summary: RunSummary, *, d=1.0, wavelength=0.0
         Metric("slit_plane_mass", 0.0, float(plane_error / cfg.omega), 1e-6, "formula"),
         Metric("axis_monotone_violations", 0.0, float(increases), 0.0, "oracle"),
     ]
-    summary.files.append(export_grid(out / "mass_map.csv", x, y, m))
+    # The grid is never held: each block of rows is mapped, then written.
+    x = np.linspace(0.0, x_span * cfg.d, nx)
+    y = np.linspace(-y_span * cfg.d, y_span * cfg.d, ny)
+    rows = max(1, doubleslit._MAP_BLOCK_CELLS // ny)
+    blocks = (doubleslit.mass_map(cfg, x[i:i + rows], y) for i in range(0, nx, rows))
+    summary.files.append(export_grid(out / "mass_map.csv", x, y, blocks))
 
 
 def _run_doubleslit_traj(out: Path, summary: RunSummary, *, d=1.0, wavelength=0.05,
@@ -245,6 +264,12 @@ def _run_doubleslit_traj(out: Path, summary: RunSummary, *, d=1.0, wavelength=0.
         _require(cfg.x_min <= x <= cfg.x_max and abs(y) <= cfg.y_half,
                  f"start ({x}, {y}) lies outside {cfg.x_min:g} <= x <= {cfg.x_max:g}, "
                  f"|y| <= {cfg.y_half:g}")
+    # A step moves at most cfg.step, and the gate reads steps that start beyond
+    # the radius, so the last point of a trajectory counts for none.
+    reach = (max_steps - 1) * cfg.step
+    _require(any(math.hypot(x, y) + reach > _FAR_FIELD_RADIUS * cfg.d for x, y in starts),
+             f"no start reaches the far field beyond {_FAR_FIELD_RADIUS:g}*d within "
+             f"max_steps = {max_steps} steps of d/100; start farther out or raise max_steps")
     trajectories = [doubleslit.integrate_trajectory(start, cfg, max_steps=max_steps)
                     for start in starts]
     far_deviations = []

@@ -175,6 +175,55 @@ def test_doubleslit_map_passes_or_rejects(log_d, log_ratio, nx, ny, log_x_span, 
         assert summary.passed, [(m.name, m.rel_error) for m in summary.metrics]
 
 
+@settings(deadline=None, max_examples=30)
+@given(log_W=st.floats(min_value=-2.0, max_value=2.0),
+       carrier_phase=st.floats(min_value=bw.MIN_CARRIER_PHASE, max_value=bw.MAX_CARRIER_PHASE),
+       log_cavity=st.floats(min_value=-4.0, max_value=-1.0),
+       log_v=st.floats(min_value=-6.0, max_value=math.log10(0.999)),
+       n_positions=st.integers(min_value=2, max_value=100))
+def test_box_states_passes_or_rejects(log_W, carrier_phase, log_cavity, log_v, n_positions,
+                                      tmp_path_factory):
+    # Over omega0*W's whole accepted range, every gate passes on the correct
+    # field or the input is rejected (too slow a cavity, or a sweep too coarse
+    # to resolve the envelope); no input fails a gate or stops a measurement.
+    W = 10.0**log_W
+    params = {"W": W, "L": 10.0**log_cavity * W, "omega0": carrier_phase / W,
+              "v": 10.0**log_v, "n_positions": n_positions}
+    out = tmp_path_factory.mktemp("states")
+    try:
+        summary = scenarios.run("box-states", params, out)
+    except InvalidConfigError:
+        return
+    assert summary.passed, [(m.name, m.rel_error) for m in summary.metrics if not m.passed]
+
+
+@settings(deadline=None, max_examples=25)
+@given(log_d=st.floats(min_value=-3.0, max_value=3.0),
+       log_ratio=st.floats(min_value=-3.0, max_value=math.log10(0.3)),
+       starts=st.lists(st.tuples(st.floats(min_value=1e-3, max_value=50.0),
+                                 st.floats(min_value=-50.0, max_value=50.0)),
+                       min_size=1, max_size=3),
+       max_steps=st.integers(min_value=1, max_value=3000))
+@example(log_d=0.0, log_ratio=math.log10(0.05), starts=[(2.0, 0.0)], max_steps=10)
+def test_doubleslit_traj_passes_or_rejects(log_d, log_ratio, starts, max_steps,
+                                           tmp_path_factory):
+    # The far-field gate passes on the correct streamlines, or the input is
+    # rejected because no start can get beyond 20*d by arc length alone.  No
+    # input fails the gate or leaves it nothing to measure.
+    d = 10.0**log_d
+    params = {"d": d, "wavelength": 10.0**log_ratio * d,
+              "starts": [[fx * d, fy * d] for fx, fy in starts], "max_steps": max_steps}
+    out = tmp_path_factory.mktemp("traj")
+    reachable = any(math.hypot(x, y) + (max_steps - 1) * d / 100.0 > 20.0 * d
+                    for x, y in params["starts"])
+    if not reachable:
+        with pytest.raises(InvalidConfigError, match="far field"):
+            scenarios.run("doubleslit-traj", params, out)
+        return
+    summary = scenarios.run("doubleslit-traj", params, out)
+    assert summary.passed, [(m.name, m.rel_error) for m in summary.metrics]
+
+
 def _mass_map_unblocked(cfg, x, y):
     """``doubleslit.mass_map`` over the whole meshgrid at once, in the same operation order."""
     X, Y = np.meshgrid(np.asarray(x, float), np.asarray(y, float), indexing="ij")

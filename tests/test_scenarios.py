@@ -8,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -64,7 +65,7 @@ def test_repeated_runs_byte_identical(tmp_path):
 
 def test_export_grid_layout(tmp_path):
     path = tmp_path / "grid.csv"
-    name = scenarios.export_grid(path, [0.0, 1.0], [2.0, 3.0], [[4.0, 5.0], [6.0, 7.0]])
+    name = scenarios.export_grid(path, [0.0, 1.0], [2.0, 3.0], [[[4.0, 5.0]], [[6.0, 7.0]]])
     assert name == "grid.csv"
     lines = path.read_text().splitlines()
     assert lines[0] == "x,y,value"
@@ -116,11 +117,16 @@ def test_export_grid_matches_per_value_format(data, nx, ny, tmp_path_factory):
     if data is None:
         x, y = np.resize(SPECIALS, nx), np.resize(SPECIALS[::-1], ny)
         values = np.resize(np.roll(SPECIALS, 3), (nx, ny))
+        # Uneven blocks: 8 rows of specials split 3, 3, 2.
+        blocks = [values[i:i + SMALL_BLOCK] for i in range(0, nx, SMALL_BLOCK)]
     else:
         x, y = data.draw(_float_arrays(nx)), data.draw(_float_arrays(ny))
         values = data.draw(_float_arrays((nx, ny)))
+        # Any split into consecutive row blocks, empty ones included.
+        cuts = data.draw(st.lists(st.integers(0, nx), max_size=4))
+        blocks = np.split(values, sorted(cuts))
     path = tmp_path_factory.mktemp("grid") / "g.csv"
-    scenarios.export_grid(path, x, y, values)
+    assert scenarios.export_grid(path, x, y, iter(blocks)) == "g.csv"
     expected = ["x,y,value"] + [
         f"{_format_17g(xi)},{_format_17g(yj)},{_format_17g(values[i, j])}"
         for i, xi in enumerate(x)
@@ -133,7 +139,56 @@ def test_export_grid_matches_per_value_format(data, nx, ny, tmp_path_factory):
 def test_export_grid_rejects_values_of_another_shape(shape, tmp_path):
     # A grid of len(x) = 2 by len(y) = 3; no value may be dropped or repeated.
     with pytest.raises(ValueError, match="shape"):
-        scenarios.export_grid(tmp_path / "g.csv", [0.0, 1.0], [2.0, 3.0, 4.0], np.zeros(shape))
+        scenarios.export_grid(tmp_path / "g.csv", [0.0, 1.0], [2.0, 3.0, 4.0], [np.zeros(shape)])
+
+
+@pytest.mark.parametrize("rows", [[], [1], [3], [1, 2], [2, 1], [0, 0, 1]])
+def test_export_grid_rejects_blocks_of_another_row_count(rows, tmp_path):
+    # Blocks of the right width whose rows do not add up to len(x) = 2.
+    blocks = (np.zeros((n, 3)) for n in rows)
+    with pytest.raises(ValueError, match="rows"):
+        scenarios.export_grid(tmp_path / "g.csv", [0.0, 1.0], [2.0, 3.0, 4.0], blocks)
+
+
+@pytest.mark.parametrize("cells", [1, 10, 15])
+def test_map_stream_writes_the_whole_grid_bytes(cells, tmp_path, monkeypatch):
+    # 7 x rows by 5 y columns, streamed in blocks of 1, 2 or 3 rows (the last
+    # holds 1): the same bytes as one whole grid, NaN cells at the slits included.
+    cfg = doubleslit.SlitConfig(d=1.0, omega=2.0 * math.pi / 0.05)
+    x, y = np.linspace(0.0, 5.0, 7), np.linspace(-0.5, 0.5, 5)
+    scenarios.export_grid(tmp_path / "whole.csv", x, y, [doubleslit.mass_map(cfg, x, y)])
+    monkeypatch.setattr(doubleslit, "_MAP_BLOCK_CELLS", cells)
+    scenarios.run("doubleslit-map", {"nx": 7, "ny": 5, "y_span": 0.5}, tmp_path)
+    text = (tmp_path / "mass_map.csv").read_bytes()
+    assert b"nan" in text
+    assert text == (tmp_path / "whole.csv").read_bytes()
+
+
+def test_map_memory_does_not_grow_with_the_grid(tmp_path):
+    # Holding the grid cost 8 bytes a cell plus a block of temporaries, 2.3 MB
+    # on this 1201 x 101 grid (12.85 MB at 1201**2); streamed, ~0.42 MB at any size.
+    scenarios.run("doubleslit-map", {"nx": 3, "ny": 3}, tmp_path)
+    tracemalloc.start()
+    try:
+        scenarios.run("doubleslit-map", {"nx": 1201, "ny": 101}, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1e6
+
+
+def test_export_series_holds_one_block(tmp_path):
+    # Stacking both columns whole held 1.55 MB here (17.28 MB at 2**20 rows);
+    # one block of rows, ~0.57 MB at any length.
+    x = np.linspace(0.0, 1.0, 2**16)
+    values = np.sin(x)
+    tracemalloc.start()
+    try:
+        scenarios.export_series(tmp_path / "s.csv", "x,value", x, values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1e6
 
 
 @pytest.mark.parametrize("tolerance", [1.0, 3.55, -1e-3, float("nan")])
@@ -535,13 +590,27 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
-    def test_far_field_gate_without_far_steps_exit_3(self, tmp_path, capsys):
+    def test_far_field_out_of_reach_exit_2(self, tmp_path, capsys):
+        # From r = 2d, 10 steps of d/100 cannot get beyond 20*d.
         argv = ["doubleslit-traj", "--set", "starts=[[2.0,0.0]]", "--set", "max_steps=10"]
+        assert cli.main(argv + ["--out", str(tmp_path)]) == 2
+        assert "far field" in capsys.readouterr().err
+        assert not list(tmp_path.glob("trajectory_*.csv"))
+
+    def test_trajectories_that_stop_short_exit_3(self, tmp_path, monkeypatch, capsys):
+        # Within reach by arc length, but every trajectory stagnates at once.
+        def integrate_trajectory(start, cfg, max_steps):
+            return doubleslit.Trajectory(np.array([start]), np.array([0.0]), "stagnation")
+
+        monkeypatch.setattr(doubleslit, "integrate_trajectory", integrate_trajectory)
+        argv = ["doubleslit-traj", "--set", "starts=[[2.0,0.0]]"]
         assert cli.main(argv + ["--out", str(tmp_path)]) == 3
         assert "far-field" in capsys.readouterr().err
         assert not list(tmp_path.glob("trajectory_*.csv"))
 
     def test_grid_too_large_for_memory_exit_2(self, tmp_path, monkeypatch, capsys):
+        # The grid itself is streamed; the first map that runs out of memory
+        # here is the gate's 500-point axis.
         def mass_map(cfg, x, y):
             raise MemoryError(f"Unable to allocate a ({len(x)}, {len(y)}) grid")
 
@@ -550,7 +619,7 @@ class TestCli:
         assert cli.main(argv + ["--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "does not fit in memory" in err
-        assert "(100000, 100000)" in err
+        assert "(500, 1)" in err
         assert not (tmp_path / "mass_map.csv").exists()
 
     @pytest.mark.parametrize("ny", [2, 4, 200, 201])
