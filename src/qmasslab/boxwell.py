@@ -160,8 +160,18 @@ def analyze_beats(cfg: BoxConfig, probe: float) -> BeatAnalysis:
 
 #: Slowest cavity the position sweep resolves.  The sample times x_c/v grow as
 #: 1/v, and with them the rounding of the carrier phase; at omega0*W = 1e5 and
-#: this speed the helix flatness is still ~30 times inside its gate.
+#: this speed the helix flatness is still ~30 times inside its gate wherever
+#: SWEEP_LEVER_MIN lets the sweep run.
 SWEEP_SPEED_MIN = 1e-6
+
+#: Least envelope lever of a cavity center, in roundings of its carrier phase.
+#: At t_c = x_c/v the slow time factors are cos(kbar*x_c) and sin(kbar*x_c);
+#: where one all but vanishes, its envelope amplitude reaches the window's
+#: field only through the window's own envelope span dk*L.  The fit divides
+#: the phase rounding by the lever max(weaker factor, dk*L): over centers
+#: placed at such nodes the modulus error stayed below 3 roundings per unit
+#: of lever, so this bound keeps the helix flatness ~3 times inside its gate.
+SWEEP_LEVER_MIN = 1e3
 
 #: Smallest omega0*L of the cavity window.  Near the wall node the windowed
 #: field shrinks with it, and below ~1e-12 the fit loses both amplitudes.
@@ -177,7 +187,9 @@ def trace_states_vs_position(cfg: BoxConfig, n_positions: int = 160) -> Internal
     leaving the slow spatial envelope pair (cos(dk*x_c), sin(dk*x_c)).  The fitted envelope
     wavenumber equals the de Broglie wavenumber gamma*m*v.  The envelope phase
     is unwrapped between neighbouring centers, so it must advance by less than
-    pi per step.
+    pi per step, and a center that meets a node of a slow time factor is
+    rejected unless the window's envelope span still resolves it (see
+    SWEEP_LEVER_MIN).
     """
     kb = wb = cfg.omega_bar  # lightlike waves: k = omega
     dk = dw = cfg.delta_omega
@@ -196,6 +208,15 @@ def trace_states_vs_position(cfg: BoxConfig, n_positions: int = 160) -> Internal
     centers = np.linspace(cfg.L / 2.0, cfg.W - cfg.L / 2.0, n_positions)
     field = build_field(cfg)
     t_span = 3 * 2.0 * math.pi / wb
+    t_c = centers / cfg.v
+    weaker = np.minimum(np.abs(np.cos(dw * t_c)), np.abs(np.sin(dw * t_c)))
+    lever = np.maximum(weaker, dk * cfg.L) / np.spacing((wb + dw) * (t_c + t_span))
+    if np.min(lever) < SWEEP_LEVER_MIN:
+        i = int(np.argmin(lever))
+        raise InvalidConfigError(
+            f"cavity center {centers[i]:.6g} sits at a node of a slow time factor: its "
+            f"envelope lever is {lever[i]:.3g} carrier-phase roundings, below "
+            f"{SWEEP_LEVER_MIN:g}; change n_positions, L or v")
     n_t = 3 * 16
     a_cos = np.empty(len(centers))
     a_sin = np.empty(len(centers))

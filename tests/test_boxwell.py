@@ -109,6 +109,18 @@ class TestTraceStatesVsPosition:
         trace = bw.trace_states_vs_position(cfg, n_positions=24)
         assert trace.envelope_wavenumber == pytest.approx(cfg.delta_omega, rel=1e-6)
 
+    def test_center_at_time_factor_node_rejected(self):
+        # Center 62 falls where cos(dw*x/v) ~ 6e-8 and dk*L is ~4 carrier-phase
+        # roundings: the fit would miss its modulus by ~10%.
+        cfg = bw.BoxConfig(W=1.0, L=8.94891150017497e-4, omega0=9184.83535561798, v=1e-6)
+        with pytest.raises(InvalidConfigError, match="node of a slow time factor"):
+            bw.trace_states_vs_position(cfg, n_positions=66)
+        # A window ten times longer resolves the same centers through dk*L.
+        wide = bw.BoxConfig(W=1.0, L=8.94891150017497e-3, omega0=cfg.omega0, v=cfg.v)
+        trace = bw.trace_states_vs_position(wide, n_positions=66)
+        modulus = trace.a_cos**2 + trace.a_sin**2
+        assert np.max(modulus) / np.min(modulus) - 1.0 < 1e-3
+
 
 class TestQuantization:
     def test_mode_speeds_solve_the_condition(self):

@@ -181,6 +181,9 @@ def test_doubleslit_map_passes_or_rejects(log_d, log_ratio, nx, ny, log_x_span, 
        log_cavity=st.floats(min_value=-4.0, max_value=-1.0),
        log_v=st.floats(min_value=-6.0, max_value=math.log10(0.999)),
        n_positions=st.integers(min_value=2, max_value=100))
+# A center meets a node of cos(dw*t) where dk*L is only ~4 carrier-phase roundings.
+@example(log_W=0.0, carrier_phase=9184.83535561798, log_cavity=-3.0482297868311936,
+         log_v=-6.0, n_positions=66)
 def test_box_states_passes_or_rejects(log_W, carrier_phase, log_cavity, log_v, n_positions,
                                       tmp_path_factory):
     # Over omega0*W's whole accepted range, every gate passes on the correct
