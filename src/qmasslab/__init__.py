@@ -9,7 +9,9 @@ export); the ``qmass-lab`` command line lives in ``qmasslab.cli``.
 ``import qmasslab`` loads none of them, nor numpy: each name in ``__all__``
 is imported on first use, so a ``qmass-lab`` process loads only the physics
 its scenario runs.  The command line runs OpenBLAS on one thread unless
-``OPENBLAS_NUM_THREADS`` is set (see ``qmasslab.cli``).
+``OPENBLAS_NUM_THREADS`` is set, and freezes its heap at exit so that the
+interpreter's shutdown collections skip it; a process that imported numpy
+before ``qmasslab.cli`` gets neither (see ``qmasslab.cli``).
 """
 
 import importlib

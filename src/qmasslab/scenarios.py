@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InsufficientSpanError, InvalidConfigError, QmassError
+from .errors import InvalidConfigError, QmassError
 
 SCHEMA_VERSION = 1
 
@@ -264,12 +264,6 @@ def _run_doubleslit_traj(out: Path, summary: RunSummary, *, d=1.0, wavelength=0.
         _require(cfg.x_min <= x <= cfg.x_max and abs(y) <= cfg.y_half,
                  f"start ({x}, {y}) lies outside {cfg.x_min:g} <= x <= {cfg.x_max:g}, "
                  f"|y| <= {cfg.y_half:g}")
-    # A step moves at most cfg.step, and the gate reads steps that start beyond
-    # the radius, so the last point of a trajectory counts for none.
-    reach = (max_steps - 1) * cfg.step
-    _require(any(math.hypot(x, y) + reach > _FAR_FIELD_RADIUS * cfg.d for x, y in starts),
-             f"no start reaches the far field beyond {_FAR_FIELD_RADIUS:g}*d within "
-             f"max_steps = {max_steps} steps of d/100; start farther out or raise max_steps")
     trajectories = [doubleslit.integrate_trajectory(start, cfg, max_steps=max_steps)
                     for start in starts]
     far_deviations = []
@@ -282,11 +276,11 @@ def _run_doubleslit_traj(out: Path, summary: RunSummary, *, d=1.0, wavelength=0.
             cosang = np.sum(steps * radial, axis=1) / np.hypot(steps[:, 0], steps[:, 1])
             dev = np.arccos(np.clip(cosang, -1.0, 1.0))
             far_deviations.append(float(np.max(dev[far[:-1]])))
-    if not far_deviations:
-        raise InsufficientSpanError(
-            f"no trajectory steps beyond {_FAR_FIELD_RADIUS:g}*d, so the far-field "
-            "direction cannot be measured; start farther out or raise max_steps"
-        )
+    # Whether a streamline gets out there depends on how it curves, so only the
+    # integration can tell; the starts and max_steps are the input at fault.
+    _require(bool(far_deviations),
+             f"no trajectory steps beyond {_FAR_FIELD_RADIUS:g}*d, so the far-field "
+             "direction cannot be measured; start farther out or raise max_steps")
     summary.metrics.append(Metric("far_field_radial_deviation_rad", 0.0, max(far_deviations),
                                   1e-3, "oracle"))
     for i, traj in enumerate(trajectories):

@@ -594,19 +594,27 @@ class TestCli:
         # From r = 2d, 10 steps of d/100 cannot get beyond 20*d.
         argv = ["doubleslit-traj", "--set", "starts=[[2.0,0.0]]", "--set", "max_steps=10"]
         assert cli.main(argv + ["--out", str(tmp_path)]) == 2
-        assert "far field" in capsys.readouterr().err
+        assert "far-field" in capsys.readouterr().err
         assert not list(tmp_path.glob("trajectory_*.csv"))
 
-    def test_trajectories_that_stop_short_exit_3(self, tmp_path, monkeypatch, capsys):
+    def test_trajectories_that_stop_short_exit_2(self, tmp_path, monkeypatch, capsys):
         # Within reach by arc length, but every trajectory stagnates at once.
         def integrate_trajectory(start, cfg, max_steps):
             return doubleslit.Trajectory(np.array([start]), np.array([0.0]), "stagnation")
 
         monkeypatch.setattr(doubleslit, "integrate_trajectory", integrate_trajectory)
         argv = ["doubleslit-traj", "--set", "starts=[[2.0,0.0]]"]
-        assert cli.main(argv + ["--out", str(tmp_path)]) == 3
+        assert cli.main(argv + ["--out", str(tmp_path)]) == 2
         assert "far-field" in capsys.readouterr().err
         assert not list(tmp_path.glob("trajectory_*.csv"))
+
+    @pytest.mark.parametrize("max_steps, code", [(1969, 2), (1990, 2), (2014, 2), (2020, 0)])
+    def test_curved_streamline_needs_more_than_arc_length(self, max_steps, code, tmp_path):
+        # From near a slit the streamline curves: it needs ~2,020 steps to get
+        # beyond 20*d, where the arc-length bound asks for ~1,970.
+        argv = ["doubleslit-traj", "--set", "d=1.0", "--set", "wavelength=0.0031",
+                "--set", "starts=[[0.04,-0.325]]", "--set", f"max_steps={max_steps}"]
+        assert cli.main(argv + ["--out", str(tmp_path)]) == code
 
     def test_grid_too_large_for_memory_exit_2(self, tmp_path, monkeypatch, capsys):
         # The grid itself is streamed; the first map that runs out of memory
