@@ -324,37 +324,23 @@ def fringe_spacing_measured(cfg: SlitConfig, D: float, screen: str = "arc") -> F
     )
 
 
-#: Cells per row block of ``mass_map``, and per block that the ``doubleslit-map``
-#: scenario maps and writes at a time.  A block's ~10 float temporaries (~0.3 MB)
-#: stay in cache; a streamed map's traced peak is ~0.4 MB at any grid size,
-#: against ~1.5 MB with 16k-cell blocks, which map a 401**2 grid no faster.
-_MAP_BLOCK_CELLS = 1 << 12
-
-
 def mass_map(cfg: SlitConfig, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Local quantum rest mass on a grid; NaN inside the slit exclusion radius.
 
     Returns an array of shape (len(x), len(y)) with [i, j] = m(x[i], y[j]).
-    The grid is filled in blocks of rows of about ``_MAP_BLOCK_CELLS`` (4k)
-    cells, so the memory held is the output grid plus one block's
-    temporaries.  Every cell is the same elementwise IEEE result whatever
-    the block size, so a grid mapped a block of rows per call, as the
-    ``doubleslit-map`` scenario streams it to its CSV, holds the same bits.
+    Every cell is the same elementwise IEEE result whatever else is on the
+    grid, so mapping a grid one block of rows per call, as the
+    ``doubleslit-map`` scenario streams it to its CSV, gives the same bits.
     """
-    x, y = np.asarray(x, float), np.asarray(y, float)
+    X, y = np.asarray(x, float)[:, None], np.asarray(y, float)
     y1, y2 = y - cfg.d / 2.0, y + cfg.d / 2.0
-    m = np.empty((len(x), len(y)))
-    rows = max(1, _MAP_BLOCK_CELLS // max(1, len(y)))
-    for start in range(0, len(x), rows):
-        X = x[start:start + rows, None]
-        r1 = np.hypot(X, y1)
-        r2 = np.hypot(X, y2)
-        excluded = (r1 < cfg.exclusion_radius) | (r2 < cfg.exclusion_radius)
-        r1 = np.where(excluded, np.nan, r1)
-        r2 = np.where(excluded, np.nan, r2)
-        w1, w2 = 1.0 / r1**2, 1.0 / r2**2
-        nx = (w1 * X / r1 + w2 * X / r2) / (w1 + w2)
-        ny = (w1 * y1 / r1 + w2 * y2 / r2) / (w1 + w2)
-        n2 = np.clip(nx**2 + ny**2, 0.0, 1.0)
-        m[start:start + rows] = cfg.omega * np.sqrt(1.0 - n2)
-    return m
+    r1 = np.hypot(X, y1)
+    r2 = np.hypot(X, y2)
+    excluded = (r1 < cfg.exclusion_radius) | (r2 < cfg.exclusion_radius)
+    r1 = np.where(excluded, np.nan, r1)
+    r2 = np.where(excluded, np.nan, r2)
+    w1, w2 = 1.0 / r1**2, 1.0 / r2**2
+    nx = (w1 * X / r1 + w2 * X / r2) / (w1 + w2)
+    ny = (w1 * y1 / r1 + w2 * y2 / r2) / (w1 + w2)
+    n2 = np.clip(nx**2 + ny**2, 0.0, 1.0)
+    return cfg.omega * np.sqrt(1.0 - n2)

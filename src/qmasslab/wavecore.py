@@ -377,7 +377,7 @@ def measure_temporal_frequencies(times, values, count: int) -> np.ndarray:
     if not dt > 0.0:
         raise InvalidConfigError(f"time step must be positive, got {dt}")
     if np.max(np.abs(np.diff(t) - dt)) > 1e-9 * dt:
-        raise InsufficientSpanError("time steps must be uniform")
+        raise InvalidConfigError("time steps must be uniform")
     v = v - v.mean()
     if np.max(np.abs(v)) < 1e-300:
         raise InsufficientSpanError("constant series has no spectral peaks")

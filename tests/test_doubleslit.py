@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -245,18 +244,6 @@ class TestMassMap:
             for i, j in zip(*np.nonzero(np.isfinite(m))):
                 point = ds.weighted_local_state((x[i], y[j]), cfg).m
                 assert abs(m[i, j] - point) <= 1e-6 * cfg.omega, (d, cfg.omega, x[i], y[j])
-
-    def test_memory_is_one_grid_plus_one_block(self, cfg):
-        # The unblocked map held ~11 grid-sized temporaries at once (11.1x).
-        x = np.linspace(0.0, 5.0, 1200)
-        y = np.linspace(-2.5, 2.5, 500)
-        tracemalloc.start()
-        try:
-            m = ds.mass_map(cfg, x, y)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2 * m.nbytes
 
     def test_theta_reflection_symmetry(self, cfg):
         x = np.linspace(0.2, 4.0, 21)

@@ -227,45 +227,38 @@ def test_doubleslit_traj_passes_or_rejects(log_d, log_ratio, starts, max_steps,
     assert summary.passed, [(m.name, m.rel_error) for m in summary.metrics]
 
 
-def _mass_map_unblocked(cfg, x, y):
-    """``doubleslit.mass_map`` over the whole meshgrid at once, in the same operation order."""
-    X, Y = np.meshgrid(np.asarray(x, float), np.asarray(y, float), indexing="ij")
-    y1, y2 = cfg.d / 2.0, -cfg.d / 2.0
-    r1, r2 = np.hypot(X, Y - y1), np.hypot(X, Y - y2)
-    excluded = (r1 < cfg.exclusion_radius) | (r2 < cfg.exclusion_radius)
-    r1, r2 = np.where(excluded, np.nan, r1), np.where(excluded, np.nan, r2)
-    w1, w2 = 1.0 / r1**2, 1.0 / r2**2
-    nx = (w1 * X / r1 + w2 * X / r2) / (w1 + w2)
-    ny = (w1 * (Y - y1) / r1 + w2 * (Y - y2) / r2) / (w1 + w2)
-    return cfg.omega * np.sqrt(1.0 - np.clip(nx**2 + ny**2, 0.0, 1.0))
-
-
 @settings(deadline=None, max_examples=60)
 @given(log_d=st.floats(min_value=-3.0, max_value=3.0),
        log_ratio=st.floats(min_value=-6.0, max_value=math.log10(2.0)),
        nx=st.integers(min_value=1, max_value=300),
        ny=st.integers(min_value=1, max_value=300),
        log_x_span=st.floats(min_value=-2.0, max_value=math.log10(50.0)),
-       log_y_span=st.floats(min_value=-2.0, max_value=math.log10(50.0)))
-# More columns than a block holds cells: each block is one row.
-@example(log_d=0.0, log_ratio=math.log10(0.05), nx=3, ny=ds._MAP_BLOCK_CELLS + 1,
-         log_x_span=0.0, log_y_span=0.0)
+       log_y_span=st.floats(min_value=-2.0, max_value=math.log10(50.0)),
+       cuts=st.lists(st.integers(min_value=0, max_value=300), max_size=8))
+# More columns than a stream block holds cells: each block is one row.
+@example(log_d=0.0, log_ratio=math.log10(0.05), nx=3, ny=scenarios._MAP_BLOCK_CELLS + 1,
+         log_x_span=0.0, log_y_span=0.0, cuts=[1, 2])
 # The runner's slit-plane call (x = [0]) and axis call (one column).
-@example(log_d=0.0, log_ratio=math.log10(0.05), nx=1, ny=401, log_x_span=0.0, log_y_span=0.0)
-@example(log_d=0.0, log_ratio=math.log10(0.05), nx=500, ny=1, log_x_span=1.0, log_y_span=0.0)
-# The last block holds a single row.
-@example(log_d=0.0, log_ratio=math.log10(0.05), nx=2 * (ds._MAP_BLOCK_CELLS // 201) + 1,
-         ny=201, log_x_span=math.log10(5.0), log_y_span=math.log10(2.5))
-def test_mass_map_blocks_change_no_bit(log_d, log_ratio, nx, ny, log_x_span, log_y_span):
+@example(log_d=0.0, log_ratio=math.log10(0.05), nx=1, ny=401, log_x_span=0.0, log_y_span=0.0,
+         cuts=[])
+@example(log_d=0.0, log_ratio=math.log10(0.05), nx=500, ny=1, log_x_span=1.0, log_y_span=0.0,
+         cuts=[])
+# The default map's stream: blocks of 20 rows, the last of one.
+@example(log_d=0.0, log_ratio=math.log10(0.05), nx=201, ny=201, log_x_span=math.log10(5.0),
+         log_y_span=math.log10(2.5), cuts=list(range(20, 201, 20)))
+def test_mass_map_blocks_change_no_bit(log_d, log_ratio, nx, ny, log_x_span, log_y_span, cuts):
+    # The map streamed one block of rows per call holds the bits of one call
+    # over the whole grid, NaN cells included.
     d = 10.0**log_d
     cfg = ds.SlitConfig(d=d, omega=2.0 * math.pi / (10.0**log_ratio * d))
     x = np.linspace(0.0, 10.0**log_x_span * d, nx)
     y = np.linspace(-(10.0**log_y_span) * d, 10.0**log_y_span * d, ny)
-    m = ds.mass_map(cfg, x.tolist(), y)
-    expected = _mass_map_unblocked(cfg, x, y)
-    assert m.shape == (nx, ny)
-    np.testing.assert_array_equal(np.isnan(m), np.isnan(expected))
-    assert m.tobytes() == expected.tobytes()
+    whole = ds.mass_map(cfg, x.tolist(), y)
+    bounds = sorted({0, nx, *(c % (nx + 1) for c in cuts)})
+    blocks = np.concatenate([ds.mass_map(cfg, x[i:j], y) for i, j in zip(bounds, bounds[1:])])
+    assert whole.shape == (nx, ny)
+    np.testing.assert_array_equal(np.isnan(blocks), np.isnan(whole))
+    assert blocks.tobytes() == whole.tobytes()
 
 
 #: Finite floats, subnormals and both zeros included, up to a magnitude whose

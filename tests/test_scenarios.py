@@ -157,7 +157,7 @@ def test_map_stream_writes_the_whole_grid_bytes(cells, tmp_path, monkeypatch):
     cfg = doubleslit.SlitConfig(d=1.0, omega=2.0 * math.pi / 0.05)
     x, y = np.linspace(0.0, 5.0, 7), np.linspace(-0.5, 0.5, 5)
     scenarios.export_grid(tmp_path / "whole.csv", x, y, [doubleslit.mass_map(cfg, x, y)])
-    monkeypatch.setattr(doubleslit, "_MAP_BLOCK_CELLS", cells)
+    monkeypatch.setattr(scenarios, "_MAP_BLOCK_CELLS", cells)
     scenarios.run("doubleslit-map", {"nx": 7, "ny": 5, "y_span": 0.5}, tmp_path)
     text = (tmp_path / "mass_map.csv").read_bytes()
     assert b"nan" in text

@@ -389,7 +389,7 @@ class TestTemporalFrequencies:
         if uniform:
             assert wc.measure_temporal_frequencies(t, v, 1)[0] == pytest.approx(2.0, rel=1e-3)
         else:
-            with pytest.raises(InsufficientSpanError, match="time steps must be uniform"):
+            with pytest.raises(InvalidConfigError, match="time steps must be uniform"):
                 wc.measure_temporal_frequencies(t, v, 1)
 
     @pytest.mark.parametrize("where", ["values", "times"])
