@@ -139,9 +139,8 @@ def analyze_beats(cfg: BoxConfig, probe: float) -> BeatAnalysis:
 
     At the probe the field is a two-tone signal at omega_pm, each tone
     weighted by its standing amplitude |sin(k*probe)|.  ``measure_tone_pair``
-    measures both tones over 8 periods of the slow frequency or of
-    omega_minus, whichever is slower, and the fast/slow pair is their
-    half-sum and half-difference.  The series holds
+    gets their beat as configured, ``cfg.delta_omega``: (kp - km)/2 can differ
+    in the last bit, and so can the series length it picks.  The series holds
     128*(1 + v)/min(v, 1 - v) samples, so under the kernel's 2**20 cap v must
     lie between about 1.2e-4 and 8191/8193 = 0.99976.
     """
@@ -149,7 +148,7 @@ def analyze_beats(cfg: BoxConfig, probe: float) -> BeatAnalysis:
     km = cfg.omega_bar - cfg.delta_omega
     if min(abs(math.sin(kp * probe)), abs(math.sin(km * probe))) < PROBE_AMPLITUDE_MIN:
         raise InvalidConfigError(f"probe {probe} sits at a node of a component standing wave")
-    t, series, hi, lo = measure_tone_pair(build_field(cfg), probe, min(cfg.delta_omega, km))
+    t, series, hi, lo = measure_tone_pair(build_field(cfg), probe, cfg.delta_omega)
     return BeatAnalysis(
         fast=(hi + lo) / 2.0,
         slow=(hi - lo) / 2.0,

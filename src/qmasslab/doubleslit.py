@@ -61,11 +61,6 @@ class SlitConfig:
     def exclusion_radius(self) -> float:
         return self.wavelength / 2.0
 
-    @property
-    def step(self) -> float:
-        """Arc length of one RK4 trajectory step."""
-        return self.d / 100.0
-
 
 @dataclass(frozen=True)
 class LocalInterferenceState:
@@ -177,7 +172,7 @@ def integrate_trajectory(start, cfg: SlitConfig, max_steps: int = 10_000) -> Tra
     """
     d = cfg.d
     h, r_min = d / 2.0, 1e-12 * d
-    step = cfg.step
+    step = d / 100.0
     half, sixth = 0.5 * step, step / 6.0
 
     def direction(x, y):
@@ -221,10 +216,16 @@ def fringe_gap_predicted(cfg: SlitConfig, D: float, screen: str = "arc") -> floa
     Delta = 2*lambda: on the arc of radius D at the angle
     asin(Delta*sqrt(4*D**2 + d**2 - Delta**2)/(2*D*d)), on the line x = D where
     that hyperbola crosses it.  The gap is half its arc length or height.
-    Needs Delta < d.  For D >> d and lambda << d both tend to D*lambda/d.
+    Needs Delta < d, and on the arc D >= Delta/2; any other input raises
+    ``InvalidConfigError``.  For D >> d and lambda << d both tend to D*lambda/d.
     """
     delta = 2.0 * cfg.wavelength
     d = cfg.d
+    if screen not in ("arc", "line"):
+        raise InvalidConfigError(f"unknown screen kind {screen!r}; choose 'arc' or 'line'")
+    if not (delta < d and (screen == "line" or D >= delta / 2.0)):
+        raise InvalidConfigError(f"no 2nd-order maximum at D = {D:g} for d = {d:g} and "
+                                 f"wavelength = {cfg.wavelength:g}")
     if screen == "arc":
         return D * math.asin(delta * math.sqrt(4.0 * D**2 + d**2 - delta**2) / (2.0 * D * d)) / 2.0
     return delta / (4.0 * d) * math.sqrt((4.0 * D**2 + d**2 - delta**2) / (1.0 - (delta / d) ** 2))
@@ -271,8 +272,6 @@ def fringe_spacing_measured(cfg: SlitConfig, D: float, screen: str = "arc") -> F
     screen needs lambda/d <= MAX_LINE_WAVELENGTH.  Both need
     D >= MIN_SCREEN_DISTANCE*d and omega*D <= MAX_SCREEN_PHASE.
     """
-    if screen not in ("arc", "line"):
-        raise InvalidConfigError(f"unknown screen kind {screen!r}; choose 'arc' or 'line'")
     ratio = cfg.wavelength / cfg.d
     if SCREEN_FRINGES / 2.0 * ratio >= math.pi / 2.0:
         raise InvalidConfigError(
@@ -293,6 +292,7 @@ def fringe_spacing_measured(cfg: SlitConfig, D: float, screen: str = "arc") -> F
         raise InvalidConfigError(
             f"omega*D = {cfg.omega * D:.3g} exceeds {MAX_SCREEN_PHASE:g}: the screen "
             "intensity cannot resolve r1 - r2 at that distance")
+    predicted = fringe_gap_predicted(cfg, D, screen)  # rejects an unknown screen
     half_span = SCREEN_FRINGES / 2.0 * spacing
     n = int(SCREEN_FRINGES * 64) | 1
     s = np.linspace(-half_span, half_span, n)
@@ -316,7 +316,7 @@ def fringe_spacing_measured(cfg: SlitConfig, D: float, screen: str = "arc") -> F
     central.sort()
     measured = float(np.mean(np.diff(central)))
     return FringeReport(
-        predicted=fringe_gap_predicted(cfg, D, screen),
+        predicted=predicted,
         measured=measured,
         maxima=maxima,
         s=s,

@@ -44,10 +44,10 @@ _FAR_FIELD_RADIUS = 20.0
 #: Rows of a series CSV formatted per write; bounds the text held in memory.
 _CSV_BLOCK_ROWS = 4096
 
-#: Cells per block of rows that the ``doubleslit-map`` scenario maps and writes
-#: at a time.  A block's ~10 float temporaries (~0.3 MB) stay in cache; a
-#: streamed map's traced peak is ~0.4 MB at any grid size, against ~1.5 MB with
-#: 16k-cell blocks, which map a 401**2 grid no faster.
+#: Cells per block of rows that ``export_grid`` asks for at a time.  A
+#: ``doubleslit-map`` block's ~10 float temporaries (~0.3 MB) stay in cache; its
+#: traced peak is ~0.4 MB at any nx (~1.5 MB with 16k-cell blocks, which map a
+#: 401**2 grid no faster) and grows by ~200 B per y column once ny exceeds ~4k.
 _MAP_BLOCK_CELLS = 1 << 12
 
 
@@ -115,15 +115,15 @@ def export_series(path: Path, header: str, *columns) -> str:
     return path.name
 
 
-def export_grid(path: Path, x, y, blocks) -> str:
-    """Write a grid as row-major x,y,value CSV from its row blocks; return ``path.name``.
+def export_grid(path: Path, x, y, rows_of) -> str:
+    """Write a grid as row-major x,y,value CSV, block by block; return ``path.name``.
 
-    ``blocks`` yields the grid's values in x order as 2-D blocks of shape
-    ``(rows, len(y))``, block[k, j] being the value at (x[i + k], y[j]) for
-    the block's first row i; together they hold ``len(x)`` rows.  Each block
-    is written before the next is drawn, so a caller that computes blocks
-    lazily never holds the grid.  A block of another width, or more or fewer
-    rows in all, raises ``ValueError``.
+    ``rows_of(rows)`` takes a ``slice`` of x and returns those rows' values,
+    an array of shape ``(len(x[rows]), len(y))`` whose [k, j] is the value at
+    (x[rows][k], y[j]); any other shape raises ``ValueError``.  The writer asks
+    for blocks of about ``_MAP_BLOCK_CELLS`` cells (at least one row) in x
+    order and writes each before it asks for the next, so a caller that
+    computes its rows on request never holds the grid.
 
     Every number is written with 17 significant digits, as ``export_series``
     writes them, but each coordinate is formatted once: y becomes one list of
@@ -132,19 +132,17 @@ def export_grid(path: Path, x, y, blocks) -> str:
     """
     x, y = (np.asarray(a, dtype=float) for a in (x, y))
     pieces = [",%.17g,%%.17g\n" % yj for yj in y.tolist()]
-    done = 0
+    step = max(1, _MAP_BLOCK_CELLS // max(1, len(y)))
     with open(path, "w") as fh:
         fh.write("x,y,value\n")
-        for block in blocks:
-            block = np.asarray(block, dtype=float)
-            if block.ndim != 2 or block.shape[1] != len(y) or done + len(block) > len(x):
-                raise ValueError(f"after {done} of {len(x)} rows, a block must have shape "
-                                 f"(rows <= {len(x) - done}, {len(y)}), got {block.shape}")
-            for xi, row in zip(x[done:done + len(block)].tolist(), block):
+        for start in range(0, len(x), step):
+            rows = slice(start, start + step)
+            block = np.asarray(rows_of(rows), dtype=float)
+            shape = (len(x[rows]), len(y))
+            if block.shape != shape:
+                raise ValueError(f"rows from {start} must have shape {shape}, got {block.shape}")
+            for xi, row in zip(x[rows].tolist(), block):
                 fh.write(("%.17g" % xi).join([""] + pieces) % tuple(row.tolist()))
-            done += len(block)
-    if done != len(x):
-        raise ValueError(f"blocks hold {done} rows, the grid has {len(x)}")
     return path.name
 
 
@@ -184,14 +182,13 @@ def _run_boost(out: Path, summary: RunSummary, *, omega0=1.0, beta=0.6) -> None:
     _require(_BOOST_OMEGA0_MIN <= omega0 <= _BOOST_OMEGA0_MAX,
              f"omega0 must be in [{_BOOST_OMEGA0_MIN:g}, {_BOOST_OMEGA0_MAX:g}], got {omega0}")
     b = wavecore.boost_standing_wave(omega0, beta)
-    # The grid rejects a speed it cannot resolve, a standing wave's 0 among them.
+    # The grid rejects a speed it cannot resolve.
     x = wavecore.envelope_sampling_grid(b)
     field = wavecore.superposition_of(b)
     snapshot = wavecore.evaluate(field, x, 0.3)
     measured_lam = wavecore.measure_envelope_wavelength(x, snapshot)
     # At x = 0 the two traveling tones are a unit-amplitude pair at omega_pm.
-    _, _, hi, lo = wavecore.measure_tone_pair(
-        field, 0.0, min((b.omega_plus - b.omega_minus) / 2.0, b.omega_minus))
+    _, _, hi, lo = wavecore.measure_tone_pair(field, 0.0, (b.omega_plus - b.omega_minus) / 2.0)
     summary.metrics += [
         Metric("quantum_rest_mass", omega0, math.sqrt(hi * lo), 1e-4, "oracle"),
         Metric("group_speed", abs(beta), (hi - lo) / (hi + lo), 1e-4, "oracle"),
@@ -254,9 +251,8 @@ def _run_doubleslit_map(out: Path, summary: RunSummary, *, d=1.0, wavelength=0.0
     # The grid is never held: each block of rows is mapped, then written.
     x = np.linspace(0.0, x_span * cfg.d, nx)
     y = np.linspace(-y_span * cfg.d, y_span * cfg.d, ny)
-    rows = max(1, _MAP_BLOCK_CELLS // ny)
-    blocks = (doubleslit.mass_map(cfg, x[i:i + rows], y) for i in range(0, nx, rows))
-    summary.files.append(export_grid(out / "mass_map.csv", x, y, blocks))
+    summary.files.append(export_grid(out / "mass_map.csv", x, y,
+                                     lambda rows: doubleslit.mass_map(cfg, x[rows], y)))
 
 
 def _run_doubleslit_traj(out: Path, summary: RunSummary, *, d=1.0, wavelength=0.05,

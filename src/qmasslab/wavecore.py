@@ -397,16 +397,20 @@ def measure_temporal_frequencies(times, values, count: int) -> np.ndarray:
                      for i in peak_idx])
 
 
-def measure_tone_pair(field: Superposition, x: float, slowest: float):
+def measure_tone_pair(field: Superposition, x: float, beat: float):
     """``(t, series, hi, lo)``: a two-tone ``field`` sampled at ``x``, and its two tones.
 
     The series is sampled 16 times per period of ``field.omega_max`` and spans
-    8 periods of ``slowest``, which the caller sets to the slower of the
-    tones' half-difference and the lower tone: 8 periods put the two peaks at
-    least 16 bins of the oracle's zero-padded FFT apart, and near c the lower
-    tone also sits at least 8 padded bins above DC, clear of its mirror
-    image's Hann main lobe.  A series of more than 2**20 samples is rejected.
+    8 periods of the slower of ``beat``, the tones' half-difference as the
+    caller knows it, and the lower tone: 8 periods put the two peaks at least
+    16 bins of the oracle's zero-padded FFT apart, and near c the lower tone
+    also sits at least 8 padded bins above DC, clear of its mirror image's
+    Hann main lobe.  A ``beat`` that is not finite and positive, or a series
+    of more than 2**20 samples, is rejected.
     """
+    if not 0 < beat < math.inf:
+        raise InvalidConfigError(f"beat must be positive and finite, got {beat}")
+    slowest = min(beat, min(w.omega for w in field.waves))
     duration = 8.0 * 2.0 * math.pi / slowest
     dt = 2.0 * math.pi / field.omega_max / 16.0
     if duration / dt > 2**20:

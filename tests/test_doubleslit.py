@@ -164,6 +164,25 @@ class TestFringeSpacing:
         assert errors == sorted(errors, reverse=True)
         assert errors[-1] < 1e-7
 
+    @pytest.mark.parametrize("wavelength, D, screen", [
+        (0.01, 50.0, "foo"),  # neither screen: the line formula gave 2.0102
+        (0.25, 50.0, "line"),  # 2*lambda = d: ZeroDivisionError
+        (0.3, 50.0, "line"),  # 2*lambda > d: math domain error
+        (0.3, 50.0, "arc"),
+        (0.01, 0.0099, "arc"),  # the arc of radius D < lambda meets no 2nd order
+        (0.01, 0.0, "arc"),
+    ])
+    def test_predicted_rejects_what_it_cannot_compute(self, wavelength, D, screen):
+        cfg = ds.SlitConfig(d=0.5, omega=2 * math.pi / wavelength)
+        with pytest.raises(InvalidConfigError):
+            ds.fringe_gap_predicted(cfg, D, screen)
+
+    def test_predicted_on_the_smallest_arc(self):
+        # At D = lambda the arc meets the 2nd-order hyperbola at its vertex on the
+        # slit plane, pi/2 off the axis.
+        cfg = ds.SlitConfig(d=0.5, omega=2 * math.pi / 0.01)
+        assert ds.fringe_gap_predicted(cfg, 0.01, "arc") == pytest.approx(0.01 * math.pi / 4)
+
     def test_near_screen_rejected(self, cfg):
         # Nearer than 2d the unequal slit amplitudes move the maxima off the prediction.
         with pytest.raises(InvalidConfigError, match="D/d"):

@@ -65,7 +65,8 @@ def test_repeated_runs_byte_identical(tmp_path):
 
 def test_export_grid_layout(tmp_path):
     path = tmp_path / "grid.csv"
-    name = scenarios.export_grid(path, [0.0, 1.0], [2.0, 3.0], [[[4.0, 5.0]], [[6.0, 7.0]]])
+    values = np.array([[4.0, 5.0], [6.0, 7.0]])
+    name = scenarios.export_grid(path, [0.0, 1.0], [2.0, 3.0], lambda rows: values[rows])
     assert name == "grid.csv"
     lines = path.read_text().splitlines()
     assert lines[0] == "x,y,value"
@@ -117,16 +118,24 @@ def test_export_grid_matches_per_value_format(data, nx, ny, tmp_path_factory):
     if data is None:
         x, y = np.resize(SPECIALS, nx), np.resize(SPECIALS[::-1], ny)
         values = np.resize(np.roll(SPECIALS, 3), (nx, ny))
-        # Uneven blocks: 8 rows of specials split 3, 3, 2.
-        blocks = [values[i:i + SMALL_BLOCK] for i in range(0, nx, SMALL_BLOCK)]
+        # Uneven blocks: 8 rows of specials asked for as 3, 3, 2.
+        cells = SMALL_BLOCK * max(1, ny)
     else:
         x, y = data.draw(_float_arrays(nx)), data.draw(_float_arrays(ny))
         values = data.draw(_float_arrays((nx, ny)))
-        # Any split into consecutive row blocks, empty ones included.
-        cuts = data.draw(st.lists(st.integers(0, nx), max_size=4))
-        blocks = np.split(values, sorted(cuts))
+        cells = data.draw(st.integers(1, 30))
+    asked = []
+
+    def rows_of(rows):
+        asked.append(rows)
+        return values[rows]
+
     path = tmp_path_factory.mktemp("grid") / "g.csv"
-    assert scenarios.export_grid(path, x, y, iter(blocks)) == "g.csv"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scenarios, "_MAP_BLOCK_CELLS", cells)
+        assert scenarios.export_grid(path, x, y, rows_of) == "g.csv"
+    # Every row is asked for once, in x order.
+    assert [i for rows in asked for i in range(nx)[rows]] == list(range(nx))
     expected = ["x,y,value"] + [
         f"{_format_17g(xi)},{_format_17g(yj)},{_format_17g(values[i, j])}"
         for i, xi in enumerate(x)
@@ -139,15 +148,8 @@ def test_export_grid_matches_per_value_format(data, nx, ny, tmp_path_factory):
 def test_export_grid_rejects_values_of_another_shape(shape, tmp_path):
     # A grid of len(x) = 2 by len(y) = 3; no value may be dropped or repeated.
     with pytest.raises(ValueError, match="shape"):
-        scenarios.export_grid(tmp_path / "g.csv", [0.0, 1.0], [2.0, 3.0, 4.0], [np.zeros(shape)])
-
-
-@pytest.mark.parametrize("rows", [[], [1], [3], [1, 2], [2, 1], [0, 0, 1]])
-def test_export_grid_rejects_blocks_of_another_row_count(rows, tmp_path):
-    # Blocks of the right width whose rows do not add up to len(x) = 2.
-    blocks = (np.zeros((n, 3)) for n in rows)
-    with pytest.raises(ValueError, match="rows"):
-        scenarios.export_grid(tmp_path / "g.csv", [0.0, 1.0], [2.0, 3.0, 4.0], blocks)
+        scenarios.export_grid(tmp_path / "g.csv", [0.0, 1.0], [2.0, 3.0, 4.0],
+                              lambda rows: np.zeros(shape))
 
 
 @pytest.mark.parametrize("cells", [1, 10, 15])
@@ -156,7 +158,8 @@ def test_map_stream_writes_the_whole_grid_bytes(cells, tmp_path, monkeypatch):
     # holds 1): the same bytes as one whole grid, NaN cells at the slits included.
     cfg = doubleslit.SlitConfig(d=1.0, omega=2.0 * math.pi / 0.05)
     x, y = np.linspace(0.0, 5.0, 7), np.linspace(-0.5, 0.5, 5)
-    scenarios.export_grid(tmp_path / "whole.csv", x, y, [doubleslit.mass_map(cfg, x, y)])
+    whole = doubleslit.mass_map(cfg, x, y)
+    scenarios.export_grid(tmp_path / "whole.csv", x, y, lambda rows: whole[rows])
     monkeypatch.setattr(scenarios, "_MAP_BLOCK_CELLS", cells)
     scenarios.run("doubleslit-map", {"nx": 7, "ny": 5, "y_span": 0.5}, tmp_path)
     text = (tmp_path / "mass_map.csv").read_bytes()
@@ -323,7 +326,7 @@ def test_every_data_file_goes_through_the_public_writers(kind, tmp_path, monkeyp
 
 @pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.stem)
 def test_demo_runs(demo, tmp_path):
-    proc = _run_python(str(demo), cwd=tmp_path)
+    proc = _run_python("-W", "error", str(demo), cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
 

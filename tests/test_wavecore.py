@@ -431,6 +431,25 @@ class TestTemporalFrequencies:
         assert got == pytest.approx(ref, rel=1e-9)
 
 
+class TestTonePair:
+    @pytest.mark.parametrize("beat", [0.0, NAN, -1.0, INF])
+    def test_rejects_a_beat_that_is_not_finite_and_positive(self, beat):
+        field = wc.superposition_of(wc.boost_standing_wave(1.0, 0.6))
+        with pytest.raises(InvalidConfigError, match="beat must be positive and finite"):
+            wc.measure_tone_pair(field, 0.0, beat)
+
+    @pytest.mark.parametrize("speed", [0.2, 0.9])
+    def test_spans_8_periods_of_the_beat_or_the_lower_tone(self, speed):
+        # At omega0 = 1 the beat is gamma*v and the lower tone gamma*(1 - v): the
+        # beat is the slower at v = 0.2, the lower tone at 0.9.
+        b = wc.boost_standing_wave(1.0, speed)
+        beat = (b.omega_plus - b.omega_minus) / 2.0
+        t, _, hi, lo = wc.measure_tone_pair(wc.superposition_of(b), 0.0, beat)
+        slowest = min(beat, b.omega_minus)
+        assert t[-1] < 16.0 * math.pi / slowest <= t[-1] + (t[1] - t[0])
+        assert (hi, lo) == pytest.approx((b.omega_plus, b.omega_minus), rel=1e-4)
+
+
 class TestWaveEquationResidual:
     def test_single_wave_small_residual(self):
         s = wc.Superposition((wc.PlaneWave(2.0),))
