@@ -398,6 +398,10 @@ def _coerce(key: str, value, default):
     _require(coerced is not None,
              f"parameter {key} must be of the type of its default {default!r}, "
              f"got {value!r}")
+    # No count above 2**53 can run (a 2**53-point axis needs 64 PiB), and numpy
+    # fails on some such counts with errors other than MemoryError.
+    _require(not isinstance(default, int) or coerced <= 2**53,
+             f"parameter {key} must be <= 2**53, got {coerced}")
     return coerced
 
 

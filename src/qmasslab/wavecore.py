@@ -288,20 +288,6 @@ _NEWTON_MAXITER = 100
 _NEWTON_RTOL = 1.5e-8
 
 
-def _smooth_length(n: int) -> int:
-    """Smallest 2**a * 3**b * 5**c >= n, a length the FFT transforms fast."""
-    best = 1 << (n - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            # p35 times the smallest power of two reaching ceil(n / p35)
-            best = min(best, p35 << ((n - 1) // p35).bit_length())
-            p35 *= 3
-        p5 *= 5
-    return best
-
-
 def _uniform_exp(phase: float, n: int) -> np.ndarray:
     """exp(-i*phase*k) for k = 0 .. n - 1, from about 2*sqrt(n) exponentials.
 
@@ -354,13 +340,12 @@ def measure_temporal_frequencies(times, values, count: int) -> np.ndarray:
 
     ``times`` must be finite, uniform and increasing, ``values`` finite and
     of the same length.  Peaks are picked from a Hann-windowed FFT magnitude,
-    zero-padded to the next 2**a * 3**b * 5**c length (``_smooth_length``):
-    the padded spectrum samples the same windowed DTFT on a finer grid, and
-    the FFT never falls back to a slow prime length.  Each peak is refined to
-    the windowed DTFT power maximum between its neighbouring padded bins
-    (``_refine_peak``).  Returned in descending order of the padded-bin
-    magnitude that picked them; fewer than ``count`` entries if fewer
-    distinct peaks exist.
+    zero-padded to the next power of two: the padded spectrum samples the
+    same windowed DTFT on a grid at least as fine, and the FFT never falls
+    back to a slow prime length.  Each peak is refined to the windowed DTFT
+    power maximum between its neighbouring padded bins (``_refine_peak``).
+    Returned in descending order of the padded-bin magnitude that picked
+    them; fewer than ``count`` entries if fewer distinct peaks exist.
     """
     if count < 1:
         raise InvalidConfigError(f"count must be >= 1, got {count}")
@@ -382,19 +367,18 @@ def measure_temporal_frequencies(times, values, count: int) -> np.ndarray:
     if np.max(np.abs(v)) < 1e-300:
         raise InsufficientSpanError("constant series has no spectral peaks")
     wv = np.hanning(len(v)) * v
-    padded = _smooth_length(len(v))
+    padded = 1 << (len(v) - 1).bit_length()
     mags = np.abs(np.fft.rfft(wv, padded))
-    omegas = 2.0 * math.pi * np.fft.rfftfreq(padded, dt)
-    interior = np.arange(1, len(mags) - 1)
-    is_peak = (mags[interior] >= mags[interior - 1]) & (mags[interior] > mags[interior + 1])
-    peak_idx = interior[is_peak & (mags[interior] > 1e-6 * mags.max())]
+    bin_w = 2.0 * math.pi / (padded * dt)
+    m = mags[1:-1]
+    peak_idx = 1 + np.flatnonzero((m >= mags[:-2]) & (m > mags[2:]) & (m > 1e-6 * mags.max()))
     if len(peak_idx) == 0:
         raise InsufficientSpanError("no spectral peaks found")
     peak_idx = peak_idx[np.argsort(mags[peak_idx])[::-1][:count]]
     tau = np.arange(len(wv)) * dt
     weights = np.stack([wv, wv * tau, wv * tau**2]).astype(complex)
-    return np.array([_refine_peak(weights, dt, omegas[i - 1], omegas[i + 1])
-                     for i in peak_idx])
+    return np.array([_refine_peak(weights, dt, (i - 1) * bin_w, (i + 1) * bin_w)
+                     for i in peak_idx.tolist()])
 
 
 def measure_tone_pair(field: Superposition, x: float, beat: float):
@@ -403,10 +387,10 @@ def measure_tone_pair(field: Superposition, x: float, beat: float):
     The series is sampled 16 times per period of ``field.omega_max`` and spans
     8 periods of the slower of ``beat``, the tones' half-difference as the
     caller knows it, and the lower tone: 8 periods put the two peaks at least
-    16 bins of the oracle's zero-padded FFT apart, and near c the lower tone
-    also sits at least 8 padded bins above DC, clear of its mirror image's
-    Hann main lobe.  A ``beat`` that is not finite and positive, or a series
-    of more than 2**20 samples, is rejected.
+    16 unpadded FFT bins apart, and near c the lower tone also sits at least
+    8 unpadded bins above DC, clear of its mirror image's Hann main lobe; the
+    oracle's zero padding only subdivides those bins.  A ``beat`` that is not
+    finite and positive, or a series of more than 2**20 samples, is rejected.
     """
     if not 0 < beat < math.inf:
         raise InvalidConfigError(f"beat must be positive and finite, got {beat}")

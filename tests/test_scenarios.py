@@ -553,11 +553,24 @@ class TestCli:
             ["doubleslit-map", "--set", "wavelength=1.0004"],
             ["doubleslit-fringes", "--set", "D=0.9"],
             ["doubleslit-fringes", "--set", "screen=line", "--set", "wavelength=0.15"],
+            # Counts past 2**53, on which numpy fails with ValueError or IndexError
+            ["doubleslit-map", "--set", f"nx={2**60}"],
+            ["doubleslit-map", "--set", f"ny={2**63 - 1}"],
+            ["doubleslit-map", "--set", f"nx={10**30}"],
+            ["box-states", "--set", f"n_positions={2**60}"],
+            ["box-states", "--set", f"n_positions={2**63 - 1}"],
+            ["box-states", "--set", f"n_positions={10**30}"],
+            ["doubleslit-traj", "--set", f"max_steps={10**30}"],
         ],
     )
     def test_mistyped_override_exit_2(self, argv, tmp_path, capsys):
         assert cli.main(argv + ["--out", str(tmp_path)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_integer_bound_spares_float_parameters(self, tmp_path):
+        # d takes a float; an integer past 2**53 is still a valid separation.
+        argv = ["doubleslit-map", "--set", f"d={2**53 + 1}", "--set", "nx=3", "--set", "ny=3"]
+        assert cli.main(argv + ["--out", str(tmp_path)]) == 0
 
     @pytest.mark.parametrize(
         "content",

@@ -287,26 +287,6 @@ def _direct_peaks(times, values, peaks):
     return [_refine_peak_direct(t, wv, p - bin_width, p + bin_width) for p in peaks]
 
 
-def _next_5_smooth(n):
-    """Smallest 2**a * 3**b * 5**c >= n, by trying n, n + 1, ..."""
-    m = n
-    while True:
-        rest = m
-        for p in (2, 3, 5):
-            while rest % p == 0:
-                rest //= p
-        if rest == 1:
-            return m
-        m += 1
-
-
-@pytest.mark.parametrize("ns", [range(1, 5000), [6529, 4395, 2**20 + 1, 10**6 + 1]],
-                         ids=["all-below-5000", "probe-lengths"])
-def test_smooth_length_matches_brute_force(ns):
-    for n in ns:
-        assert wc._smooth_length(n) == _next_5_smooth(n), n
-
-
 class TestUniformExp:
     @settings(deadline=None, max_examples=150)
     @given(n=st.integers(1, 20000), phase=st.floats(-math.pi, math.pi))
@@ -333,7 +313,12 @@ class TestRefinePeak:
         u_hi=st.floats(0.05, 1.0),
     )
     def test_matches_bounded_minimize_scalar(self, tone, u_lo, u_hi):
-        optimize = pytest.importorskip("scipy.optimize")
+        # Not importorskip: it warns instead of skipping when an installed
+        # scipy raises a plain ImportError, and warnings are errors here.
+        try:
+            from scipy import optimize
+        except ImportError:
+            pytest.skip("scipy.optimize is not importable")
         lo, hi = tone - u_lo * _DTFT_BIN, tone + u_hi * _DTFT_BIN
         ref = optimize.minimize_scalar(
             _neg_dtft_magnitude, bounds=(lo, hi), method="bounded",
@@ -418,6 +403,8 @@ class TestTemporalFrequencies:
         phase=st.floats(0.0, 2.0 * math.pi),
     )
     @example(n=6529, t0=0.0, tones=(0.1, 0.4), phase=0.3)
+    @example(n=2049, t0=0.0, tones=(0.1, 0.4), phase=0.3)  # padded 1.999x, to 4096
+    @example(n=4097, t0=0.0, tones=(0.1, 0.4), phase=0.3)  # padded 1.9995x, to 8192
     def test_matches_direct_refinement_at_any_offset(self, n, t0, tones, phase):
         # Tones in cycles per sample, at least 12 bins apart; t0 only turns the phase.
         assume(abs(tones[0] - tones[1]) * n >= 12 and min(tones) * n >= 12)
