@@ -43,7 +43,7 @@ print(f"  helix modulus flat to {np.max(modulus) / np.min(modulus) - 1:.2e}")
 print()
 
 print("Quantized cavity speeds and the infinite-well correspondence:")
-qcfg = bw.BoxConfig(W=1.0, L=0.1, omega0=100.0, v=0.05)
+qcfg = bw.Well(W=1.0, omega0=100.0)
 print(f"  {'n':>2} {'v_n':>12} {'p_n':>12} {'n*pi*hbar/W':>12} "
       f"{'E_kin':>12} {'E_well':>12}")
 for rep in bw.quantize(qcfg, 5):

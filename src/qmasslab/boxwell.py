@@ -36,33 +36,44 @@ MAX_CARRIER_PHASE = 1e5
 BETA_MAX = 0.999
 
 
-@dataclass(frozen=True)
-class BoxConfig:
-    """Infinite-well scenario: well width W, cavity length L, omega0, speed v."""
+@dataclass(frozen=True, kw_only=True)
+class Well:
+    """Infinite well of width W holding light of rest frequency omega0 (the mass m).
+
+    Keyword-only, as is ``BoxConfig``, whose fields follow these two.
+    """
 
     W: float
-    L: float
     omega0: float
-    v: float
 
     def __post_init__(self):
-        if not all(math.isfinite(f) for f in (self.W, self.L, self.omega0, self.v)):
+        if not (math.isfinite(self.W) and math.isfinite(self.omega0)):
             raise InvalidConfigError(f"box parameters must be finite, got {self}")
-        if not 0 < self.L <= self.W / 10.0:
-            raise InvalidConfigError(
-                f"cavity must satisfy 0 < L <= W/10, got L={self.L}, W={self.W}"
-            )
-        if not 0 < self.v < 1.0:
-            raise InvalidConfigError(f"cavity speed must be in (0, 1), got {self.v}")
+        # In this range W**2 and 1/W**2 stay normal floats, and with omega0 <=
+        # MAX_CARRIER_PHASE/W no cavity frequency gamma*omega0*(1 + v) overflows.
+        if not 1e-100 <= self.W <= 1e100:
+            raise InvalidConfigError(f"W must be positive, in [1e-100, 1e100], got {self.W}")
         if self.omega0 * self.W < MIN_CARRIER_PHASE:
-            raise InvalidConfigError(
-                f"carrier unresolved: omega0*W = {self.omega0 * self.W}"
-            )
+            raise InvalidConfigError(f"carrier unresolved: omega0*W = {self.omega0 * self.W}")
         if self.omega0 * self.W > MAX_CARRIER_PHASE:
             raise InvalidConfigError(
                 f"omega0*W must be <= {MAX_CARRIER_PHASE:g}, got {self.omega0 * self.W}")
-        if not math.isfinite(self.omega_bar + self.delta_omega):
-            raise InvalidConfigError(f"frequency gamma*omega0*(1 + v) overflows for {self}")
+
+
+@dataclass(frozen=True, kw_only=True)
+class BoxConfig(Well):
+    """A cavity of length L moving at speed v through the well."""
+
+    L: float
+    v: float
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not 0 < self.L <= self.W / 10.0:
+            raise InvalidConfigError(
+                f"cavity must satisfy 0 < L <= W/10, got L={self.L}, W={self.W}")
+        if not 0 < self.v < 1.0:
+            raise InvalidConfigError(f"cavity speed must be in (0, 1), got {self.v}")
 
     @property
     def gamma(self) -> float:
@@ -272,7 +283,7 @@ def quantized_envelope(dk: float, x):
     return np.sin(dk * np.asarray(x, dtype=float))
 
 
-def quantize(cfg: BoxConfig, n_max: int) -> list[QuantizationReport]:
+def quantize(cfg: Well, n_max: int) -> list[QuantizationReport]:
     """Well-quantized cavity speeds and the Schrodinger correspondence check.
 
     For each n the speed v_n is root-solved so the superposed +-v envelope

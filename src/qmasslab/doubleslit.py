@@ -94,6 +94,14 @@ class FringeReport:
     intensity: np.ndarray
 
 
+def _point(p) -> tuple[float, float]:
+    """``p`` as a pair of plain floats; ``InvalidConfigError`` unless both are finite."""
+    x, y = map(float, p)
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise InvalidConfigError(f"point must be finite, got {p}")
+    return x, y
+
+
 def _hypot(x: float, y: float) -> float:
     """libm ``hypot``, the one ``np.hypot`` calls; ``math.hypot`` differs in the last bit."""
     return abs(complex(x, y))
@@ -123,7 +131,7 @@ def intersection_angle(p, cfg: SlitConfig) -> float:
     Built from its own unit vectors, so tests can check ``weighted_local_state``
     against it; BLAS ``np.dot`` rounds unlike a*b + c*d.
     """
-    rel = np.asarray(p, dtype=float) - cfg.slits
+    rel = np.array(_point(p)) - cfg.slits
     r = np.hypot(rel[:, 0], rel[:, 1])
     if r.min() < 1e-12 * cfg.d:
         raise SingularPointError(f"point {p} coincides with a slit")
@@ -149,7 +157,7 @@ def weighted_local_state(p, cfg: SlitConfig) -> LocalInterferenceState:
     Equal weights reduce to the sin/cos forms of ``local_mass`` and
     ``local_speed``; a vanishing weight gives a massless radial wave.
     """
-    x, y = map(float, p)
+    x, y = _point(p)
     n = _momentum(x, y, cfg.d / 2.0, 1e-12 * cfg.d)
     speed = _hypot(*n)
     m = cfg.omega * math.sqrt(max(0.0, 1.0 - speed**2))
@@ -166,9 +174,10 @@ def integrate_trajectory(start, cfg: SlitConfig, max_steps: int = 10_000) -> Tra
     Arc-length parameterized with step d/100; elapsed time accumulates as
     step/|v|.  Terminates at the domain boundary, on stagnation
     (|v| < 1e-6, or an RK4 stage at a slit) or at ``max_steps``; a start at
-    a slit raises ``SingularPointError``.  Each stage is one call of the
-    plain-float ``_momentum`` kernel with the slit geometry and step
-    constants fixed once per trajectory.
+    a slit raises ``SingularPointError``, a non-finite one
+    ``InvalidConfigError``.  Each stage is one call of the plain-float
+    ``_momentum`` kernel with the slit geometry and step constants fixed
+    once per trajectory.
     """
     d = cfg.d
     h, r_min = d / 2.0, 1e-12 * d
@@ -182,7 +191,7 @@ def integrate_trajectory(start, cfg: SlitConfig, max_steps: int = 10_000) -> Tra
             raise SingularPointError(f"flow stagnates at {(x, y)}: |v| = {n_mag:.3g}")
         return nx / n_mag, ny / n_mag, n_mag
 
-    x, y = map(float, start)
+    x, y = _point(start)
     _momentum(x, y, h, r_min)  # raises at a slit
     x_min, x_max, y_half = cfg.x_min, cfg.x_max, cfg.y_half
     xs, ys, times = [x], [y], [0.0]

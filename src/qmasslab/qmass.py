@@ -43,6 +43,10 @@ class FourMomentum:
     px: float
     py: float = 0.0
 
+    def __post_init__(self):
+        if not all(math.isfinite(f) for f in (self.E, self.px, self.py)):
+            raise InvalidConfigError(f"four-momentum components must be finite, got {self}")
+
     @property
     def p(self) -> float:
         return math.hypot(self.px, self.py)
@@ -80,8 +84,8 @@ def group_velocity(P: FourMomentum) -> np.ndarray:
 
 def de_broglie_wavelength(m: float, v: float) -> float:
     """Matter wavelength h/(gamma*m*v); infinite for a configuration at rest."""
-    if m <= 0:
-        raise InvalidConfigError(f"mass must be positive, got {m}")
+    if not 0 < m < math.inf:
+        raise InvalidConfigError(f"mass must be positive and finite, got {m}")
     if v == 0:
         return math.inf
     return 2.0 * math.pi / (gamma_of(v) * m * v)

@@ -27,10 +27,6 @@ from .errors import InvalidConfigError, QmassError
 
 SCHEMA_VERSION = 1
 
-#: ``boxwell.quantize`` solves its own speed for each mode and reads only W and
-#: omega0 of its config; this speed only has to pass ``BoxConfig``'s range check.
-_QUANTIZE_CONFIG_SPEED = 0.05
-
 #: Rest frequencies the boost scenario accepts.  Its snapshot time t = 0.3 is
 #: fixed, so the carrier phase omega*t that each sample rounds grows with
 #: omega0 (the envelope gate fails from ~1e14), and the mass gate squares the
@@ -326,19 +322,18 @@ def _run_box_states(out: Path, summary: RunSummary, *,
 def _run_box_quantize(out: Path, summary: RunSummary, *, W=1.0, omega0=100.0, n_max=5) -> None:
     from . import boxwell
 
-    _require(W > 0, f"W must be positive, got {W}")
+    well = boxwell.Well(W=W, omega0=omega0)
     # Beyond p = n*pi/W = omega0 the energy gate's tolerance (p/m)**2 reaches 1.
     _require(n_max * math.pi / W < omega0,
              f"n_max*pi/W must be below omega0 = {omega0}, got {n_max * math.pi / W}")
-    cfg = boxwell.BoxConfig(W=W, L=W / 10.0, omega0=omega0, v=_QUANTIZE_CONFIG_SPEED)
-    reports = boxwell.quantize(cfg, n_max)
-    x = np.linspace(0.0, cfg.W, 513)
+    reports = boxwell.quantize(well, n_max)
+    x = np.linspace(0.0, W, 513)
     for rep in reports:
         summary.metrics += [
             Metric(f"momentum_n{rep.n}", rep.p_schrodinger, rep.p_n, 1e-9, "formula"),
             Metric(
                 f"energy_n{rep.n}", rep.schrodinger_energy, rep.kinetic_energy,
-                (rep.p_n / cfg.omega0) ** 2, "formula",
+                (rep.p_n / omega0) ** 2, "formula",
             ),
         ]
         summary.files.append(export_series(out / f"envelope_n{rep.n}.csv", "x,value",

@@ -107,8 +107,8 @@ class CarrierEnvelopePair:
 
 
 def gamma_of(beta: float) -> float:
-    """Lorentz factor for a speed beta in units of c."""
-    if abs(beta) >= 1.0:
+    """Lorentz factor for a speed beta in units of c; NaN is rejected too."""
+    if not abs(beta) < 1.0:
         raise InvalidConfigError(f"|beta| must be < 1, got {beta}")
     return 1.0 / math.sqrt(1.0 - beta * beta)
 

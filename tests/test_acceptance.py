@@ -160,7 +160,7 @@ def test_08_de_broglie_envelope_trace():
 
 
 def test_09_well_quantization():
-    cfg = bw.BoxConfig(W=1.0, L=0.1, omega0=100.0, v=0.05)
+    cfg = bw.Well(W=1.0, omega0=100.0)
     worst_k = worst_wall = 0.0
     energy_ok = True
     for rep in bw.quantize(cfg, 5):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -47,6 +48,35 @@ class TestBoxConfig:
         bw.BoxConfig(W=2.0, L=0.1, omega0=bw.MAX_CARRIER_PHASE / 2.0, v=0.1)
         with pytest.raises(InvalidConfigError, match=r"omega0\*W must be <= 100000, got 200000"):
             bw.BoxConfig(W=2.0, L=0.1, omega0=bw.MAX_CARRIER_PHASE, v=0.1)
+
+    @pytest.mark.parametrize("W, omega0, message", [
+        (1.0, 19.999, "carrier unresolved: omega0*W = 19.999"),
+        (2.0, 10.0, None),
+        (2.0, 5e4, None),
+        (2.0, 50000.5, "omega0*W must be <= 100000, got 100001.0"),
+        (math.inf, 100.0, "box parameters must be finite, got "),
+        (1.0, math.nan, "box parameters must be finite, got "),
+    ])
+    def test_well_rejects_what_box_config_rejects(self, W, omega0, message):
+        # Both give the same message for the same (W, omega0).
+        for make in (lambda: bw.Well(W=W, omega0=omega0),
+                     lambda: bw.BoxConfig(W=W, L=0.1, omega0=omega0, v=0.05)):
+            if message is None:
+                make()
+            else:
+                with pytest.raises(InvalidConfigError, match=re.escape(message)):
+                    make()
+
+    def test_box_config_is_a_well(self, cfg):
+        assert isinstance(cfg, bw.Well)
+        assert bw.quantize(cfg, 3) == bw.quantize(bw.Well(W=cfg.W, omega0=cfg.omega0), 3)
+
+    def test_positional_construction_rejected(self):
+        # The subclass orders its fields (W, omega0, L, v); keywords keep a call unambiguous.
+        with pytest.raises(TypeError):
+            bw.BoxConfig(1.0, 0.1, 100.0, 0.05)
+        with pytest.raises(TypeError):
+            bw.Well(1.0, 100.0)
 
 
 class TestBuildField:
@@ -130,7 +160,7 @@ class TestQuantization:
             assert g * v * 100.0 == pytest.approx(n * math.pi, rel=1e-12)
 
     def test_momentum_ladder(self):
-        cfg = bw.BoxConfig(W=1.0, L=0.1, omega0=100.0, v=0.05)
+        cfg = bw.Well(W=1.0, omega0=100.0)
         reports = bw.quantize(cfg, 5)
         p1 = reports[0].p_n
         for rep in reports:
@@ -138,7 +168,7 @@ class TestQuantization:
             assert rep.p_n == pytest.approx(rep.p_schrodinger, rel=1e-9)
 
     def test_envelope_nodes_at_walls(self):
-        cfg = bw.BoxConfig(W=1.0, L=0.1, omega0=100.0, v=0.05)
+        cfg = bw.Well(W=1.0, omega0=100.0)
         for rep in bw.quantize(cfg, 5):
             assert abs(bw.quantized_envelope(rep.p_n, 0.0)) < 1e-12
             assert abs(bw.quantized_envelope(rep.p_n, cfg.W)) < 1e-9
@@ -151,7 +181,7 @@ class TestQuantization:
             )
 
     def test_energy_matches_within_relativistic_correction(self):
-        cfg = bw.BoxConfig(W=1.0, L=0.1, omega0=100.0, v=0.05)
+        cfg = bw.Well(W=1.0, omega0=100.0)
         for rep in bw.quantize(cfg, 5):
             discrepancy = abs(rep.kinetic_energy - rep.schrodinger_energy) / rep.schrodinger_energy
             assert discrepancy < (rep.p_n / cfg.omega0) ** 2
@@ -159,7 +189,7 @@ class TestQuantization:
     @pytest.mark.parametrize("W, omega0", [(1.0, 100.0), (10.0, 100.0), (1.0, 1000.0)])
     def test_kinetic_energy_is_exact(self, W, omega0):
         # The exact sqrt(m**2 + p**2) - m of p = n*pi/W, m = omega0, without cancellation.
-        cfg = bw.BoxConfig(W=W, L=W / 10.0, omega0=omega0, v=0.05)
+        cfg = bw.Well(W=W, omega0=omega0)
         for rep in bw.quantize(cfg, 10):
             x2 = (rep.p_schrodinger / omega0) ** 2
             exact = omega0 * x2 / (math.sqrt(1.0 + x2) + 1.0)
@@ -179,7 +209,7 @@ class TestQuantization:
             bw.speed_for_mode(1.0, 100.0, 10_000)
 
     def test_bad_mode_index(self):
-        cfg = bw.BoxConfig(W=1.0, L=0.1, omega0=100.0, v=0.05)
+        cfg = bw.Well(W=1.0, omega0=100.0)
         with pytest.raises(InvalidConfigError):
             bw.speed_for_mode(1.0, 100.0, 0)
         with pytest.raises(InvalidConfigError):

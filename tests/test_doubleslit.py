@@ -144,6 +144,17 @@ class TestTrajectories:
             ds.integrate_trajectory((0.0, 0.5), cfg)
 
 
+@pytest.mark.parametrize("point", [(math.nan, 0.0), (1.0, math.inf), (-math.inf, math.nan)])
+@pytest.mark.parametrize("call", [
+    lambda p, cfg: ds.integrate_trajectory(p, cfg, max_steps=5),
+    ds.weighted_local_state,
+    ds.intersection_angle,
+], ids=["integrate_trajectory", "weighted_local_state", "intersection_angle"])
+def test_non_finite_point_rejected(call, point, cfg):
+    with pytest.raises(InvalidConfigError, match="point must be finite"):
+        call(point, cfg)
+
+
 class TestFringeSpacing:
     def test_predicted_reference(self):
         # D*lambda/d = 1 at the scenario defaults; the path-difference form adds

@@ -1,6 +1,7 @@
 """Property tests of the invariants the paper rests on, over random inputs."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -197,6 +198,36 @@ def test_box_states_passes_or_rejects(log_W, carrier_phase, log_cavity, log_v, n
         summary = scenarios.run("box-states", params, out)
     except InvalidConfigError:
         return
+    assert summary.passed, [(m.name, m.rel_error) for m in summary.metrics if not m.passed]
+
+
+@settings(deadline=None, max_examples=60)
+@given(W=st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0**e),
+       carrier_phase=st.floats(min_value=bw.MIN_CARRIER_PHASE, max_value=bw.MAX_CARRIER_PHASE),
+       kind=st.sampled_from(["box-beat", "box-states", "box-quantize"]))
+# Widths at which each scenario once divided by an underflowed W**2 or overflowed.
+@example(W=1e-300, carrier_phase=100.0, kind="box-quantize")
+@example(W=1e-306, carrier_phase=170.0, kind="box-quantize")
+@example(W=1e155, carrier_phase=100.0, kind="box-quantize")
+@example(W=1e150, carrier_phase=100.0, kind="box-beat")
+@example(W=1e-200, carrier_phase=100.0, kind="box-states")
+@example(W=1e155, carrier_phase=20.0, kind="box-states")
+def test_box_scenarios_pass_or_reject_at_any_width(W, carrier_phase, kind, tmp_path_factory):
+    # Each box scenario scaled to a well of width W, every length in
+    # proportion: its gates pass, or the input is rejected (the well's scale
+    # bound keeps W**2 and 1/W**2 normal floats).  A warning fails the run.
+    params = {"W": W, "omega0": carrier_phase / W}
+    if kind == "box-beat":
+        params["probe"] = 0.275 * W
+    elif kind == "box-states":
+        params["L"] = 0.1 * W
+    out = tmp_path_factory.mktemp("width")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            summary = scenarios.run(kind, params, out)
+        except InvalidConfigError:
+            return
     assert summary.passed, [(m.name, m.rel_error) for m in summary.metrics if not m.passed]
 
 

@@ -85,6 +85,15 @@ class TestDeBroglieWavelength:
         with pytest.raises(InvalidConfigError, match="mass must be positive"):
             qm.de_broglie_wavelength(0.0, 0.5)
 
+    @pytest.mark.parametrize("m, v, match", [
+        (math.nan, 0.5, "mass must be positive and finite"),
+        (math.inf, 0.5, "mass must be positive and finite"),
+        (1.0, math.nan, r"\|beta\| must be < 1"),
+    ])
+    def test_non_finite_rejected(self, m, v, match):
+        with pytest.raises(InvalidConfigError, match=match):
+            qm.de_broglie_wavelength(m, v)
+
     def test_momentum_identity_exact(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
@@ -116,6 +125,14 @@ class TestBoostFourMomentum:
     def test_invalid_boost(self):
         with pytest.raises(InvalidConfigError, match=r"\|beta\| must be < 1"):
             qm.boost_four_momentum(qm.FourMomentum(1.0, 0.0), 1.0)
+
+    def test_nan_boost_rejected(self):
+        with pytest.raises(InvalidConfigError, match=r"\|beta\| must be < 1"):
+            qm.boost_four_momentum(qm.FourMomentum(1.0, 0.0), math.nan)
+
+    def test_overflowing_boost_rejected(self):
+        with pytest.raises(InvalidConfigError, match="components must be finite"):
+            qm.boost_four_momentum(qm.FourMomentum(1e308, 0.0), 0.9)
 
     @pytest.mark.parametrize("beta", [-0.9, -0.5, -0.1, 0.1, 0.5, 0.9])
     def test_mass_invariance_sweep(self, beta):

@@ -246,7 +246,7 @@ def test_energy_gate_catches_one_percent_error(tmp_path, monkeypatch):
     )
     summary = scenarios.run("box-quantize", {"n_max": 5}, tmp_path)
     assert {m.name for m in summary.metrics if not m.passed} == {"energy_n1", "energy_n2"}
-    cfg = boxwell.BoxConfig(W=1.0, L=0.1, omega0=100.0, v=0.05)
+    cfg = boxwell.Well(W=1.0, omega0=100.0)
     for rep in boxwell.quantize(cfg, 5):
         x2 = (rep.p_schrodinger / cfg.omega0) ** 2
         exact = cfg.omega0 * x2 / (math.sqrt(1.0 + x2) + 1.0)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from qmasslab import boxwell as bw
 from qmasslab import doubleslit as ds
+from qmasslab import qmass as qm
 from qmasslab import wavecore as wc
 from qmasslab.errors import InsufficientSpanError, InvalidConfigError
 
@@ -40,17 +41,34 @@ def _bisect_root(f, lo, hi):
         (ds.SlitConfig, (INF, 1.0), InvalidConfigError, "slit separation must be positive"),
         (ds.SlitConfig, (1.0, NAN), InvalidConfigError, "omega must be positive and finite"),
         (ds.SlitConfig, (-1.0, 1.0), InvalidConfigError, "slit separation must be positive"),
-        (bw.BoxConfig, (INF, 0.1, 100.0, 0.05), InvalidConfigError, "must be finite"),
-        (bw.BoxConfig, (1.0, 0.1, NAN, 0.05), InvalidConfigError, "must be finite"),
-        (bw.BoxConfig, (1.0, 0.1, INF, 0.05), InvalidConfigError, "must be finite"),
+        (bw.BoxConfig, dict(W=INF, L=0.1, omega0=100.0, v=0.05), InvalidConfigError,
+         "must be finite"),
+        (bw.BoxConfig, dict(W=1.0, L=0.1, omega0=NAN, v=0.05), InvalidConfigError,
+         "must be finite"),
+        (bw.BoxConfig, dict(W=1.0, L=0.1, omega0=INF, v=0.05), InvalidConfigError,
+         "must be finite"),
         (ds.SlitConfig, (9.9e-101, 1.0), InvalidConfigError, r"in \[1e-100, 1e100\]"),
         (ds.SlitConfig, (1.01e100, 1.0), InvalidConfigError, r"in \[1e-100, 1e100\]"),
+        (bw.Well, dict(W=NAN, omega0=100.0), InvalidConfigError, "must be finite"),
+        (bw.Well, dict(W=1.0, omega0=-INF), InvalidConfigError, "must be finite"),
+        (bw.Well, dict(W=0.0, omega0=100.0), InvalidConfigError, "W must be positive"),
+        (bw.Well, dict(W=9.9e-101, omega0=1e102), InvalidConfigError, r"in \[1e-100, 1e100\]"),
+        (bw.Well, dict(W=1.01e100, omega0=1e-98), InvalidConfigError, r"in \[1e-100, 1e100\]"),
+        (qm.FourMomentum, (NAN, 0.0), InvalidConfigError, "components must be finite"),
+        (qm.FourMomentum, (INF, 1.0), InvalidConfigError, "components must be finite"),
+        (qm.FourMomentum, (1.0, 0.0, -INF), InvalidConfigError, "components must be finite"),
     ],
     ids=lambda v: getattr(v, "__name__", None) if isinstance(v, type) else None,
 )
 def test_non_finite_or_invalid_input_rejected_at_construction(make, args, error, match):
     with pytest.raises(error, match=match):
-        make(*args)
+        make(**args) if isinstance(args, dict) else make(*args)
+
+
+@pytest.mark.parametrize("beta", [1.0, -1.0, NAN, INF, -INF])
+def test_gamma_rejects_speeds_not_below_c(beta):
+    with pytest.raises(InvalidConfigError, match=r"\|beta\| must be < 1"):
+        wc.gamma_of(beta)
 
 
 class TestDopplerBoost:
