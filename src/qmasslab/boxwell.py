@@ -272,6 +272,9 @@ def speed_for_mode(cfg_W: float, omega0: float, n: int) -> float:
     """Cavity speed whose de Broglie wavenumber satisfies dk*W = n*pi."""
     if n < 1:
         raise InvalidConfigError(f"mode index must be >= 1, got {n}")
+    if not (0.0 < cfg_W < math.inf and 0.0 < omega0 < math.inf):
+        raise InvalidConfigError(
+            f"W and omega0 must be positive and finite, got W={cfg_W}, omega0={omega0}")
     if omega0 * cfg_W > MAX_CARRIER_PHASE:
         raise InvalidConfigError(
             f"omega0*W must be <= {MAX_CARRIER_PHASE:g}, got {omega0 * cfg_W}")

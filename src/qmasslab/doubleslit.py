@@ -340,8 +340,11 @@ def mass_map(cfg: SlitConfig, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     Every cell is the same elementwise IEEE result whatever else is on the
     grid, so mapping a grid one block of rows per call, as the
     ``doubleslit-map`` scenario streams it to its CSV, gives the same bits.
+    Axes that are not finite are rejected.
     """
     X, y = np.asarray(x, float)[:, None], np.asarray(y, float)
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise InvalidConfigError("map axes must be finite")
     y1, y2 = y - cfg.d / 2.0, y + cfg.d / 2.0
     r1 = np.hypot(X, y1)
     r2 = np.hypot(X, y2)

@@ -208,6 +208,15 @@ class TestQuantization:
         with pytest.raises(InvalidConfigError, match="no admissible cavity speed"):
             bw.speed_for_mode(1.0, 100.0, 10_000)
 
+    @pytest.mark.parametrize("W, omega0", [
+        (math.nan, 100.0), (1.0, math.nan), (-1.0, 100.0), (0.0, 100.0), (1.0, -100.0),
+        (math.inf, 100.0), (1.0, math.inf)])
+    def test_mode_speed_rejects_a_bad_well(self, W, omega0):
+        # The first three returned a speed of 3.5e-15: a NaN or negative target
+        # moves the bisection's upper end down to 0.
+        with pytest.raises(InvalidConfigError, match="W and omega0 must be positive and finite"):
+            bw.speed_for_mode(W, omega0, 1)
+
     def test_bad_mode_index(self):
         cfg = bw.Well(W=1.0, omega0=100.0)
         with pytest.raises(InvalidConfigError):

@@ -247,6 +247,12 @@ class TestMassMap:
         assert m[0, 50] == pytest.approx(cfg.omega, rel=1e-12)
         assert np.nanmax(m) <= m[0, 50] * (1 + 1e-12)
 
+    @pytest.mark.parametrize("x, y", [
+        ([math.inf], [0.0]), ([0.0], [math.nan]), ([1.0, -math.inf], [0.0, 1.0])])
+    def test_non_finite_axes_rejected(self, cfg, x, y):
+        with pytest.raises(InvalidConfigError, match="map axes must be finite"):
+            ds.mass_map(cfg, x, y)
+
     def test_axis_monotone_decay(self, cfg):
         x = np.linspace(0.01, 10.0, 500)
         m = ds.mass_map(cfg, x, np.array([0.0]))[:, 0]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -455,7 +456,100 @@ class TestTonePair:
         assert (hi, lo) == pytest.approx((b.omega_plus, b.omega_minus), rel=1e-4)
 
 
+def _residual_whole_grid(field, x, t):
+    """The residual as one broadcast over the whole grid: the blocked kernel's reference."""
+    F = wc.evaluate(field, x[:, None], t[None, :])
+    dx = x[1] - x[0]
+    dt = t[1] - t[0]
+    ftt = (F[:, 2:] - 2.0 * F[:, 1:-1] + F[:, :-2]) / dt**2
+    fxx = (F[2:, :] - 2.0 * F[1:-1, :] + F[:-2, :]) / dx**2
+    res = ftt[1:-1, :] - fxx[:, 1:-1]
+    return float(np.max(np.abs(res)) / (np.max(np.abs(F)) * field.omega_max**2))
+
+
+def _acceptance_grid(field):
+    """``tests/test_acceptance.py::test_10``'s grid: 20 periods of the fastest wave."""
+    span = 40.0 * math.pi / field.omega_max
+    return wc.sample_grid(field.omega_max, (0.0, span), (0.0, span))
+
+
+_STANDING = wc.superposition_of(wc.boost_standing_wave(1.0, 0.6))
+_BOX = bw.build_field(bw.BoxConfig(W=1.0, L=0.1, omega0=100.0, v=0.05))
+_OBLIQUE = wc.Superposition((wc.PlaneWave(2.0, (0.8, 0.6)),))
+
+
+def _rows_grid(nx, nt):
+    """``nx`` by ``nt`` points of the standing wave's 64-per-period grid."""
+    step = 2.0 * math.pi / _STANDING.omega_max / 64
+    return np.arange(nx) * step, np.arange(nt) * step
+
+
+# Interior rows 1 below, at and 1 above two blocks of a 400-point t axis, and a
+# t axis longer than a block, so that each block is one row.
+_BLOCK_ROWS_400 = wc._RESIDUAL_BLOCK_CELLS // 400
+
+
 class TestWaveEquationResidual:
+    @pytest.mark.parametrize("field, grid", [
+        (_STANDING, _acceptance_grid(_STANDING)),
+        (_BOX, _acceptance_grid(_BOX)),
+        (_OBLIQUE, wc.sample_grid(2.0, (0.0, 30.0), (0.0, 30.0))),
+        (_STANDING, _rows_grid(2 * _BLOCK_ROWS_400 + 1, 400)),
+        (_STANDING, _rows_grid(2 * _BLOCK_ROWS_400 + 2, 400)),
+        (_STANDING, _rows_grid(2 * _BLOCK_ROWS_400 + 3, 400)),
+        (_STANDING, _rows_grid(5, wc._RESIDUAL_BLOCK_CELLS + 3)),
+    ], ids=["standing", "box", "oblique", "rows-below", "rows-at", "rows-above",
+            "one-row-blocks"])
+    def test_blocks_change_no_bit(self, field, grid):
+        x, t = grid
+        assert wc.wave_equation_residual(field, x, t) == _residual_whole_grid(field, x, t)
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        omega_plus=st.floats(0.1, 1e3),
+        ratio=st.floats(0.01, 1.0),
+        x_periods=st.floats(0.05, 6.0),
+        t_periods=st.floats(0.05, 6.0),
+        x0=st.floats(-10.0, 10.0),
+        t0=st.floats(-10.0, 10.0),
+    )
+    @example(omega_plus=3.0, ratio=0.25, x_periods=6.0, t_periods=4.0, x0=-1.5, t0=2.5)
+    def test_blocks_change_no_bit_at_any_span(self, omega_plus, ratio, x_periods,
+                                              t_periods, x0, t0):
+        field = wc.superposition_of(wc.BidirectionalWave(omega_plus, omega_plus * ratio))
+        period = 2.0 * math.pi / omega_plus
+        x, t = wc.sample_grid(omega_plus, (x0 * period, (x0 + x_periods) * period),
+                              (t0 * period, (t0 + t_periods) * period))
+        assert wc.wave_equation_residual(field, x, t) == _residual_whole_grid(field, x, t)
+
+    def test_memory_does_not_grow_with_the_grid(self):
+        # The whole grid held ~40 B a cell: 6.4 MB at 400**2, 102 MB at 1600**2.
+        peaks = []
+        for n in (400, 1600):
+            x, t = _rows_grid(n, n)
+            tracemalloc.start()
+            try:
+                wc.wave_equation_residual(_STANDING, x, t)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 0.25e6
+
+    @pytest.mark.parametrize("x, t, match", [
+        ([0.0, NAN, 0.2], [0.0, 0.1, 0.2], "x must be a finite 1-D axis"),
+        ([0.0, 0.1, 0.2], [0.0, 0.1, INF], "t must be a finite 1-D axis"),
+        ([0.0, 0.1], [0.0, 0.1, 0.2], "x must be a finite 1-D axis of at least 3"),
+        ([0.0, 0.1, 0.2], [0.0, 0.1], "t must be a finite 1-D axis of at least 3"),
+        ([[0.0, 0.1, 0.2]], [0.0, 0.1, 0.2], r"x must be a finite 1-D axis .* \(1, 3\)"),
+        ([0.0, 0.1, 0.2], [0.2, 0.1, 0.0], "t step must be positive"),
+        ([0.0, 0.0, 0.0], [0.0, 0.1, 0.2], "x step must be positive"),
+        ([0.0, 0.1, 0.2], [0.0, 0.1, 0.2 + 1e-9], "t steps must be uniform"),
+    ], ids=["nan-x", "inf-t", "2-point-x", "2-point-t", "2-d-x", "decreasing-t",
+            "constant-x", "uneven-t"])
+    def test_axes_rejected(self, x, t, match):
+        with pytest.raises(InvalidConfigError, match=match):
+            wc.wave_equation_residual(_STANDING, x, t)
+
     def test_single_wave_small_residual(self):
         s = wc.Superposition((wc.PlaneWave(2.0),))
         x, t = wc.sample_grid(2.0, (0.0, 10.0), (0.0, 10.0))
