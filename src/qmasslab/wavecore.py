@@ -3,8 +3,8 @@
 Natural units throughout (c = hbar = 1).  All waves are lightlike scalars:
 the wavenumber always equals omega and is never stored independently.
 Measurement utilities (zero-crossing wavelengths, the FFT analytic-signal
-envelope, Newton-refined spectral peaks and a two-tone kernel on them,
-finite-difference residuals) are the numerical oracles used to verify the
+envelope, tone frequencies by linear prediction and a two-tone kernel on
+them, finite-difference residuals) are the numerical oracles used to verify the
 closed forms elsewhere; they need numpy only.
 """
 
@@ -281,60 +281,6 @@ def envelope_sampling_grid(b: BidirectionalWave) -> np.ndarray:
     return np.arange(n) * (span / n)
 
 
-#: Newton steps allowed per peak, far above the handful a peak needs.
-_NEWTON_MAXITER = 100
-
-#: Relative step at which the peak search stops: sqrt of the float epsilon.
-_NEWTON_RTOL = 1.5e-8
-
-
-def _uniform_exp(phase: float, n: int) -> np.ndarray:
-    """exp(-i*phase*k) for k = 0 .. n - 1, from about 2*sqrt(n) exponentials.
-
-    With k = a*B + b and B = ceil(sqrt(n)), the series is the outer product
-    of exp(-i*phase*B*a) and exp(-i*phase*b), flattened and cut to n.  The
-    sums against it stay one matrix-vector product with three rows: BLAS
-    splits a product with many rows, such as the (A, B) blocks against
-    exp(-i*phase*b), across threads, which can cost milliseconds a call.
-    """
-    b_len = math.isqrt(n - 1) + 1
-    inner = np.exp(-1j * phase * np.arange(b_len))
-    outer = np.exp(-1j * (phase * b_len) * np.arange(-(-n // b_len)))
-    return np.outer(outer, inner).ravel()[:n]
-
-
-def _refine_peak(weights, dt: float, lo: float, hi: float) -> float:
-    """Frequency of the windowed DTFT power maximum inside the bracket [lo, hi].
-
-    Newton steps on the zero of d|X|**2/domega, X(omega) = sum(a*exp(-i*omega*t)),
-    for a series a sampled at the uniform times t0 + k*dt, dt > 0.  t0 only
-    turns the phase of X, so the sums run over tau = k*dt, against the
-    separable exp(-i*omega*tau) of ``_uniform_exp``.  ``weights`` is the
-    complex (3, n) stack of a, a*tau and a*tau**2, built once per series:
-    one exponential against it gives X, S1 and S2, and with them half the
-    slope Im(conj(X)*S1) and half the curvature |S1|**2 - Re(conj(X)*S2).
-    The slope's sign shrinks the bracket; a step that would leave it, or one
-    from where the curvature is not negative, bisects it instead.  It stops
-    once a Newton step is at most _NEWTON_RTOL*|omega|.
-    """
-    n = weights.shape[1]
-    om = 0.5 * (lo + hi)
-    for _ in range(_NEWTON_MAXITER):
-        x, s1, s2 = (weights @ _uniform_exp(om * dt, n)).tolist()
-        slope = (x.conjugate() * s1).imag
-        curvature = abs(s1) ** 2 - (x.conjugate() * s2).real
-        if slope > 0.0:
-            lo = om
-        elif slope < 0.0:
-            hi = om
-        step = -slope / curvature if curvature < 0.0 else math.inf
-        # Tested before the bracket: a step below one ulp would land on its end.
-        if abs(step) <= _NEWTON_RTOL * abs(om):
-            return om + step
-        om = om + step if lo < om + step < hi else 0.5 * (lo + hi)
-    return om
-
-
 def _uniform_step(name: str, a: np.ndarray):
     """``a[1] - a[0]`` of an axis whose steps are positive and agree to 1e-9 of it."""
     step = a[1] - a[0]
@@ -346,16 +292,21 @@ def _uniform_step(name: str, a: np.ndarray):
 
 
 def measure_temporal_frequencies(times, values, count: int) -> np.ndarray:
-    """Angular frequencies of the strongest spectral peaks, refined past bin width.
+    """Angular frequencies of a series that is a sum of ``count`` tones, highest first.
 
     ``times`` must be finite, uniform and increasing, ``values`` finite and
-    of the same length.  Peaks are picked from a Hann-windowed FFT magnitude,
-    zero-padded to the next power of two: the padded spectrum samples the
-    same windowed DTFT on a grid at least as fine, and the FFT never falls
-    back to a slow prime length.  Each peak is refined to the windowed DTFT
-    power maximum between its neighbouring padded bins (``_refine_peak``).
-    Returned in descending order of the padded-bin magnitude that picked
-    them; fewer than ``count`` entries if fewer distinct peaks exist.
+    of the same length, at least 16 and more than 3*count samples.  A tone
+    w obeys s[k-1] + s[k+1] = u*s[k] with u = 2*cos(w*dt), so a sum of
+    ``count`` tones is annihilated by a monic polynomial of degree ``count``
+    in that neighbour sum whose roots are the tones' u (Prony's linear
+    prediction).  Columns y_0 = s and y_{j+1} = y_j[:-2] + y_j[2:], each
+    trimmed to the last one's length, give its coefficients from one
+    least-squares solve.  The raw series is used: removing its mean or
+    differencing it would bias the slow tones.  A series that is not
+    ``count`` tones raises ``InsufficientSpanError``: fewer leave the
+    columns rank deficient, more tones or a sizeable offset leave a
+    relative residual above 1e-6, and a root that is not real and inside
+    (-2, 2) is no tone.
     """
     if count < 1:
         raise InvalidConfigError(f"count must be >= 1, got {count}")
@@ -366,25 +317,24 @@ def measure_temporal_frequencies(times, values, count: int) -> np.ndarray:
             f"times and values must be 1-D of one length, got {t.shape} and {v.shape}")
     if not (np.isfinite(t).all() and np.isfinite(v).all()):
         raise InvalidConfigError("times and values must be finite")
-    if len(t) < 16:
+    if len(t) < max(16, 3 * count + 1):
         raise InsufficientSpanError(f"series too short: {len(t)} samples")
     dt = float(_uniform_step("time", t))
-    v = v - v.mean()
-    if np.max(np.abs(v)) < 1e-300:
+    if np.ptp(v) == 0.0:
         raise InsufficientSpanError("constant series has no spectral peaks")
-    wv = np.hanning(len(v)) * v
-    padded = 1 << (len(v) - 1).bit_length()
-    mags = np.abs(np.fft.rfft(wv, padded))
-    bin_w = 2.0 * math.pi / (padded * dt)
-    m = mags[1:-1]
-    peak_idx = 1 + np.flatnonzero((m >= mags[:-2]) & (m > mags[2:]) & (m > 1e-6 * mags.max()))
-    if len(peak_idx) == 0:
-        raise InsufficientSpanError("no spectral peaks found")
-    peak_idx = peak_idx[np.argsort(mags[peak_idx])[::-1][:count]]
-    tau = np.arange(len(wv)) * dt
-    weights = np.stack([wv, wv * tau, wv * tau**2]).astype(complex)
-    return np.array([_refine_peak(weights, dt, (i - 1) * bin_w, (i + 1) * bin_w)
-                     for i in peak_idx.tolist()])
+    cols = [v]
+    for _ in range(count):
+        cols = [c[1:-1] for c in cols] + [cols[-1][:-2] + cols[-1][2:]]
+    rhs = cols.pop()
+    coef, residual, rank, _ = np.linalg.lstsq(np.stack(cols, axis=1), -rhs, rcond=None)
+    if rank < count:
+        raise InsufficientSpanError(f"series holds fewer than {count} tones")
+    if not np.sqrt(residual[0]) <= 1e-6 * np.linalg.norm(rhs):
+        raise InsufficientSpanError(f"series is not a sum of {count} tones")
+    u = np.roots(np.r_[1.0, coef[::-1]])
+    if u.dtype.kind == "c" or not np.all(np.abs(u) < 2.0):
+        raise InsufficientSpanError(f"series holds a component that is not a tone: u = {u}")
+    return np.sort(np.arccos(u / 2.0) / dt)[::-1]
 
 
 def measure_tone_pair(field: Superposition, x: float, beat: float):
@@ -392,11 +342,11 @@ def measure_tone_pair(field: Superposition, x: float, beat: float):
 
     The series is sampled 16 times per period of ``field.omega_max`` and spans
     8 periods of the slower of ``beat``, the tones' half-difference as the
-    caller knows it, and the lower tone: 8 periods put the two peaks at least
-    16 unpadded FFT bins apart, and near c the lower tone also sits at least
-    8 unpadded bins above DC, clear of its mirror image's Hann main lobe; the
-    oracle's zero padding only subdivides those bins.  A ``beat`` that is not
-    finite and positive, or a series of more than 2**20 samples, is rejected.
+    caller knows it, and the lower tone: over fewer periods the two tones'
+    prediction columns, and near c the lower tone and a constant, grow too
+    alike for ``measure_temporal_frequencies`` to tell apart.  A ``beat``
+    that is not finite and positive, or a series of more than 2**20
+    samples, is rejected.
     """
     if not 0 < beat < math.inf:
         raise InvalidConfigError(f"beat must be positive and finite, got {beat}")
@@ -408,10 +358,8 @@ def measure_tone_pair(field: Superposition, x: float, beat: float):
                                  f"{slowest:g} need more than 2**20 samples")
     t = np.arange(0.0, duration, dt)
     series = evaluate(field, x, t)
-    peaks = measure_temporal_frequencies(t, series, count=2)
-    if len(peaks) < 2:
-        raise InsufficientSpanError(f"fewer than two spectral peaks at x = {x}")
-    return t, series, max(peaks), min(peaks)
+    hi, lo = measure_temporal_frequencies(t, series, count=2)
+    return t, series, hi, lo
 
 
 def sample_grid(

@@ -138,8 +138,8 @@ def test_07_box_beat_frequencies():
         )
     _report(
         "box beat frequencies",
-        worst < 5e-3,
-        f"worst rel error {worst:.3g} (tol 5e-3) over three speeds",
+        worst < 5e-4,
+        f"worst rel error {worst:.3g} (tol 5e-4) over three speeds",
     )
 
 

@@ -153,6 +153,11 @@ class TestTraceStatesVsPosition:
 
 
 class TestQuantization:
+    @pytest.mark.parametrize("W, omega0", [(1.0, 1.0000001e5), (2.0, 6e4)])
+    def test_mode_speed_rejects_a_carrier_phase_above_cap(self, W, omega0):
+        with pytest.raises(InvalidConfigError, match=r"omega0\*W must be <= 100000"):
+            bw.speed_for_mode(W, omega0, 1)
+
     def test_mode_speeds_solve_the_condition(self):
         for n in (1, 3, 5):
             v = bw.speed_for_mode(1.0, 100.0, n)

@@ -201,6 +201,10 @@ class TestFringeSpacing:
         report = ds.fringe_spacing_measured(cfg, 2.0 * cfg.d)
         assert report.measured == pytest.approx(report.predicted, rel=0.01)
 
+    def test_infinite_screen_distance_rejected(self, cfg):
+        with pytest.raises(InvalidConfigError, match="overflows for D = inf"):
+            ds.fringe_spacing_measured(cfg, math.inf)
+
     def test_gap_tends_to_arc_far_field_limit(self):
         # As D/d grows the path-difference form tends to D*asin(2*lambda/d)/2 on the arc,
         # which exceeds D*lambda/d by 2.9% at lambda/d = 0.2.

@@ -39,6 +39,6 @@ def test_private_reads_are_found():
     # The check above must be able to fail: each form it looks for is caught.
     source = ("from . import doubleslit, wavecore as wc\n"
               "from .boxwell import _helper, public\n"
-              "rows = doubleslit._MAP_BLOCK_CELLS + wc._uniform_exp + doubleslit.__name__\n")
+              "rows = doubleslit._MAP_BLOCK_CELLS + wc._uniform_step + doubleslit.__name__\n")
     assert list(_private_reads(ast.parse(source), {"doubleslit", "wavecore", "boxwell"})) == [
-        "boxwell._helper", "doubleslit._MAP_BLOCK_CELLS (line 3)", "wavecore._uniform_exp (line 3)"]
+        "boxwell._helper", "doubleslit._MAP_BLOCK_CELLS (line 3)", "wavecore._uniform_step (line 3)"]

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from qmasslab import boxwell, cli, doubleslit, scenarios, wavecore
-from qmasslab.errors import InvalidConfigError, QmassError
+from qmasslab.errors import InsufficientSpanError, InvalidConfigError, QmassError
 
 # fast overrides keeping every scenario well under a second
 FAST_PARAMS = {
@@ -178,6 +178,12 @@ def test_map_memory_does_not_grow_with_the_grid(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 1e6
+
+
+def test_export_series_rejects_columns_of_unequal_length(tmp_path):
+    with pytest.raises(ValueError, match=r"equal length, got \[3, 2\]"):
+        scenarios.export_series(tmp_path / "s.csv", "x,value", np.zeros(3), np.zeros(2))
+    assert not (tmp_path / "s.csv").exists()
 
 
 def test_export_series_holds_one_block(tmp_path):
@@ -451,21 +457,77 @@ def test_map_with_energy_weights_passes(tmp_path, monkeypatch):
     assert cli.main(["doubleslit-map", "--out", str(tmp_path)]) == 0
 
 
-def test_states_gates_catch_dropped_lorentz_factor(tmp_path, monkeypatch, capsys):
-    # The cavity field built from omega0*(1 +- v), without gamma: box-beat still
-    # passes it at its defaults, while box-states misses its envelope wavenumber
-    # by 0.84 and its helix flatness by ~2.6e3 times the tolerance.
-    def build_field(cfg):
-        waves = []
-        for omega in (cfg.omega0 * (1.0 + cfg.v), cfg.omega0 * (1.0 - cfg.v)):
-            waves.append(wavecore.PlaneWave(omega, (1.0, 0.0), 0.0))
-            waves.append(wavecore.PlaneWave(omega, (-1.0, 0.0), math.pi))
-        return wavecore.Superposition(tuple(waves))
+def _field_without_gamma(cfg):
+    """``boxwell.build_field`` from omega0*(1 +- v), the Lorentz factor dropped."""
+    waves = []
+    for omega in (cfg.omega0 * (1.0 + cfg.v), cfg.omega0 * (1.0 - cfg.v)):
+        waves.append(wavecore.PlaneWave(omega, (1.0, 0.0), 0.0))
+        waves.append(wavecore.PlaneWave(omega, (-1.0, 0.0), math.pi))
+    return wavecore.Superposition(tuple(waves))
 
-    monkeypatch.setattr(boxwell, "build_field", build_field)
+
+def test_states_gates_catch_dropped_lorentz_factor(tmp_path, monkeypatch, capsys):
+    # The cavity field built from omega0*(1 +- v), without gamma: box-states
+    # misses its envelope wavenumber by 0.84 and its helix flatness by ~2.6e3
+    # times the tolerance.
+    monkeypatch.setattr(boxwell, "build_field", _field_without_gamma)
     assert cli.main(["box-states", "--out", str(tmp_path)]) == 1
     failed = re.findall(r"^FAIL (\S+): predicted=", capsys.readouterr().out, re.M)
     assert failed == ["envelope_wavenumber", "helix_modulus_flatness"]
+
+
+def test_box_beat_gates_catch_dropped_lorentz_factor(tmp_path, monkeypatch, capsys):
+    # The same field beats at omega0 and omega0*v: both tones miss gamma*omega0
+    # and gamma*omega0*v by 1 - 1/gamma = 1.97e-3 at the defaults.
+    monkeypatch.setattr(boxwell, "build_field", _field_without_gamma)
+    assert cli.main(["box-beat", "--out", str(tmp_path)]) == 1
+    failed = re.findall(r"^FAIL (\S+): predicted=", capsys.readouterr().out, re.M)
+    assert failed == ["fast_frequency", "slow_frequency"]
+
+
+def _box_beat_cases():
+    """(cfg, probe) over box-beat's accepted range, weighted to its worst corners.
+
+    First the three worst of ~1,400 cases at v below 3e-4 with the probe just
+    past the node limit, then a seeded sweep: W over [1e-100, 1e100], omega0*W
+    over [20, 1e5], v from the 2**20-sample floor to near c, and every other
+    probe just past a node of one component standing wave.
+    """
+    for W, omega0, v, probe in [
+        (2.582385132619237e+46, 3.1613605111422685e-43, 0.00014137151585564832,
+         2.0513903903720866e+46),
+        (1.1066378638730525e-48, 1.4387970755814449e+52, 0.00012666517199694252,
+         4.2670573102249925e-49),
+        (1.1250082288340832e-30, 5.2416912510534785e+34, 0.00012420434359578937,
+         9.377423054633451e-31),
+    ]:
+        yield boxwell.BoxConfig(W=W, L=W / 10.0, omega0=omega0, v=v), probe
+    rng = np.random.default_rng(29)
+    for i in range(24):
+        W = 10.0 ** rng.uniform(-100.0, 100.0)
+        phase = 10.0 ** rng.uniform(math.log10(boxwell.MIN_CARRIER_PHASE),
+                                    math.log10(boxwell.MAX_CARRIER_PHASE))
+        # log-uniform in v below 0.5 or in 1 - v above it
+        u = 10.0 ** rng.uniform(math.log10(1.23e-4), math.log10(0.5))
+        v = u if i % 4 < 2 else 1.0 - 2.0 * u
+        cfg = boxwell.BoxConfig(W=W, L=W / 10.0, omega0=phase / W, v=v)
+        if i % 2:
+            k = cfg.omega_bar + rng.choice([1.0, -1.0]) * cfg.delta_omega
+            node = rng.integers(1, max(2, int(k * W / math.pi)))
+            past = math.asin(boxwell.PROBE_AMPLITUDE_MIN) * rng.uniform(1.0001, 1.05)
+            probe = (node * math.pi + rng.choice([1.0, -1.0]) * past) / k
+        else:
+            probe = rng.uniform(0.01, 0.99) * W
+        yield cfg, probe
+
+
+def test_box_beat_gates_sit_10x_above_the_worst_swept_error(tmp_path):
+    gates = {m.name: m.tolerance for m in scenarios.run("box-beat", {}, tmp_path).metrics}
+    errors = []
+    for cfg, probe in _box_beat_cases():
+        beats = boxwell.analyze_beats(cfg, probe)
+        errors += [abs(beats.fast / cfg.omega_bar - 1.0), abs(beats.slow / cfg.delta_omega - 1.0)]
+    assert 10.0 * max(errors) <= min(gates["fast_frequency"], gates["slow_frequency"])
 
 
 def test_boost_gates_catch_dropped_lorentz_factor(tmp_path, monkeypatch, capsys):
@@ -561,6 +623,7 @@ class TestCli:
             ["box-states", "--set", f"n_positions={2**63 - 1}"],
             ["box-states", "--set", f"n_positions={10**30}"],
             ["doubleslit-traj", "--set", f"max_steps={10**30}"],
+            ["boost", "--set", "foo"],
         ],
     )
     def test_mistyped_override_exit_2(self, argv, tmp_path, capsys):
@@ -605,6 +668,15 @@ class TestCli:
         proc = _run_python("-c", code)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_measurement_error_exit_3(self, tmp_path, monkeypatch, capsys):
+        # A QmassError that is not bad input, here the tone oracle's.
+        def measure_tone_pair(field, x, beat):
+            raise InsufficientSpanError("series holds fewer than 2 tones")
+
+        monkeypatch.setattr(wavecore, "measure_tone_pair", measure_tone_pair)
+        assert cli.main(["boost", "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == "qmass-lab: boost: series holds fewer than 2 tones\n"
 
     def test_far_field_out_of_reach_exit_2(self, tmp_path, capsys):
         # From r = 2d, 10 steps of d/100 cannot get beyond 20*d.

@@ -78,6 +78,18 @@ def test_scenario_loads_only_its_physics(argv, unloaded, tmp_path):
     assert not {f"qmasslab.{m}" for m in unloaded} & set(loaded), loaded
 
 
+@pytest.mark.parametrize("kind", ["box-beat", "boost"])
+def test_tone_scenarios_load_neither_numpy_polynomial_nor_scipy(kind, tmp_path):
+    # Importing numpy.polynomial costs a cold start 3-6 ms; scipy is test-only.
+    code = (
+        "import json, sys; from qmasslab import cli; "
+        f"code = cli.main({[kind, '--out', str(tmp_path)]!r}); "
+        "print(json.dumps([code, sorted(m for m in sys.modules "
+        "if m.startswith('numpy.polynomial') or m.split('.')[0] == 'scipy')]))"
+    )
+    assert json.loads(_run_clean("-c", code).splitlines()[-1]) == [0, []]
+
+
 @pytest.mark.parametrize("threads", [None, "2"], ids=["pinned", "two-threads"])
 def test_box_states_bytes_independent_of_blas_threads(threads, tmp_path):
     # box-states is the one default scenario whose CSVs pass through LAPACK (lstsq).
