@@ -274,6 +274,16 @@ def _two_tone_residual(omegas):
     return basis @ np.linalg.lstsq(basis, _TWO_TONE_SERIES, rcond=None)[0] - _TWO_TONE_SERIES
 
 
+def _relative_residual(values, count):
+    """The prediction solve's relative residual, as ``measure_temporal_frequencies`` forms it."""
+    cols = [values]
+    for _ in range(count):
+        cols = [c[1:-1] for c in cols] + [cols[-1][:-2] + cols[-1][2:]]
+    rhs = cols.pop()
+    residual = np.linalg.lstsq(np.stack(cols, axis=1), -rhs, rcond=None)[1]
+    return math.sqrt(residual[0]) / np.linalg.norm(rhs)
+
+
 class TestTemporalFrequencies:
     def test_two_tone(self):
         t = np.arange(0, 50, 0.005)
@@ -397,6 +407,25 @@ class TestTemporalFrequencies:
         with pytest.raises(InsufficientSpanError, match=match):
             wc.measure_temporal_frequencies(t, series(t), count)
 
+    def test_worst_accepted_residual_leaves_no_room_to_reject_a_small_offset(self):
+        # The worst relative residual found for a series the scenarios accept:
+        # 1.3e-8, box-beat with 1 - v near the 2**20-sample floor and the probe
+        # near a node of both standing waves (amplitudes 0.020 and 0.023), where
+        # evaluate's rounding of the time phase is largest against the series.
+        # The boost and box-beat property ranges reach 7.5e-12 and 3.5e-12 and
+        # the box-beat range sweep 1.1e-10.  A 1e-3 offset on the 5-and-100
+        # rad/s series leaves 4.3e-8, below ten times the worst, so no bound
+        # with a 10x margin rejects it; the bound stays at 1e-6, 75x the worst.
+        W = 8.358021686255072e+79
+        cfg = bw.BoxConfig(W=W, L=W / 10.0, omega0=6.12063509452773e-76, v=0.9997433729864965)
+        _, series, _, _ = wc.measure_tone_pair(bw.build_field(cfg), 7.70227878341137e+79,
+                                               cfg.delta_omega)
+        worst = _relative_residual(series, 2)
+        assert worst < 1e-7
+        t = np.arange(0, 50, 0.005)
+        offset = _relative_residual(np.cos(5 * t) + np.cos(100 * t + 0.4) + 1e-3, 2)
+        assert offset < 10.0 * worst
+
 
 class TestTonePair:
     @pytest.mark.parametrize("beat", [0.0, NAN, -1.0, INF])
@@ -418,15 +447,38 @@ class TestTonePair:
         assert (hi, lo) == pytest.approx((b.omega_plus, b.omega_minus), rel=1e-5)
 
 
-def _residual_whole_grid(field, x, t):
-    """The residual as one broadcast over the whole grid: the blocked kernel's reference."""
-    F = wc.evaluate(field, x[:, None], t[None, :])
+def _factored_grid(field, x, t):
+    """``field`` on the grid (x[i], t[j]), each wave sin(a - b) as sin(a)*cos(b) - cos(a)*sin(b).
+
+    a = kx*x + p and b = w*t, with the four factors taken over whole axes, as
+    ``wave_equation_residual`` takes them: a slice's ``sin`` may round otherwise.
+    """
+    waves = []
+    for w in field.waves:
+        a = w.omega * w.direction[0] * x + w.phase
+        b = w.omega * t
+        waves.append(np.sin(a)[:, None] * np.cos(b) - np.cos(a)[:, None] * np.sin(b))
+    return sum(waves)
+
+
+def _grid_residual(field, F, x, t):
+    """Normalized interior maximum of |F_tt - F_xx| over the whole grid ``F``, in one broadcast."""
     dx = x[1] - x[0]
     dt = t[1] - t[0]
     ftt = (F[:, 2:] - 2.0 * F[:, 1:-1] + F[:, :-2]) / dt**2
     fxx = (F[2:, :] - 2.0 * F[1:-1, :] + F[:-2, :]) / dx**2
     res = ftt[1:-1, :] - fxx[:, 1:-1]
     return float(np.max(np.abs(res)) / (np.max(np.abs(F)) * field.omega_max**2))
+
+
+def _residual_whole_grid(field, x, t):
+    """The blocked kernel's reference: the same arithmetic over the whole grid."""
+    return _grid_residual(field, _factored_grid(field, x, t), x, t)
+
+
+def _residual_of_evaluate(field, x, t):
+    """The second reference: the residual of the grid that ``evaluate`` gives."""
+    return _grid_residual(field, wc.evaluate(field, x[:, None], t[None, :]), x, t)
 
 
 def _acceptance_grid(field):
@@ -483,6 +535,48 @@ class TestWaveEquationResidual:
         x, t = wc.sample_grid(omega_plus, (x0 * period, (x0 + x_periods) * period),
                               (t0 * period, (t0 + t_periods) * period))
         assert wc.wave_equation_residual(field, x, t) == _residual_whole_grid(field, x, t)
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        waves=st.lists(st.tuples(st.floats(0.1, 1e3), st.floats(0.0, 2.0 * math.pi),
+                                 st.floats(-100.0, 100.0)), min_size=1, max_size=3),
+        x_periods=st.floats(0.05, 6.0),
+        t_periods=st.floats(0.05, 6.0),
+        x0=st.floats(-1e3, 1e3),
+        t0=st.floats(-1e3, 1e3),
+    )
+    @example(waves=[(2.0, 0.6435, 1.0)], x_periods=6.0, t_periods=4.0, x0=-1.5, t0=2.5)
+    def test_factored_grid_matches_evaluate(self, waves, x_periods, t_periods, x0, t0):
+        # Oblique waves with phases, so that a slip in the angle addition (a
+        # sign, w for kx, a lost phase) leaves the evaluated field.  The bound
+        # is in units of the rounding of the argument's terms; over 600 draws
+        # the worst was 0.46 of it.  The argument itself can cancel to ~0
+        # while its terms round, so it does not bound the error (28x over).
+        field = wc.Superposition(tuple(wc.PlaneWave(w, (math.cos(angle), math.sin(angle)), p)
+                                       for w, angle, p in waves))
+        period = 2.0 * math.pi / field.omega_max
+        x, t = wc.sample_grid(field.omega_max, (x0 * period, (x0 + x_periods) * period),
+                              (t0 * period, (t0 + t_periods) * period))
+        terms = max(abs(w.omega * w.direction[0]) * np.max(np.abs(x))
+                    + w.omega * np.max(np.abs(t)) + abs(w.phase) for w in field.waves)
+        error = np.max(np.abs(_factored_grid(field, x, t)
+                              - wc.evaluate(field, x[:, None], t[None, :])))
+        assert error <= 2 * len(waves) * np.finfo(float).eps * (1.0 + terms)
+        assert wc.wave_equation_residual(field, x, t) == _residual_whole_grid(field, x, t)
+
+    @pytest.mark.parametrize("field", [_STANDING, _BOX], ids=["standing", "box"])
+    def test_acceptance_fields_solve_it_to_rounding(self, field):
+        # test_10's fields read 1.5e-12 and 3.0e-12 factored, 1.8e-12 and
+        # 4.3e-12 through evaluate; its tolerance is 1e-3.
+        x, t = _acceptance_grid(field)
+        assert wc.wave_equation_residual(field, x, t) < 1e-11
+        assert _residual_of_evaluate(field, x, t) < 1e-11
+
+    def test_corrupted_control_matches_the_evaluate_formula(self):
+        # test_10's control: 0.3595 either way, 6e-14 apart.
+        x, t = wc.sample_grid(2.0, (0.0, 30.0), (0.0, 30.0))
+        assert wc.wave_equation_residual(_OBLIQUE, x, t) == pytest.approx(
+            _residual_of_evaluate(_OBLIQUE, x, t), rel=1e-12)
 
     def test_memory_does_not_grow_with_the_grid(self):
         # The whole grid held ~40 B a cell: 6.4 MB at 400**2, 102 MB at 1600**2.
