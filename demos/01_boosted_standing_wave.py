@@ -34,5 +34,5 @@ for beta in (0.1, 0.3, 0.6, 0.9):
     lam_measured = wavecore.measure_envelope_wavelength(x, snap)
     lam_predicted = qmass.de_broglie_wavelength(state.m, state.v)
     print(f"  de Broglie wavelength : {lam_predicted:.6f} predicted, "
-          f"{lam_measured:.6f} measured from zero crossings")
+          f"{lam_measured:.6f} measured from the spatial tones")
     print()

@@ -17,7 +17,7 @@ from qmasslab import boxwell as bw
 from qmasslab import qmass, wavecore
 
 # speed chosen so the envelope fits the second well mode (dk*W = 2*pi)
-v2 = bw.speed_for_mode(1.0, 100.0, 2)
+v2 = bw.speed_for_mode(bw.Well(W=1.0, omega0=100.0), 2)
 cfg = bw.BoxConfig(W=1.0, L=0.1, omega0=100.0, v=v2)
 
 print(f"cavity speed v = {cfg.v:.7f}, gamma = {cfg.gamma:.9f}")

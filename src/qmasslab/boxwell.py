@@ -268,17 +268,11 @@ def _bisect_speed(target: float, omega0: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def speed_for_mode(cfg_W: float, omega0: float, n: int) -> float:
+def speed_for_mode(well: Well, n: int) -> float:
     """Cavity speed whose de Broglie wavenumber satisfies dk*W = n*pi."""
     if n < 1:
         raise InvalidConfigError(f"mode index must be >= 1, got {n}")
-    if not (0.0 < cfg_W < math.inf and 0.0 < omega0 < math.inf):
-        raise InvalidConfigError(
-            f"W and omega0 must be positive and finite, got W={cfg_W}, omega0={omega0}")
-    if omega0 * cfg_W > MAX_CARRIER_PHASE:
-        raise InvalidConfigError(
-            f"omega0*W must be <= {MAX_CARRIER_PHASE:g}, got {omega0 * cfg_W}")
-    return _bisect_speed(n * math.pi / cfg_W, omega0)
+    return _bisect_speed(n * math.pi / well.W, well.omega0)
 
 
 def quantized_envelope(dk: float, x):
@@ -299,7 +293,7 @@ def quantize(cfg: Well, n_max: int) -> list[QuantizationReport]:
     m = cfg.omega0
     reports = []
     for n in range(1, n_max + 1):
-        v_n = speed_for_mode(cfg.W, cfg.omega0, n)
+        v_n = speed_for_mode(cfg, n)
         g = gamma_of(v_n)
         dk = g * cfg.omega0 * v_n
         e_kin = m * (g * v_n) ** 2 / (g + 1.0)  # (g - 1)*m without cancellation

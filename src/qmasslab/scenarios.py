@@ -178,7 +178,9 @@ def _run_boost(out: Path, summary: RunSummary, *, omega0=1.0, beta=0.6) -> None:
     _require(_BOOST_OMEGA0_MIN <= omega0 <= _BOOST_OMEGA0_MAX,
              f"omega0 must be in [{_BOOST_OMEGA0_MIN:g}, {_BOOST_OMEGA0_MAX:g}], got {omega0}")
     b = wavecore.boost_standing_wave(omega0, beta)
-    # The grid rejects a speed it cannot resolve.
+    # field.csv's x column, pinned by the benchmark; it rejects a speed outside
+    # [ENVELOPE_SPEED_MIN, ENVELOPE_SPEED_MAX).  The envelope oracle reads the
+    # snapshot's two spatial tones on it.
     x = wavecore.envelope_sampling_grid(b)
     field = wavecore.superposition_of(b)
     snapshot = wavecore.evaluate(field, x, 0.3)

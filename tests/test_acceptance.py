@@ -144,7 +144,8 @@ def test_07_box_beat_frequencies():
 
 
 def test_08_de_broglie_envelope_trace():
-    cfg = bw.BoxConfig(W=1.0, L=0.1, omega0=100.0, v=bw.speed_for_mode(1.0, 100.0, 2))
+    v = bw.speed_for_mode(bw.Well(W=1.0, omega0=100.0), 2)
+    cfg = bw.BoxConfig(W=1.0, L=0.1, omega0=100.0, v=v)
     trace = bw.trace_states_vs_position(cfg)
     p = qm.four_momentum_of(wc.boost_standing_wave(cfg.omega0, cfg.v)).p
     k_err = abs(trace.envelope_wavenumber - p) / p

@@ -8,11 +8,14 @@ from qmasslab import boxwell as bw
 from qmasslab import wavecore as wc
 from qmasslab.errors import InvalidConfigError
 
+#: The well of the box scenarios' defaults.
+WELL = bw.Well(W=1.0, omega0=100.0)
+
 
 @pytest.fixture
 def cfg():
     # speed chosen so dk*W = 2*pi (second well mode)
-    v = bw.speed_for_mode(1.0, 100.0, 2)
+    v = bw.speed_for_mode(WELL, 2)
     return bw.BoxConfig(W=1.0, L=0.1, omega0=100.0, v=v)
 
 
@@ -95,7 +98,7 @@ class TestBuildField:
         assert np.max(np.abs(wc.evaluate(field, 0.0, t))) < 1e-12
 
     def test_slow_speed_approaches_standing(self):
-        v = bw.speed_for_mode(1.0, 1000.0, 1)
+        v = bw.speed_for_mode(bw.Well(W=1.0, omega0=1000.0), 1)
         cfg = bw.BoxConfig(W=1.0, L=0.1, omega0=1000.0, v=v)
         x = np.linspace(0.0, 1.0, 300)
         got = bw.closed_form(cfg, x, 0.0)
@@ -106,7 +109,7 @@ class TestBuildField:
 class TestAnalyzeBeats:
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_recovers_both_frequencies(self, n):
-        v = bw.speed_for_mode(1.0, 100.0, n)
+        v = bw.speed_for_mode(WELL, n)
         cfg = bw.BoxConfig(W=1.0, L=0.1, omega0=100.0, v=v)
         out = bw.analyze_beats(cfg, probe=0.275)
         assert out.fast == pytest.approx(cfg.omega_bar, rel=5e-3)
@@ -156,11 +159,11 @@ class TestQuantization:
     @pytest.mark.parametrize("W, omega0", [(1.0, 1.0000001e5), (2.0, 6e4)])
     def test_mode_speed_rejects_a_carrier_phase_above_cap(self, W, omega0):
         with pytest.raises(InvalidConfigError, match=r"omega0\*W must be <= 100000"):
-            bw.speed_for_mode(W, omega0, 1)
+            bw.speed_for_mode(bw.Well(W=W, omega0=omega0), 1)
 
     def test_mode_speeds_solve_the_condition(self):
         for n in (1, 3, 5):
-            v = bw.speed_for_mode(1.0, 100.0, n)
+            v = bw.speed_for_mode(WELL, n)
             g = 1.0 / math.sqrt(1.0 - v**2)
             assert g * v * 100.0 == pytest.approx(n * math.pi, rel=1e-12)
 
@@ -177,13 +180,10 @@ class TestQuantization:
         for rep in bw.quantize(cfg, 5):
             assert abs(bw.quantized_envelope(rep.p_n, 0.0)) < 1e-12
             assert abs(bw.quantized_envelope(rep.p_n, cfg.W)) < 1e-9
-            # n - 1 interior nodes
-            x = np.linspace(0.0, cfg.W, 4001)
+            # n - 1 interior nodes: sign changes between samples inside the walls
+            x = np.linspace(0.0, cfg.W, 4001)[1:-1]
             env = bw.quantized_envelope(rep.p_n, x)
-            interior = wc.zero_crossings(x, env)
-            assert len(interior[(interior > 1e-6) & (interior < cfg.W - 1e-6)]) == (
-                rep.n - 1
-            )
+            assert np.count_nonzero(np.diff(np.signbit(env))) == rep.n - 1
 
     def test_energy_matches_within_relativistic_correction(self):
         cfg = bw.Well(W=1.0, omega0=100.0)
@@ -201,30 +201,29 @@ class TestQuantization:
             assert rep.kinetic_energy == pytest.approx(exact, rel=1e-7)
 
     def test_measured_envelope_wavelength(self):
-        # mode 4 leaves enough interior crossings for the spatial oracle
-        v = bw.speed_for_mode(1.0, 100.0, 4)
+        # the envelope of mode 4 is one spatial tone, two periods across the well
+        v = bw.speed_for_mode(WELL, 4)
         cfg = bw.BoxConfig(W=1.0, L=0.1, omega0=100.0, v=v)
         x = np.linspace(0.0, 1.0, 2001)
         env = bw.quantized_envelope(cfg.delta_omega, x)
-        lam = wc.measure_spatial_wavelength(x, env)
+        lam = 2 * math.pi / wc.measure_temporal_frequencies(x, env, 1)[0]
         assert lam == pytest.approx(2 * math.pi / cfg.delta_omega, rel=1e-3)
 
     def test_mode_out_of_range(self):
         with pytest.raises(InvalidConfigError, match="no admissible cavity speed"):
-            bw.speed_for_mode(1.0, 100.0, 10_000)
+            bw.speed_for_mode(WELL, 10_000)
 
     @pytest.mark.parametrize("W, omega0", [
         (math.nan, 100.0), (1.0, math.nan), (-1.0, 100.0), (0.0, 100.0), (1.0, -100.0),
         (math.inf, 100.0), (1.0, math.inf)])
     def test_mode_speed_rejects_a_bad_well(self, W, omega0):
-        # The first three returned a speed of 3.5e-15: a NaN or negative target
-        # moves the bisection's upper end down to 0.
-        with pytest.raises(InvalidConfigError, match="W and omega0 must be positive and finite"):
-            bw.speed_for_mode(W, omega0, 1)
+        # A NaN or negative target would move the bisection's upper end down to
+        # 0 and return a speed of 3.5e-15; the mode speed takes a checked Well.
+        with pytest.raises(InvalidConfigError):
+            bw.speed_for_mode(bw.Well(W=W, omega0=omega0), 1)
 
     def test_bad_mode_index(self):
-        cfg = bw.Well(W=1.0, omega0=100.0)
         with pytest.raises(InvalidConfigError):
-            bw.speed_for_mode(1.0, 100.0, 0)
+            bw.speed_for_mode(WELL, 0)
         with pytest.raises(InvalidConfigError):
-            bw.quantize(cfg, 0)
+            bw.quantize(WELL, 0)

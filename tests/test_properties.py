@@ -38,12 +38,17 @@ def test_frequency_product_is_rest_frequency_squared(omega0, beta):
 
 @settings(deadline=None)
 @given(
-    W=st.floats(min_value=0.5, max_value=5.0),
-    omega0=st.floats(min_value=10.0, max_value=1e3),
+    log_W=st.floats(min_value=-100.0, max_value=100.0),
+    log_phase=st.floats(min_value=math.log10(bw.MIN_CARRIER_PHASE),
+                        max_value=math.log10(bw.MAX_CARRIER_PHASE)),
     n=st.integers(min_value=1, max_value=20),
 )
-def test_mode_speed_quantizes_envelope(W, omega0, n):
-    v = bw.speed_for_mode(W, omega0, n)
+def test_mode_speed_quantizes_envelope(log_W, log_phase, n):
+    # Over Well's whole range: W in [1e-100, 1e100], omega0*W in [20, 1e5].
+    W = 10.0**log_W
+    omega0 = 10.0**log_phase / W
+    assume(bw.MIN_CARRIER_PHASE <= omega0 * W <= bw.MAX_CARRIER_PHASE)
+    v = bw.speed_for_mode(bw.Well(W=W, omega0=omega0), n)
     dk = wc.gamma_of(v) * omega0 * v
     assert dk * W == pytest.approx(n * math.pi, rel=1e-9)
 
@@ -74,6 +79,32 @@ def test_boost_gates_pass(omega0, speed, sign, tmp_path_factory):
     out = tmp_path_factory.mktemp("boost")
     summary = scenarios.run("boost", {"omega0": omega0, "beta": sign * speed}, out)
     assert summary.passed, [(m.name, m.rel_error) for m in summary.metrics if not m.passed]
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    omega0=boost_omegas,
+    speed=st.floats(min_value=0.0077, max_value=0.993),
+    sign=st.sampled_from([1.0, -1.0]),
+)
+# The worst envelope error of a sweep of boost's range (9.1e-4), and both ends.
+@example(omega0=1e9, speed=0.9915305537489627, sign=1.0)
+@example(omega0=1e9, speed=0.99199, sign=-1.0)
+@example(omega0=1e-9, speed=0.0078, sign=1.0)
+def test_boost_passes_or_rejects_at_the_speed_edges(omega0, speed, sign, tmp_path_factory):
+    # Near c the spatial tone solve is weakest: k- spans about one period of the
+    # grid.  A speed that the envelope grid accepts passes every gate; the grid
+    # rejects any other with InvalidConfigError.
+    out = tmp_path_factory.mktemp("boost")
+    b = wc.boost_standing_wave(omega0, sign * speed)
+    recomputed = (b.omega_plus - b.omega_minus) / (b.omega_plus + b.omega_minus)
+    params = {"omega0": omega0, "beta": sign * speed}
+    if wc.ENVELOPE_SPEED_MIN <= recomputed < wc.ENVELOPE_SPEED_MAX:
+        summary = scenarios.run("boost", params, out)
+        assert summary.passed, [(m.name, m.rel_error) for m in summary.metrics if not m.passed]
+    else:
+        with pytest.raises(InvalidConfigError, match="no commensurate grid"):
+            scenarios.run("boost", params, out)
 
 
 @settings(deadline=None, max_examples=60)

@@ -79,13 +79,15 @@ def test_scenario_loads_only_its_physics(argv, unloaded, tmp_path):
 
 
 @pytest.mark.parametrize("kind", ["box-beat", "boost"])
-def test_tone_scenarios_load_neither_numpy_polynomial_nor_scipy(kind, tmp_path):
-    # Importing numpy.polynomial costs a cold start 3-6 ms; scipy is test-only.
+def test_tone_scenarios_load_no_numpy_polynomial_fft_or_scipy(kind, tmp_path):
+    # Importing numpy.polynomial costs a cold start 3-6 ms; every tone, in time
+    # and in space, comes from one linear-prediction solve, so nothing needs
+    # numpy.fft; scipy is test-only.
     code = (
         "import json, sys; from qmasslab import cli; "
         f"code = cli.main({[kind, '--out', str(tmp_path)]!r}); "
         "print(json.dumps([code, sorted(m for m in sys.modules "
-        "if m.startswith('numpy.polynomial') or m.split('.')[0] == 'scipy')]))"
+        "if m.startswith(('numpy.polynomial', 'numpy.fft')) or m.split('.')[0] == 'scipy')]))"
     )
     assert json.loads(_run_clean("-c", code).splitlines()[-1]) == [0, []]
 

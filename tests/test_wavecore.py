@@ -220,23 +220,12 @@ class TestFactorCarrierEnvelope:
 
 
 class TestSpatialWavelength:
-    def test_pure_sinusoid(self):
-        lam = 0.73
-        x = np.arange(0, 3 * lam, lam / 64)
-        v = np.sin(2 * math.pi * x / lam + 0.3)
-        assert wc.measure_spatial_wavelength(x, v) == pytest.approx(lam, rel=1e-3)
-
     def test_spectral_cross_check(self):
         lam = 1.9
         x = np.arange(0, 8 * lam, lam / 64)
         v = np.sin(2 * math.pi * x / lam)
         k = wc.measure_temporal_frequencies(x, v, 1)[0]
         assert 2 * math.pi / k == pytest.approx(lam, rel=1e-3)
-
-    def test_constant_signal_errors(self):
-        x = np.linspace(0, 1, 100)
-        with pytest.raises(InsufficientSpanError):
-            wc.measure_spatial_wavelength(x, np.ones_like(x))
 
     def test_envelope_of_boosted_pair(self):
         b = wc.BidirectionalWave(2.0, 0.5)
@@ -246,19 +235,15 @@ class TestSpatialWavelength:
         lam = wc.measure_envelope_wavelength(x, snap)
         assert lam == pytest.approx(pair.envelope.wavelength, rel=1e-3)
 
-
-class TestAnalyticSignal:
-    # k = (n - 1) // 2 is the highest bin below Nyquist, for even and odd n.
-    @pytest.mark.parametrize("n, k", [(64, 1), (64, 31), (65, 1), (65, 32), (1000, 7), (1001, 500)])
-    def test_cosine_over_whole_periods_gives_complex_exponential(self, n, k):
-        phase = 2.0 * math.pi * k * np.arange(n) / n + 0.4
-        a = wc._analytic_signal(np.cos(phase))
-        assert np.max(np.abs(a - np.exp(1j * phase))) < 1e-12
-
-    @pytest.mark.parametrize("n", [1, 2, 64, 65])
-    def test_real_part_is_the_series(self, n):
-        v = np.random.default_rng(n).standard_normal(n)
-        assert np.max(np.abs(wc._analytic_signal(v).real - v)) < 1e-12
+    def test_envelope_needs_no_commensurate_span(self):
+        # 3.7 envelope periods at 40 points per period of k+: the span fits
+        # neither spatial tone, and the two-tone solve does not need it to.
+        b = wc.BidirectionalWave(2.0, 0.5)
+        pair = wc.factor_carrier_envelope(b)
+        x = np.arange(0.0, 3.7 * pair.envelope.wavelength, math.pi / 40.0)
+        snap = wc.evaluate(wc.superposition_of(b), x, 0.3)
+        lam = wc.measure_envelope_wavelength(x, snap)
+        assert lam == pytest.approx(pair.envelope.wavelength, rel=1e-9)
 
 
 # Two tones over 40 time units, 16 or more samples per period; a bin of the
