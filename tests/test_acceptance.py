@@ -191,6 +191,9 @@ def test_10_wave_equation_residual():
         wc.superposition_of(wc.boost_standing_wave(1.0, 0.6)),
         bw.build_field(bw.BoxConfig(W=1.0, L=0.1, omega0=100.0, v=0.05)),
     ]
+    # 17x the worst residual of a correct field over the boost and box-beat
+    # ranges (6.0e-12); tests/test_wavecore.py's _RESIDUAL_BOUND records the sweep.
+    tol = 1e-10
     worst = 0.0
     for s in fields:
         omega_max = max(w.omega for w in s.waves)
@@ -200,11 +203,11 @@ def test_10_wave_equation_residual():
     bad = wc.Superposition((wc.PlaneWave(2.0, (0.8, 0.6)),))
     x, t = wc.sample_grid(2.0, (0.0, 30.0), (0.0, 30.0))
     control = wc.wave_equation_residual(bad, x, t)
-    ok = worst <= 1e-3 and control > 1e-1
+    ok = worst <= tol and control > 1e-1
     _report(
         "wave-equation residual",
         ok,
-        f"worst residual {worst:.3g} (tol 1e-3), corrupted control {control:.3g} (>0.1)",
+        f"worst residual {worst:.3g} (tol {tol:g}), corrupted control {control:.3g} (>0.1)",
     )
 
 
