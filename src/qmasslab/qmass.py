@@ -19,18 +19,6 @@ import numpy as np
 from .errors import InvalidConfigError
 from .wavecore import BidirectionalWave, gamma_of
 
-__all__ = [
-    "FourMomentum",
-    "BidirectionalWave",
-    "MassState",
-    "four_momentum_of",
-    "invariant_mass",
-    "group_velocity",
-    "de_broglie_wavelength",
-    "boost_four_momentum",
-    "mass_state_of",
-]
-
 #: Relative tolerance for the timelike/null invariant E**2 - p**2 >= 0.
 SPACELIKE_TOL = 1e-12
 

@@ -267,6 +267,7 @@ def measure_temporal_frequencies(times, values, count: int) -> np.ndarray:
     dt = float(_uniform_step("time", t))
     if np.ptp(v) == 0.0:
         raise InsufficientSpanError("constant series has no spectral peaks")
+    v = np.ldexp(v, -np.frexp(np.max(np.abs(v)))[1])  # exact: no norm over- or underflows
     cols = [v]
     for _ in range(count):
         cols = [c[1:-1] for c in cols] + [cols[-1][:-2] + cols[-1][2:]]
@@ -328,13 +329,15 @@ def sample_grid(
     return x, t
 
 
-#: Cells in each block of x rows whose field and residual
-#: ``wave_equation_residual`` forms at once (at least one row): a block's two
-#: 128 KiB products stay in a core's cache, and the memory does not grow with
-#: the grid.  On a 400x400 grid (min of 4 rounds of 7x30 calls, one core of a
-#: 2-vCPU Xeon with 2 MiB of L2) 4k, 8k, 16k, 32k and 64k cells took 1.65,
-#: 1.21, 1.02, 0.97 and 1.94 ms: smaller blocks pay numpy's per-call cost more
-#: often, and 16k stays a step below where larger ones fall out of the cache.
+#: Cells in each block of x rows whose residual ``wave_equation_residual``
+#: forms at once (at least one row): a block's two 128 KiB products stay in a
+#: core's cache, and the memory does not grow with the grid.  On a 400x400
+#: grid (min of 4 rounds of 7x30 calls, one core of a 2-vCPU Xeon with 2 MiB of
+#: L2) 4k, 8k, 16k, 32k and 64k cells took 1.03, 0.90, 0.73, 0.84 and 1.03 ms
+#: for the standing wave and 1.37, 1.20, 1.11, 1.15 and 1.35 ms for the 4-wave
+#: box field (32k's best box round was 1.00): smaller blocks pay numpy's
+#: per-call cost more often, and 16k stays a step below where larger ones fall
+#: out of the cache.
 _RESIDUAL_BLOCK_CELLS = 16384
 
 
@@ -348,11 +351,17 @@ def _grid_axis(name: str, a):
 
 
 def wave_equation_residual(field: Superposition, x, t) -> float:
-    """Normalized interior maximum of |F_tt - F_xx| by central differences.
+    """Interior maximum of |F_tt - F_xx| by central differences, over its waves' bound.
 
     ``field`` is a superposition on the grid F[i, j] = F(x[i], t[j]); the
-    maximum is normalized by max|F| * omega_max**2.  ``x`` and ``t`` must be
-    finite, uniform and increasing, with at least 3 points each.  Each wave
+    maximum is divided by len(waves) * omega_max**2.  A unit wave's exact and
+    central-difference second derivatives are at most omega**2 in size, so
+    that is the largest |F_tt| or |F_xx| the field can have: the reading lies
+    in [0, 2] up to rounding, is scale-free, and comes from the input, not
+    from the grid, so waves that cancel on the grid do not raise it.  ``x``
+    and ``t`` must be finite, uniform and increasing, with at least 3 points
+    each, and their steps and ``omega_max`` must lie in [1e-150, 1e150],
+    where every square and inverse square is a normal float.  Each wave
     sin(kx*x - w*t + p) is sin(a)*cos(b) - cos(a)*sin(b) with a = kx*x + p
     and b = w*t, so F = fx @ ft, with sin(a) and -cos(a) per wave in fx and
     cos(b) and sin(b) in ft.  Central differences are linear, so
@@ -368,6 +377,9 @@ def wave_equation_residual(field: Superposition, x, t) -> float:
     """
     x, dx = _grid_axis("x", x)
     t, dt = _grid_axis("t", t)
+    for name, value in (("x step", dx), ("t step", dt), ("omega_max", field.omega_max)):
+        if not 1e-150 <= value <= 1e150:
+            raise InvalidConfigError(f"{name} must lie in [1e-150, 1e150], got {value:g}")
     fx, ft = [], []
     for w in field.waves:
         a = w.omega * w.direction[0] * x + w.phase
@@ -380,12 +392,10 @@ def wave_equation_residual(field: Superposition, x, t) -> float:
     ft_tt = (ft[:, 2:] - 2.0 * ft[:, 1:-1] + ft[:, :-2]) / dt**2
     fx_in, ft_in = fx[1:-1], ft[:, 1:-1]
     rows = max(1, _RESIDUAL_BLOCK_CELLS // len(t))
-    worst = peak = 0.0
-    # np.maximum, unlike max(), keeps a NaN from any block.
-    for i in range(0, len(x), rows):
-        peak = np.maximum(peak, np.max(np.abs(np.einsum("ik,kj->ij", fx[i:i + rows], ft))))
+    worst = 0.0
     for i in range(0, len(x) - 2, rows):
         res = np.einsum("ik,kj->ij", fx_in[i:i + rows], ft_tt)
         res -= np.einsum("ik,kj->ij", fx_xx[i:i + rows], ft_in)
+        # np.maximum, unlike max(), keeps a NaN from any block.
         worst = np.maximum(worst, np.max(np.abs(res, out=res)))
-    return float(worst / (peak * field.omega_max**2))
+    return float(worst / (len(field.waves) * field.omega_max**2))

@@ -411,6 +411,26 @@ class TestTemporalFrequencies:
         offset = _relative_residual(np.cos(5 * t) + np.cos(100 * t + 0.4) + 1e-3, 2)
         assert offset < 10.0 * worst
 
+    @pytest.mark.parametrize("amplitude", [1e160, 1e-300])
+    def test_amplitude_changes_no_verdict(self, amplitude):
+        # Unscaled, the solve's norms overflowed at 1e160 and underflowed at
+        # 1e-300: three tones asked for as two read [99.3, 26.0] at both, with
+        # an overflow warning at 1e160.
+        t = np.arange(0, 50, 0.005)
+        two = np.cos(5 * t) + np.cos(100 * t + 0.4)
+        got = wc.measure_temporal_frequencies(t, amplitude * two, 2)
+        assert got == pytest.approx([100.0, 5.0], rel=5e-3)
+        with pytest.raises(InsufficientSpanError, match="not a sum of 2 tones"):
+            wc.measure_temporal_frequencies(t, amplitude * (two + np.cos(40 * t)), 2)
+
+    @pytest.mark.parametrize("power", [-1000, 1000])
+    def test_power_of_two_amplitude_changes_no_bit(self, power):
+        # The series is scaled by the power of two of its largest sample.
+        t = np.arange(0, 50, 0.005)
+        two = np.cos(5 * t) + np.cos(100 * t + 0.4)
+        assert np.array_equal(wc.measure_temporal_frequencies(t, 2.0**power * two, 2),
+                              wc.measure_temporal_frequencies(t, two, 2))
+
 
 class TestTonePair:
     @pytest.mark.parametrize("beat", [0.0, NAN, -1.0, INF])
@@ -458,8 +478,7 @@ def _residual_whole_grid(field, x, t):
     ft_tt = (ft[:, 2:] - 2.0 * ft[:, 1:-1] + ft[:, :-2]) / (t[1] - t[0])**2
     res = (np.einsum("ik,kj->ij", fx[1:-1], ft_tt)
            - np.einsum("ik,kj->ij", fx_xx, ft[:, 1:-1]))
-    F = np.einsum("ik,kj->ij", fx, ft)
-    return float(np.max(np.abs(res)) / (np.max(np.abs(F)) * field.omega_max**2))
+    return float(np.max(np.abs(res)) / (len(field.waves) * field.omega_max**2))
 
 
 def _residual_of_evaluate(field, x, t):
@@ -468,7 +487,7 @@ def _residual_of_evaluate(field, x, t):
     ftt = (F[:, 2:] - 2.0 * F[:, 1:-1] + F[:, :-2]) / (t[1] - t[0])**2
     fxx = (F[2:, :] - 2.0 * F[1:-1, :] + F[:-2, :]) / (x[1] - x[0])**2
     res = ftt[1:-1, :] - fxx[:, 1:-1]
-    return float(np.max(np.abs(res)) / (np.max(np.abs(F)) * field.omega_max**2))
+    return float(np.max(np.abs(res)) / (len(field.waves) * field.omega_max**2))
 
 
 def _acceptance_grid(field):
@@ -482,11 +501,14 @@ _BOX = bw.build_field(bw.BoxConfig(W=1.0, L=0.1, omega0=100.0, v=0.05))
 _OBLIQUE = wc.Superposition((wc.PlaneWave(2.0, (0.8, 0.6)),))
 
 # The residual of a field that solves the wave equation, as test_10 and CI
-# bound it.  The worst of 700 random boost and 700 box-beat fields over their
-# accepted ranges, and of their corners, on test_10's 20-period grids was
-# 6.0e-12 (boost at omega0 = 1e9, beta = -0.992), and box-beat at CI's 2001**2
-# reads 5.9e-12, so the bound is 17x above them.  An oblique wave whose
-# direction cosine is 1 - 1e-6 reads 2.0e-6, and 1 - 1e-8 reads 2.0e-8.
+# bound it.  The worst of 2,800 random boost and 2,800 box-beat fields over
+# their accepted ranges, and of their corners, on test_10's 20-period grids
+# was 6.5e-12 (boost at omega0 = 1616, beta = -0.038; the worst corner, boost
+# at omega0 = 1e9, beta = -0.0078, read 5.5e-12), and box-beat at CI's
+# 2001**2 reads 5.9e-12, so the bound is 15x above them.  The corner at
+# omega0 = 1e9, beta = -0.992, the worst while the residual was divided by
+# max|F| (6.0e-12), reads 4.4e-12.  An oblique wave whose direction cosine
+# is 1 - 1e-6 reads 2.0e-6, and 1 - 1e-8 reads 2.0e-8.
 _RESIDUAL_BOUND = 1e-10
 
 
@@ -629,10 +651,45 @@ class TestWaveEquationResidual:
         assert _residual_of_evaluate(field, x, t) < 1e-11
 
     def test_corrupted_control_matches_the_evaluate_formula(self):
-        # test_10's control: 0.3595 either way, 6e-14 apart.
+        # test_10's control: 0.3595 either way, 2.3e-14 apart.
         x, t = wc.sample_grid(2.0, (0.0, 30.0), (0.0, 30.0))
         assert wc.wave_equation_residual(_OBLIQUE, x, t) == pytest.approx(
             _residual_of_evaluate(_OBLIQUE, x, t), rel=1e-12)
+
+    @pytest.mark.parametrize("waves", [
+        ((1.0, 0.0), (1.0, math.pi)),
+        ((1.0, 0.0), (1.0, math.pi), (-0.5, 0.0), (-0.5, math.pi)),
+        ((1.0, 0.0), (1.0, math.pi + 1e-9)),
+    ], ids=["two", "four", "residue-1e-9"])
+    def test_cancelling_waves_read_below_the_bound(self, waves):
+        # Waves that cancel on the grid leave a field of rounding or of 1e-9.
+        # Divided by max|F|, these read 270, 306 and 3.0e-3; divided by the
+        # waves' own bound, 1.5e-12, 1.1e-12 and 1.5e-12.
+        field = wc.Superposition(tuple(wc.PlaneWave(abs(k), (math.copysign(1.0, k), 0.0), p)
+                                       for k, p in waves))
+        x, t = _acceptance_grid(field)
+        assert wc.wave_equation_residual(field, x, t) < _RESIDUAL_BOUND
+
+    @pytest.mark.parametrize("omega, step, match", [
+        (1e-160, None, r"x step must lie in \[1e-150, 1e150\], got 9.8\d*e\+158"),
+        (1e-200, None, r"x step must lie in \[1e-150, 1e150\], got 9.8\d*e\+198"),
+        (1e160, None, r"x step must lie in \[1e-150, 1e150\], got 9.8\d*e-162"),
+        (1e160, 1.0, r"omega_max must lie in \[1e-150, 1e150\], got 1e\+160"),
+    ], ids=["omega-1e-160", "omega-1e-200", "omega-1e160", "omega-1e160-unit-step"])
+    def test_scales_it_cannot_resolve_rejected(self, omega, step, match):
+        # The look-alike on test_10's grid read 0.0 at omega = 1e-160, with
+        # overflow warnings, NaN at 1e-200, and raised OverflowError at 1e160.
+        c = 1.0 - 1e-6
+        field = wc.Superposition((wc.PlaneWave(omega, (c, math.sqrt(1.0 - c * c))),))
+        x, t = _acceptance_grid(field) if step is None else (np.arange(5) * step,) * 2
+        with pytest.raises(InvalidConfigError, match=match):
+            wc.wave_equation_residual(field, x, t)
+
+    @pytest.mark.parametrize("omega, step", [(1e150, 1e-150), (1e-150, 1e150)])
+    def test_scale_range_ends_accepted(self, omega, step):
+        x = t = np.arange(5) * step
+        residual = wc.wave_equation_residual(wc.Superposition((wc.PlaneWave(omega),)), x, t)
+        assert residual < _RESIDUAL_BOUND
 
     def test_memory_does_not_grow_with_the_grid(self):
         # The whole grid held ~40 B a cell: 6.4 MB at 400**2, 102 MB at 1600**2.
