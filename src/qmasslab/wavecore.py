@@ -250,8 +250,12 @@ def measure_temporal_frequencies(times, values, count: int) -> np.ndarray:
     differencing it would bias the slow tones.  A series that is not
     ``count`` tones raises ``InsufficientSpanError``: fewer leave the
     columns rank deficient, more tones or a sizeable offset leave a
-    relative residual above 1e-6, and a root that is not real and inside
-    (-2, 2) is no tone.
+    residual above 1e-6 of 2**count * ||s||, and a root that is not real
+    and inside (-2, 2) is no tone.  Each neighbour sum at most doubles a
+    norm, so 2**count * ||s|| bounds the target column whatever the tones:
+    the residual is measured against the input, not against that column,
+    which all but vanishes when the fastest tone is sampled a few times per
+    period (at four, ``measure_tone_pair``'s spacing, its u is ~0).
     """
     if count < 1:
         raise InvalidConfigError(f"count must be >= 1, got {count}")
@@ -275,9 +279,11 @@ def measure_temporal_frequencies(times, values, count: int) -> np.ndarray:
     coef, residual, rank, _ = np.linalg.lstsq(np.stack(cols, axis=1), -rhs, rcond=None)
     if rank < count:
         raise InsufficientSpanError(f"series holds fewer than {count} tones")
-    if not np.sqrt(residual[0]) <= 1e-6 * np.linalg.norm(rhs):
+    if not np.sqrt(residual[0]) <= 1e-6 * 2.0**count * np.linalg.norm(v):
         raise InsufficientSpanError(f"series is not a sum of {count} tones")
-    u = np.roots(np.r_[1.0, coef[::-1]])
+    companion = np.eye(count, k=-1)
+    companion[0] = -coef[::-1]
+    u = np.linalg.eigvals(companion)
     if u.dtype.kind == "c" or not np.all(np.abs(u) < 2.0):
         raise InsufficientSpanError(f"series holds a component that is not a tone: u = {u}")
     return np.sort(np.arccos(u / 2.0) / dt)[::-1]
@@ -294,6 +300,15 @@ def measure_envelope_wavelength(x, values) -> float:
     return float(4.0 * math.pi / (k_plus - k_minus))
 
 
+#: ``measure_tone_pair`` solves on every 4th of its 16 samples per period of
+#: the fastest tone: a quarter period, where that tone's cos is steepest and
+#: its root u = 2*cos(w*dt) sits at 0.  On all 16 the cos is flat, the roots
+#: of close tones nearly coincide, and the solve fits 4x the rows for less
+#: accuracy: over 300 random box-beat cases the slow tone missed by up to
+#: 1.5e-5 on all samples and 1.1e-9 on every 4th.
+_TONE_SOLVE_STRIDE = 4
+
+
 def measure_tone_pair(field: Superposition, x: float, beat: float):
     """``(t, series, hi, lo)``: a two-tone ``field`` sampled at ``x``, and its two tones.
 
@@ -301,9 +316,11 @@ def measure_tone_pair(field: Superposition, x: float, beat: float):
     8 periods of the slower of ``beat``, the tones' half-difference as the
     caller knows it, and the lower tone: over fewer periods the two tones'
     prediction columns, and near c the lower tone and a constant, grow too
-    alike for ``measure_temporal_frequencies`` to tell apart.  A ``beat``
-    that is not finite and positive, or a series of more than 2**20
-    samples, is rejected.
+    alike for ``measure_temporal_frequencies`` to tell apart.  The whole
+    series is returned, but the tones are solved from every
+    ``_TONE_SOLVE_STRIDE``-th sample, a quarter period of the fastest tone.
+    A ``beat`` that is not finite and positive, or a series of more than
+    2**20 samples, is rejected.
     """
     if not 0 < beat < math.inf:
         raise InvalidConfigError(f"beat must be positive and finite, got {beat}")
@@ -315,7 +332,8 @@ def measure_tone_pair(field: Superposition, x: float, beat: float):
                                  f"{slowest:g} need more than 2**20 samples")
     t = np.arange(0.0, duration, dt)
     series = evaluate(field, x, t)
-    hi, lo = measure_temporal_frequencies(t, series, count=2)
+    step = _TONE_SOLVE_STRIDE
+    hi, lo = measure_temporal_frequencies(t[::step], series[::step], count=2)
     return t, series, hi, lo
 
 
@@ -360,8 +378,11 @@ def wave_equation_residual(field: Superposition, x, t) -> float:
     in [0, 2] up to rounding, is scale-free, and comes from the input, not
     from the grid, so waves that cancel on the grid do not raise it.  ``x``
     and ``t`` must be finite, uniform and increasing, with at least 3 points
-    each, and their steps and ``omega_max`` must lie in [1e-150, 1e150],
-    where every square and inverse square is a normal float.  Each wave
+    each and one step on both (to 1e-9 of it): central differences cancel
+    their truncation error only on that diagonal grid, so a correct standing
+    wave read 8.1e-7 at dt = 0.999*dx and 3.0e-4 at dx/2.  The step and
+    ``omega_max`` must lie in [1e-150, 1e150], where every square and
+    inverse square is a normal float.  Each wave
     sin(kx*x - w*t + p) is sin(a)*cos(b) - cos(a)*sin(b) with a = kx*x + p
     and b = w*t, so F = fx @ ft, with sin(a) and -cos(a) per wave in fx and
     cos(b) and sin(b) in ft.  Central differences are linear, so
@@ -377,6 +398,8 @@ def wave_equation_residual(field: Superposition, x, t) -> float:
     """
     x, dx = _grid_axis("x", x)
     t, dt = _grid_axis("t", t)
+    if abs(dt - dx) > 1e-9 * dx:
+        raise InvalidConfigError(f"t step must equal x step (c = 1), got {dt:g} and {dx:g}")
     for name, value in (("x step", dx), ("t step", dt), ("omega_max", field.omega_max)):
         if not 1e-150 <= value <= 1e150:
             raise InvalidConfigError(f"{name} must lie in [1e-150, 1e150], got {value:g}")

@@ -61,8 +61,9 @@ def test_mode_speed_quantizes_envelope(log_W, log_phase, n):
 )
 def test_measured_tone_pair_keeps_rest_frequency(omega0, speed, sign):
     # The invariant mass measured from the boosted field: sqrt(w+*w-) = omega0.
-    # The bound is 15 times the worst of ~1,300 random pairs (6.7e-7, where the
-    # lower tone near |beta| = 0.999 has ~5000 samples a period).
+    # The bound is 15 times the worst of ~1,300 random pairs solved on every
+    # sample (6.7e-7, where the lower tone near |beta| = 0.999 has ~5000
+    # samples a period); on every 4th sample the worst of 1,300 was 9.6e-10.
     b = wc.boost_standing_wave(omega0, sign * speed)
     beat = (b.omega_plus - b.omega_minus) / 2.0
     _, _, hi, lo = wc.measure_tone_pair(wc.superposition_of(b), 0.0, beat)

@@ -260,13 +260,13 @@ def _two_tone_residual(omegas):
 
 
 def _relative_residual(values, count):
-    """The prediction solve's relative residual, as ``measure_temporal_frequencies`` forms it."""
+    """The prediction solve's residual over 2**count * ||values||, as the solve bounds it."""
     cols = [values]
     for _ in range(count):
         cols = [c[1:-1] for c in cols] + [cols[-1][:-2] + cols[-1][2:]]
     rhs = cols.pop()
     residual = np.linalg.lstsq(np.stack(cols, axis=1), -rhs, rcond=None)[1]
-    return math.sqrt(residual[0]) / np.linalg.norm(rhs)
+    return math.sqrt(residual[0]) / (2.0**count * np.linalg.norm(values))
 
 
 class TestTemporalFrequencies:
@@ -393,20 +393,24 @@ class TestTemporalFrequencies:
             wc.measure_temporal_frequencies(t, series(t), count)
 
     def test_worst_accepted_residual_leaves_no_room_to_reject_a_small_offset(self):
-        # The worst relative residual found for a series the scenarios accept:
-        # 1.3e-8, box-beat with 1 - v near the 2**20-sample floor and the probe
-        # near a node of both standing waves (amplitudes 0.020 and 0.023), where
-        # evaluate's rounding of the time phase is largest against the series.
-        # The boost and box-beat property ranges reach 7.5e-12 and 3.5e-12 and
-        # the box-beat range sweep 1.1e-10.  A 1e-3 offset on the 5-and-100
-        # rad/s series leaves 4.3e-8, below ten times the worst, so no bound
-        # with a 10x margin rejects it; the bound stays at 1e-6, 75x the worst.
+        # The worst residual found for a series the scenarios accept: 5.9e-7,
+        # 1.7x under the 1e-6 bound, from the boost envelope's spatial solve
+        # at the top corner of its range, where the snapshot rounds its phase
+        # by ~1e-7 rad a sample and k- spans about one period of the grid.
+        # The box-beat series at 1 - v near the 2**20-sample floor, probed
+        # near a node of both standing waves, reads 1.3e-8 whole and 4.0e-9
+        # on the every-4th-sample solve.  A 1e-3 offset on the 5-and-100
+        # rad/s series leaves 3.8e-8, below ten times the worst, so no bound
+        # with a 10x margin rejects it; the bound stays at 1e-6.
+        b = wc.boost_standing_wave(1e9, 0.9915305537489627)
+        x = wc.envelope_sampling_grid(b)
+        worst = _relative_residual(wc.evaluate(wc.superposition_of(b), x, 0.3), 2)
+        assert 5e-7 < worst < 1e-6
         W = 8.358021686255072e+79
         cfg = bw.BoxConfig(W=W, L=W / 10.0, omega0=6.12063509452773e-76, v=0.9997433729864965)
         _, series, _, _ = wc.measure_tone_pair(bw.build_field(cfg), 7.70227878341137e+79,
                                                cfg.delta_omega)
-        worst = _relative_residual(series, 2)
-        assert worst < 1e-7
+        assert _relative_residual(series, 2) < worst / 10.0
         t = np.arange(0, 50, 0.005)
         offset = _relative_residual(np.cos(5 * t) + np.cos(100 * t + 0.4) + 1e-3, 2)
         assert offset < 10.0 * worst
@@ -448,8 +452,74 @@ class TestTonePair:
         t, _, hi, lo = wc.measure_tone_pair(wc.superposition_of(b), 0.0, beat)
         slowest = min(beat, b.omega_minus)
         assert t[-1] < 16.0 * math.pi / slowest <= t[-1] + (t[1] - t[0])
-        # 15 times the worst error of ~1,300 boosted pairs (6.7e-7, near |beta| = 0.999).
+        # 15 times the worst error of ~1,300 boosted pairs solved on every
+        # sample (6.7e-7, near |beta| = 0.999); on every 4th sample 1,300 pairs,
+        # half of them near c, missed by at most 9.6e-10.
         assert (hi, lo) == pytest.approx((b.omega_plus, b.omega_minus), rel=1e-5)
+
+    def test_solves_every_4th_sample(self):
+        # The whole series comes back, and its tones are those of every 4th sample.
+        b = wc.boost_standing_wave(1.0, 0.6)
+        t, series, hi, lo = wc.measure_tone_pair(wc.superposition_of(b), 0.0, 0.75)
+        assert t[1] - t[0] == 2.0 * math.pi / b.omega_plus / 16.0
+        assert np.array_equal(series, wc.evaluate(wc.superposition_of(b), 0.0, t))
+        assert np.array_equal([hi, lo], wc.measure_temporal_frequencies(t[::4], series[::4], 2))
+
+    def test_slow_box_beat_series_solved_on_every_4th_sample(self):
+        # box-beat's slowest accepted speed: 984,744 samples.  On every 4th
+        # sample the fast tone's u is ~0 and the neighbour sum all but cancels
+        # (its norm is 4.7e-7 of the series'): divided by it, the residual read
+        # 4.8e-5 and the series was "not a sum of 2 tones"; divided by
+        # 4*||series||, it reads 5.7e-12.  The slow tone misses by 4e-13 (1.4e-6
+        # solved on all 16 samples per period).
+        cfg = bw.BoxConfig(W=1.0, L=0.1, omega0=100.0, v=1.3e-4)
+        res = bw.analyze_beats(cfg, 0.275)
+        hi, lo = wc.measure_temporal_frequencies(res.times[::4], res.values[::4], 2)
+        assert (hi, lo) == pytest.approx(
+            (cfg.omega_bar + cfg.delta_omega, cfg.omega_bar - cfg.delta_omega), rel=1e-9)
+        assert (hi - lo) / 2.0 == pytest.approx(cfg.delta_omega, rel=1e-9)
+
+    def test_tones_sit_ten_times_inside_the_worst_swept_error(self):
+        # 200 box-beat cases (W = 1, omega0 log-uniform over 20..1e5, v over
+        # 1.3e-4..0.999, half the probes 0.0201 beside a node) and 200 boost
+        # pairs at x = 0 (omega0 over 1e-9..1e9, |beta| over 1/128..0.99), none
+        # rejected.  Worst relative errors: box-beat fast 1.6e-12, slow 7.2e-11
+        # and sqrt(hi*lo) 3.5e-12, boost mass 3.5e-14 and speed 2.9e-14; the
+        # bounds are ten times those.  Solved on all 16 samples per period, the
+        # same cases read 7.0e-10, 4.7e-6, 7.0e-10, 1.9e-11 and 2.0e-10.
+        rng = np.random.default_rng(34)
+        worst = dict.fromkeys(["fast", "slow", "beat mass", "boost mass", "boost speed"], 0.0)
+        beats = 0
+        while beats < 200:
+            cfg = bw.BoxConfig(W=1.0, L=0.1, omega0=10 ** rng.uniform(math.log10(20.0), 5.0),
+                               v=10 ** rng.uniform(math.log10(1.3e-4), math.log10(0.999)))
+            probe = rng.uniform(0.01, 0.99)
+            if rng.random() < 0.5:
+                k = cfg.omega_bar + rng.choice([1.0, -1.0]) * cfg.delta_omega
+                node = max(1, round(k * probe / math.pi)) * math.pi
+                probe = (node + rng.choice([1.0, -1.0]) * math.asin(0.0201)) / k
+            try:
+                res = bw.analyze_beats(cfg, probe)
+            except InvalidConfigError:
+                continue  # beside a node of the other standing wave
+            beats += 1
+            hi, lo = res.fast + res.slow, res.fast - res.slow
+            for name, got, want in [("fast", res.fast, cfg.omega_bar),
+                                    ("slow", res.slow, cfg.delta_omega),
+                                    ("beat mass", math.sqrt(hi * lo), cfg.omega0)]:
+                worst[name] = max(worst[name], abs(got / want - 1.0))
+        for _ in range(200):
+            omega0 = 10 ** rng.uniform(-9.0, 9.0)
+            beta = rng.choice([1.0, -1.0]) * 10 ** rng.uniform(math.log10(1 / 128), math.log10(0.99))
+            b = wc.boost_standing_wave(omega0, beta)
+            _, _, hi, lo = wc.measure_tone_pair(wc.superposition_of(b), 0.0,
+                                                (b.omega_plus - b.omega_minus) / 2.0)
+            worst["boost mass"] = max(worst["boost mass"], abs(math.sqrt(hi * lo) / omega0 - 1.0))
+            worst["boost speed"] = max(worst["boost speed"],
+                                       abs((hi - lo) / (hi + lo) / abs(beta) - 1.0))
+        bounds = {"fast": 1.6e-11, "slow": 7.2e-10, "beat mass": 3.5e-11,
+                  "boost mass": 3.5e-13, "boost speed": 2.9e-13}
+        assert all(worst[name] < bound for name, bound in bounds.items()), worst
 
 
 def _factors(field, x, t):
@@ -717,6 +787,15 @@ class TestWaveEquationResidual:
             "constant-x", "uneven-t"])
     def test_axes_rejected(self, x, t, match):
         with pytest.raises(InvalidConfigError, match=match):
+            wc.wave_equation_residual(_STANDING, x, t)
+
+    @pytest.mark.parametrize("ratio", [0.999, 0.5])
+    def test_t_step_unequal_to_x_step_rejected(self, ratio):
+        # A correct standing wave read 8.1e-7 at dt = 0.999*dx and 3.0e-4 at
+        # dx/2: central differences cancel their truncation only when dt = dx.
+        x, _ = _rows_grid(400, 3)
+        t = np.arange(400) * (ratio * (x[1] - x[0]))
+        with pytest.raises(InvalidConfigError, match="t step must equal x step"):
             wc.wave_equation_residual(_STANDING, x, t)
 
     def test_single_wave_small_residual(self):
