@@ -90,12 +90,11 @@ class BoxConfig(Well):
 
 @dataclass(frozen=True)
 class BeatAnalysis:
-    """Fast/slow frequency pair extracted from the probe series ``values`` at ``times``."""
+    """Fast/slow frequency pair measured at the probe, and the probe series' ``times``."""
 
     fast: float
     slow: float
     times: np.ndarray
-    values: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -151,21 +150,17 @@ def analyze_beats(cfg: BoxConfig, probe: float) -> BeatAnalysis:
     At the probe the field is a two-tone signal at omega_pm, each tone
     weighted by its standing amplitude |sin(k*probe)|.  ``measure_tone_pair``
     gets their beat as configured, ``cfg.delta_omega``: (kp - km)/2 can differ
-    in the last bit, and so can the series length it picks.  The series holds
-    128*(1 + v)/min(v, 1 - v) samples, so under the kernel's 2**20 cap v must
-    lie between about 1.2e-4 and 8191/8193 = 0.99976.
+    in the last bit, and so can the time axis it picks.  That axis, the times of
+    box-beat's ``probe_series.csv``, holds 128*(1 + v)/min(v, 1 - v) samples,
+    so under the kernel's 2**20 cap v must lie between about 1.2e-4 and
+    8191/8193 = 0.99976; the kernel evaluates the field on every 4th.
     """
     kp = cfg.omega_bar + cfg.delta_omega
     km = cfg.omega_bar - cfg.delta_omega
     if min(abs(math.sin(kp * probe)), abs(math.sin(km * probe))) < PROBE_AMPLITUDE_MIN:
         raise InvalidConfigError(f"probe {probe} sits at a node of a component standing wave")
-    t, series, hi, lo = measure_tone_pair(build_field(cfg), probe, cfg.delta_omega)
-    return BeatAnalysis(
-        fast=(hi + lo) / 2.0,
-        slow=(hi - lo) / 2.0,
-        times=t,
-        values=series,
-    )
+    t, hi, lo = measure_tone_pair(build_field(cfg), probe, cfg.delta_omega)
+    return BeatAnalysis(fast=(hi + lo) / 2.0, slow=(hi - lo) / 2.0, times=t)
 
 
 #: Slowest cavity the position sweep resolves.  The sample times x_c/v grow as

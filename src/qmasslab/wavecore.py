@@ -300,27 +300,28 @@ def measure_envelope_wavelength(x, values) -> float:
     return float(4.0 * math.pi / (k_plus - k_minus))
 
 
-#: ``measure_tone_pair`` solves on every 4th of its 16 samples per period of
-#: the fastest tone: a quarter period, where that tone's cos is steepest and
-#: its root u = 2*cos(w*dt) sits at 0.  On all 16 the cos is flat, the roots
-#: of close tones nearly coincide, and the solve fits 4x the rows for less
-#: accuracy: over 300 random box-beat cases the slow tone missed by up to
-#: 1.5e-5 on all samples and 1.1e-9 on every 4th.
+#: ``measure_tone_pair`` evaluates and solves on every 4th of its 16 samples
+#: per period of the fastest tone: a quarter period, where that tone's cos is
+#: steepest and its root u = 2*cos(w*dt) sits at 0.  On all 16 the cos is
+#: flat, the roots of close tones nearly coincide, and the solve fits 4x the
+#: rows for less accuracy: over 300 random box-beat cases the slow tone missed
+#: by up to 1.5e-5 on all samples and 1.1e-9 on every 4th.
 _TONE_SOLVE_STRIDE = 4
 
 
 def measure_tone_pair(field: Superposition, x: float, beat: float):
-    """``(t, series, hi, lo)``: a two-tone ``field`` sampled at ``x``, and its two tones.
+    """``(t, hi, lo)``: the two tones of a two-tone ``field`` at ``x``, and its time axis.
 
-    The series is sampled 16 times per period of ``field.omega_max`` and spans
-    8 periods of the slower of ``beat``, the tones' half-difference as the
+    ``t`` holds 16 samples per period of ``field.omega_max`` and spans 8
+    periods of the slower of ``beat``, the tones' half-difference as the
     caller knows it, and the lower tone: over fewer periods the two tones'
     prediction columns, and near c the lower tone and a constant, grow too
-    alike for ``measure_temporal_frequencies`` to tell apart.  The whole
-    series is returned, but the tones are solved from every
-    ``_TONE_SOLVE_STRIDE``-th sample, a quarter period of the fastest tone.
-    A ``beat`` that is not finite and positive, or a series of more than
-    2**20 samples, is rejected.
+    alike for ``measure_temporal_frequencies`` to tell apart.  The field is
+    evaluated, and its tones solved, only on every ``_TONE_SOLVE_STRIDE``-th
+    time, a quarter period of the fastest tone; ``evaluate`` is elementwise,
+    so those values are bit for bit the whole series' every 4th, which a
+    caller that needs it evaluates on ``t``.  A ``beat`` that is not finite
+    and positive, or an axis of more than 2**20 samples, is rejected.
     """
     if not 0 < beat < math.inf:
         raise InvalidConfigError(f"beat must be positive and finite, got {beat}")
@@ -331,10 +332,9 @@ def measure_tone_pair(field: Superposition, x: float, beat: float):
         raise InvalidConfigError(f"tones up to {field.omega_max:g} over 8 periods of "
                                  f"{slowest:g} need more than 2**20 samples")
     t = np.arange(0.0, duration, dt)
-    series = evaluate(field, x, t)
-    step = _TONE_SOLVE_STRIDE
-    hi, lo = measure_temporal_frequencies(t[::step], series[::step], count=2)
-    return t, series, hi, lo
+    solved = t[::_TONE_SOLVE_STRIDE]
+    hi, lo = measure_temporal_frequencies(solved, evaluate(field, x, solved), count=2)
+    return t, hi, lo
 
 
 def sample_grid(
@@ -348,14 +348,15 @@ def sample_grid(
 
 
 #: Cells in each block of x rows whose residual ``wave_equation_residual``
-#: forms at once (at least one row): a block's two 128 KiB products stay in a
+#: forms at once (at least one row): a block's 128 KiB product stays in a
 #: core's cache, and the memory does not grow with the grid.  On a 400x400
-#: grid (min of 4 rounds of 7x30 calls, one core of a 2-vCPU Xeon with 2 MiB of
-#: L2) 4k, 8k, 16k, 32k and 64k cells took 1.03, 0.90, 0.73, 0.84 and 1.03 ms
-#: for the standing wave and 1.37, 1.20, 1.11, 1.15 and 1.35 ms for the 4-wave
-#: box field (32k's best box round was 1.00): smaller blocks pay numpy's
-#: per-call cost more often, and 16k stays a step below where larger ones fall
-#: out of the cache.
+#: grid (min of 4 rounds of 7x30 calls, one core of a 2-vCPU Xeon) 4k, 8k,
+#: 16k, 32k and 64k cells took 0.80, 0.61, 0.59, 0.58 and 0.83 ms for the
+#: standing wave and 1.28, 1.23, 1.06, 1.02 and 1.27 ms for the 4-wave box
+#: field, but three more rounds of 16k, 24k and 32k read 0.59-0.61,
+#: 0.71-0.73 and 0.75-0.76 ms, and 1.08-1.11, 1.12-1.16 and 1.16-1.20 ms:
+#: smaller blocks pay numpy's per-call cost more often, and 16k stays a step
+#: below where larger ones fall out of the cache.
 _RESIDUAL_BLOCK_CELLS = 16384
 
 
@@ -386,9 +387,10 @@ def wave_equation_residual(field: Superposition, x, t) -> float:
     sin(kx*x - w*t + p) is sin(a)*cos(b) - cos(a)*sin(b) with a = kx*x + p
     and b = w*t, so F = fx @ ft, with sin(a) and -cos(a) per wave in fx and
     cos(b) and sin(b) in ft.  Central differences are linear, so
-    F_tt - F_xx = fx @ ft_tt - fx_xx @ ft: each factor is differenced once
-    along its own axis, in O(nx + nt) memory.  The products are formed a
-    block of x rows at a time, so memory does not grow with the grid, and by
+    F_tt - F_xx = fx @ ft_tt - fx_xx @ ft = [fx | -fx_xx] @ [ft_tt ; ft]:
+    each factor is differenced once along its own axis and stored beside
+    itself, in O(nx + nt) memory.  That one product is formed a block of x
+    rows at a time, so memory does not grow with the grid, and by
     ``np.einsum``, whose own loop sums each cell in the same order whatever
     rows its block holds (BLAS ``@`` does not), so the result does not depend
     on the blocks.  It does not call ``evaluate``: the factored field differs
@@ -403,22 +405,25 @@ def wave_equation_residual(field: Superposition, x, t) -> float:
     for name, value in (("x step", dx), ("t step", dt), ("omega_max", field.omega_max)):
         if not 1e-150 <= value <= 1e150:
             raise InvalidConfigError(f"{name} must lie in [1e-150, 1e150], got {value:g}")
-    fx, ft = [], []
-    for w in field.waves:
+    # [fx | -fx_xx] and [ft_tt ; ft], filled in place.  The second differences
+    # fill interior rows and columns only, and only those are read.
+    n = 2 * len(field.waves)
+    fx = np.empty((len(x), 2 * n))
+    ft = np.empty((2 * n, len(t)))
+    for k, w in enumerate(field.waves):
         a = w.omega * w.direction[0] * x + w.phase
         b = w.omega * t
-        fx += [np.sin(a), -np.cos(a)]
-        ft += [np.cos(b), np.sin(b)]
-    fx = np.stack(fx, axis=1)
-    ft = np.stack(ft)
-    fx_xx = (fx[2:] - 2.0 * fx[1:-1] + fx[:-2]) / dx**2
-    ft_tt = (ft[:, 2:] - 2.0 * ft[:, 1:-1] + ft[:, :-2]) / dt**2
+        fx[:, 2 * k] = np.sin(a)
+        fx[:, 2 * k + 1] = -np.cos(a)
+        ft[n + 2 * k] = np.cos(b)
+        ft[n + 2 * k + 1] = np.sin(b)
+    fx[1:-1, n:] = (fx[2:, :n] - 2.0 * fx[1:-1, :n] + fx[:-2, :n]) / -dx**2
+    ft[:n, 1:-1] = (ft[n:, 2:] - 2.0 * ft[n:, 1:-1] + ft[n:, :-2]) / dt**2
     fx_in, ft_in = fx[1:-1], ft[:, 1:-1]
     rows = max(1, _RESIDUAL_BLOCK_CELLS // len(t))
     worst = 0.0
     for i in range(0, len(x) - 2, rows):
-        res = np.einsum("ik,kj->ij", fx_in[i:i + rows], ft_tt)
-        res -= np.einsum("ik,kj->ij", fx_xx[i:i + rows], ft_in)
+        res = np.einsum("ik,kj->ij", fx_in[i:i + rows], ft_in)
         # np.maximum, unlike max(), keeps a NaN from any block.
         worst = np.maximum(worst, np.max(np.abs(res, out=res)))
     return float(worst / (len(field.waves) * field.omega_max**2))

@@ -408,9 +408,9 @@ class TestTemporalFrequencies:
         assert 5e-7 < worst < 1e-6
         W = 8.358021686255072e+79
         cfg = bw.BoxConfig(W=W, L=W / 10.0, omega0=6.12063509452773e-76, v=0.9997433729864965)
-        _, series, _, _ = wc.measure_tone_pair(bw.build_field(cfg), 7.70227878341137e+79,
-                                               cfg.delta_omega)
-        assert _relative_residual(series, 2) < worst / 10.0
+        field, probe = bw.build_field(cfg), 7.70227878341137e+79
+        t, _, _ = wc.measure_tone_pair(field, probe, cfg.delta_omega)
+        assert _relative_residual(wc.evaluate(field, probe, t), 2) < worst / 10.0
         t = np.arange(0, 50, 0.005)
         offset = _relative_residual(np.cos(5 * t) + np.cos(100 * t + 0.4) + 1e-3, 2)
         assert offset < 10.0 * worst
@@ -449,7 +449,7 @@ class TestTonePair:
         # beat is the slower at v = 0.2, the lower tone at 0.9.
         b = wc.boost_standing_wave(1.0, speed)
         beat = (b.omega_plus - b.omega_minus) / 2.0
-        t, _, hi, lo = wc.measure_tone_pair(wc.superposition_of(b), 0.0, beat)
+        t, hi, lo = wc.measure_tone_pair(wc.superposition_of(b), 0.0, beat)
         slowest = min(beat, b.omega_minus)
         assert t[-1] < 16.0 * math.pi / slowest <= t[-1] + (t[1] - t[0])
         # 15 times the worst error of ~1,300 boosted pairs solved on every
@@ -457,13 +457,35 @@ class TestTonePair:
         # half of them near c, missed by at most 9.6e-10.
         assert (hi, lo) == pytest.approx((b.omega_plus, b.omega_minus), rel=1e-5)
 
-    def test_solves_every_4th_sample(self):
-        # The whole series comes back, and its tones are those of every 4th sample.
-        b = wc.boost_standing_wave(1.0, 0.6)
-        t, series, hi, lo = wc.measure_tone_pair(wc.superposition_of(b), 0.0, 0.75)
-        assert t[1] - t[0] == 2.0 * math.pi / b.omega_plus / 16.0
-        assert np.array_equal(series, wc.evaluate(wc.superposition_of(b), 0.0, t))
-        assert np.array_equal([hi, lo], wc.measure_temporal_frequencies(t[::4], series[::4], 2))
+    @pytest.mark.parametrize("field, x, beat", [
+        *[(bw.build_field(cfg), 0.275, cfg.delta_omega)
+          for cfg in (bw.BoxConfig(W=1.0, L=0.1, omega0=100.0, v=v)
+                      for v in (1.3e-4, 0.062708, 0.9997))],
+        *[(wc.superposition_of(b), 0.0, (b.omega_plus - b.omega_minus) / 2.0)
+          for b in (wc.boost_standing_wave(1.0, 0.6), wc.boost_standing_wave(2.0, -0.9))],
+    ], ids=["box-beat-v1.3e-4", "box-beat-default", "box-beat-v0.9997", "boost-w1-b0.6",
+            "boost-w2-b-0.9"])
+    def test_tones_are_those_of_every_4th_sample_of_the_whole_series(self, field, x, beat):
+        # evaluate is elementwise, so evaluating only the solved samples
+        # changes no bit of the tones.
+        t, hi, lo = wc.measure_tone_pair(field, x, beat)
+        assert t[1] - t[0] == 2.0 * math.pi / field.omega_max / 16.0
+        whole = wc.evaluate(field, x, t)
+        assert np.array_equal([hi, lo], wc.measure_temporal_frequencies(t[::4], whole[::4], 2))
+
+    def test_solves_every_4th_sample(self, monkeypatch):
+        # The field is evaluated only where the tones are solved: a quarter of
+        # the time axis that box-beat writes to probe_series.csv.
+        points, evaluate = [], wc.evaluate
+
+        def counted(field, x, t):
+            values = evaluate(field, x, t)
+            points.append(values.size)
+            return values
+
+        monkeypatch.setattr(wc, "evaluate", counted)
+        res = bw.analyze_beats(bw.BoxConfig(W=1.0, L=0.1, omega0=100.0, v=0.062708), 0.275)
+        assert points == [len(res.times[::4])]
 
     def test_slow_box_beat_series_solved_on_every_4th_sample(self):
         # box-beat's slowest accepted speed: 984,744 samples.  On every 4th
@@ -474,7 +496,8 @@ class TestTonePair:
         # solved on all 16 samples per period).
         cfg = bw.BoxConfig(W=1.0, L=0.1, omega0=100.0, v=1.3e-4)
         res = bw.analyze_beats(cfg, 0.275)
-        hi, lo = wc.measure_temporal_frequencies(res.times[::4], res.values[::4], 2)
+        series = wc.evaluate(bw.build_field(cfg), 0.275, res.times)
+        hi, lo = wc.measure_temporal_frequencies(res.times[::4], series[::4], 2)
         assert (hi, lo) == pytest.approx(
             (cfg.omega_bar + cfg.delta_omega, cfg.omega_bar - cfg.delta_omega), rel=1e-9)
         assert (hi - lo) / 2.0 == pytest.approx(cfg.delta_omega, rel=1e-9)
@@ -512,8 +535,8 @@ class TestTonePair:
             omega0 = 10 ** rng.uniform(-9.0, 9.0)
             beta = rng.choice([1.0, -1.0]) * 10 ** rng.uniform(math.log10(1 / 128), math.log10(0.99))
             b = wc.boost_standing_wave(omega0, beta)
-            _, _, hi, lo = wc.measure_tone_pair(wc.superposition_of(b), 0.0,
-                                                (b.omega_plus - b.omega_minus) / 2.0)
+            _, hi, lo = wc.measure_tone_pair(wc.superposition_of(b), 0.0,
+                                             (b.omega_plus - b.omega_minus) / 2.0)
             worst["boost mass"] = max(worst["boost mass"], abs(math.sqrt(hi * lo) / omega0 - 1.0))
             worst["boost speed"] = max(worst["boost speed"],
                                        abs((hi - lo) / (hi + lo) / abs(beta) - 1.0))
@@ -542,12 +565,15 @@ def _factored_grid(field, x, t):
 
 
 def _residual_whole_grid(field, x, t):
-    """The blocked kernel's reference: the same factor products over the whole grid, at once."""
+    """The blocked kernel's reference: the same stacked factor product over the whole grid.
+
+    [fx | -fx_xx] @ [ft_tt ; ft] is fx @ ft_tt - fx_xx @ ft, one sum per cell.
+    """
     fx, ft = _factors(field, x, t)
     fx_xx = (fx[2:] - 2.0 * fx[1:-1] + fx[:-2]) / (x[1] - x[0])**2
     ft_tt = (ft[:, 2:] - 2.0 * ft[:, 1:-1] + ft[:, :-2]) / (t[1] - t[0])**2
-    res = (np.einsum("ik,kj->ij", fx[1:-1], ft_tt)
-           - np.einsum("ik,kj->ij", fx_xx, ft[:, 1:-1]))
+    res = np.einsum("ik,kj->ij", np.hstack([fx[1:-1], -fx_xx]),
+                    np.vstack([ft_tt, ft[:, 1:-1]]))
     return float(np.max(np.abs(res)) / (len(field.waves) * field.omega_max**2))
 
 
