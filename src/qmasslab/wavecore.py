@@ -2,10 +2,11 @@
 
 Natural units throughout (c = hbar = 1).  All waves are lightlike scalars:
 the wavenumber always equals omega and is never stored independently.
-Measurement utilities (tone frequencies by linear prediction, with a two-tone
-kernel in time and the envelope wavelength in space built on them, and
-finite-difference residuals) are the numerical oracles used to verify the
-closed forms elsewhere; they need numpy only.
+Measurement utilities (tone frequencies by linear prediction, solved from one
+Householder QR with the rank, residual and roots of one or two tones in closed
+form, with a two-tone kernel in time and the envelope wavelength in space built
+on them, and finite-difference residuals) are the numerical oracles used to
+verify the closed forms elsewhere; they need numpy only.
 """
 
 from __future__ import annotations
@@ -231,34 +232,53 @@ def _uniform_step(name: str, a: np.ndarray):
     step = a[1] - a[0]
     if not step > 0.0:
         raise InvalidConfigError(f"{name} step must be positive, got {step}")
-    if np.max(np.abs(np.diff(a) - step)) > 1e-9 * step:
+    deviation = a[1:] - a[:-1]
+    deviation -= step
+    if np.abs(deviation, out=deviation).max() > 1e-9 * step:
         raise InvalidConfigError(f"{name} steps must be uniform")
     return step
+
+
+def _triangle_singular_values(a: float, b: float, d: float) -> tuple[float, float]:
+    """``(s_max, s_min)`` of the upper-triangular [[a, b], [0, d]], in closed form.
+
+    s_max**2 + s_min**2 = a**2 + b**2 + d**2 and s_max * s_min = |a*d|, so
+    s_max +- s_min = hypot(|a| +- |d|, b).  s_min is taken from the product,
+    which does not cancel when it is small.
+    """
+    s_max = (math.hypot(abs(a) + abs(d), b) + math.hypot(abs(a) - abs(d), b)) / 2.0
+    return s_max, abs(a * d) / s_max if s_max else 0.0
 
 
 def measure_temporal_frequencies(times, values, count: int) -> np.ndarray:
     """Angular frequencies of a series that is a sum of ``count`` tones, highest first.
 
-    ``times`` must be finite, uniform and increasing, ``values`` finite and
-    of the same length, at least 16 and more than 3*count samples.  A tone
-    w obeys s[k-1] + s[k+1] = u*s[k] with u = 2*cos(w*dt), so a sum of
+    ``count`` is 1 or 2.  ``times`` must be finite, uniform and increasing,
+    ``values`` finite and of the same length, at least 16 samples.  A tone w
+    obeys s[k-1] + s[k+1] = u*s[k] with u = 2*cos(w*dt), so a sum of
     ``count`` tones is annihilated by a monic polynomial of degree ``count``
     in that neighbour sum whose roots are the tones' u (Prony's linear
     prediction).  Columns y_0 = s and y_{j+1} = y_j[:-2] + y_j[2:], each
-    trimmed to the last one's length, give its coefficients from one
-    least-squares solve.  The raw series is used: removing its mean or
+    trimmed to the last one's length, go into one Householder QR with the
+    target y_count last: R's leading count x count block is the columns'
+    own, its last column holds the target's projections, and its last
+    diagonal is the least-squares residual (Golub & Van Loan, Matrix
+    Computations, 5.3).  The block's singular values come in closed form,
+    the coefficients by back-substitution and the roots from the stable
+    quadratic formula.  The raw series is used: removing its mean or
     differencing it would bias the slow tones.  A series that is not
     ``count`` tones raises ``InsufficientSpanError``: fewer leave the
-    columns rank deficient, more tones or a sizeable offset leave a
-    residual above 1e-6 of 2**count * ||s||, and a root that is not real
-    and inside (-2, 2) is no tone.  Each neighbour sum at most doubles a
-    norm, so 2**count * ||s|| bounds the target column whatever the tones:
-    the residual is measured against the input, not against that column,
-    which all but vanishes when the fastest tone is sampled a few times per
-    period (at four, ``measure_tone_pair``'s spacing, its u is ~0).
+    columns rank deficient (s_min <= eps * rows * s_max, lstsq's own rule),
+    more tones or a sizeable offset leave a residual above 1e-6 of
+    2**count * ||s||, and a root that is not real and inside (-2, 2) is no
+    tone.  Each neighbour sum at most doubles a norm, so 2**count * ||s||
+    bounds the target column whatever the tones: the residual is measured
+    against the input, not against that column, which all but vanishes
+    when the fastest tone is sampled a few times per period (at four,
+    ``measure_tone_pair``'s spacing, its u is ~0).
     """
-    if count < 1:
-        raise InvalidConfigError(f"count must be >= 1, got {count}")
+    if count not in (1, 2):
+        raise InvalidConfigError(f"count must be >= 1 and <= 2, got {count}")
     t = np.asarray(times, dtype=float)
     v = np.asarray(values, dtype=float)
     if t.ndim != 1 or t.shape != v.shape:
@@ -266,27 +286,43 @@ def measure_temporal_frequencies(times, values, count: int) -> np.ndarray:
             f"times and values must be 1-D of one length, got {t.shape} and {v.shape}")
     if not (np.isfinite(t).all() and np.isfinite(v).all()):
         raise InvalidConfigError("times and values must be finite")
-    if len(t) < max(16, 3 * count + 1):
+    if len(t) < 16:
         raise InsufficientSpanError(f"series too short: {len(t)} samples")
     dt = float(_uniform_step("time", t))
-    if np.ptp(v) == 0.0:
+    top, bottom = float(v.max()), float(v.min())
+    if top == bottom:
         raise InsufficientSpanError("constant series has no spectral peaks")
-    v = np.ldexp(v, -np.frexp(np.max(np.abs(v)))[1])  # exact: no norm over- or underflows
+    v = np.ldexp(v, -math.frexp(max(top, -bottom))[1])  # exact: no norm over- or underflows
     cols = [v]
     for _ in range(count):
         cols = [c[1:-1] for c in cols] + [cols[-1][:-2] + cols[-1][2:]]
-    rhs = cols.pop()
-    coef, residual, rank, _ = np.linalg.lstsq(np.stack(cols, axis=1), -rhs, rcond=None)
-    if rank < count:
+    r = np.linalg.qr(np.stack(cols, axis=1), mode="r").tolist()
+    a = r[0][0]
+    if count == 1:
+        s_max = s_min = abs(a)
+    else:
+        b, d = r[0][1], r[1][1]
+        s_max, s_min = _triangle_singular_values(a, b, d)
+    if s_min <= np.finfo(float).eps * len(cols[0]) * s_max:
         raise InsufficientSpanError(f"series holds fewer than {count} tones")
-    if not np.sqrt(residual[0]) <= 1e-6 * 2.0**count * np.linalg.norm(v):
+    if not abs(r[count][count]) <= 1e-6 * 2.0**count * math.sqrt(v @ v):
         raise InsufficientSpanError(f"series is not a sum of {count} tones")
-    companion = np.eye(count, k=-1)
-    companion[0] = -coef[::-1]
-    u = np.linalg.eigvals(companion)
-    if u.dtype.kind == "c" or not np.all(np.abs(u) < 2.0):
+    if count == 1:
+        u = [r[0][1] / a]
+    else:
+        # Back-substitution gives u**2 + c1*u + c0.  q never cancels, and it
+        # is 0 only when both roots are.
+        c1 = -r[1][2] / d
+        c0 = -(r[0][2] + b * c1) / a
+        discriminant = c1 * c1 - 4.0 * c0
+        if discriminant < 0.0:
+            raise InsufficientSpanError(f"series holds a component that is not a tone: "
+                                        f"u**2 + {c1:.6g}*u + {c0:.6g} has complex roots")
+        q = -(c1 + math.copysign(math.sqrt(discriminant), c1)) / 2.0
+        u = [q, c0 / q if q else 0.0]
+    if not all(abs(root) < 2.0 for root in u):
         raise InsufficientSpanError(f"series holds a component that is not a tone: u = {u}")
-    return np.sort(np.arccos(u / 2.0) / dt)[::-1]
+    return np.array([math.acos(root / 2.0) / dt for root in sorted(u)])
 
 
 def measure_envelope_wavelength(x, values) -> float:

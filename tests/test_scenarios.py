@@ -546,20 +546,23 @@ def _boost_envelope_cases():
 
 
 def test_boost_envelope_gate_sits_above_the_worst_swept_error(tmp_path):
-    # The worst error is 9.1e-4, at the first case: at omega0 = 1e9 the snapshot
-    # at t = 0.3 rounds its phase by ~1e-7 rad a sample, and near c the slow tone
-    # k- spans about one period of the grid.  That is 1.1 times below the gate,
-    # not the 10 times that tightening it needs, so the gate stays at 1e-3.
+    # Solved, as the runner solves it, on every 16th point of the 64-per-period
+    # grid, the worst error is 9.5e-9, at the second case; the gate is ten times
+    # that.  On every point the first case missed by 9.1e-4: at omega0 = 1e9 the
+    # snapshot at t = 0.3 rounds its phase by ~1e-7 rad a sample, and near c the
+    # slow tone k- spans about one period of the grid.
     gate = {m.name: m.tolerance for m in scenarios.run("boost", {}, tmp_path).metrics}
     errors = []
     for omega0, beta in _boost_envelope_cases():
         b = wavecore.boost_standing_wave(omega0, beta)
         x = wavecore.envelope_sampling_grid(b)
         snapshot = wavecore.evaluate(wavecore.superposition_of(b), x, 0.3)
-        measured = wavecore.measure_envelope_wavelength(x, snapshot)
+        stride = scenarios._ENVELOPE_SOLVE_STRIDE
+        measured = wavecore.measure_envelope_wavelength(x[::stride], snapshot[::stride])
         predicted = qmass.de_broglie_wavelength(omega0, abs(beta))
         errors.append(abs(measured / predicted - 1.0))
-    assert max(errors) < gate["envelope_wavelength"]
+    assert 10.0 * max(errors) <= gate["envelope_wavelength"]
+    assert errors[0] < 1e-10
 
 
 def test_boost_gates_catch_dropped_lorentz_factor(tmp_path, monkeypatch, capsys):

@@ -259,14 +259,29 @@ def _two_tone_residual(omegas):
     return basis @ np.linalg.lstsq(basis, _TWO_TONE_SERIES, rcond=None)[0] - _TWO_TONE_SERIES
 
 
-def _relative_residual(values, count):
-    """The prediction solve's residual over 2**count * ||values||, as the solve bounds it."""
+def _prediction_columns(values, count):
+    """The prediction solve's ``count`` columns and its target column."""
     cols = [values]
     for _ in range(count):
         cols = [c[1:-1] for c in cols] + [cols[-1][:-2] + cols[-1][2:]]
-    rhs = cols.pop()
-    residual = np.linalg.lstsq(np.stack(cols, axis=1), -rhs, rcond=None)[1]
+    return np.stack(cols[:-1], axis=1), cols[-1]
+
+
+def _relative_residual(values, count):
+    """The prediction solve's residual over 2**count * ||values||, as the solve bounds it."""
+    cols, rhs = _prediction_columns(values, count)
+    residual = np.linalg.lstsq(cols, -rhs, rcond=None)[1]
     return math.sqrt(residual[0]) / (2.0**count * np.linalg.norm(values))
+
+
+def _lstsq_companion_tones(times, values, count):
+    """Reference tones: lstsq for the coefficients, eigvals of the companion matrix for u."""
+    values = np.ldexp(values, -np.frexp(np.max(np.abs(values)))[1])
+    coef = np.linalg.lstsq(*_prediction_columns(values, count), rcond=None)[0]
+    companion = np.eye(count, k=-1)
+    companion[0] = coef[::-1]  # a fit to +target gives minus the polynomial's coefficients
+    u = np.linalg.eigvals(companion)
+    return np.sort(np.arccos(u / 2.0) / (times[1] - times[0]))[::-1]
 
 
 class TestTemporalFrequencies:
@@ -295,11 +310,12 @@ class TestTemporalFrequencies:
         with pytest.raises(InsufficientSpanError):
             wc.measure_temporal_frequencies(np.arange(8), np.arange(8.0), 1)
 
-    @pytest.mark.parametrize("n, count", [(18, 6), (21, 7)])
-    def test_fewer_prediction_rows_than_tones_errors(self, n, count):
-        # n - 2*count prediction rows must outnumber the count tones.
-        t = np.arange(n) * 0.1
-        with pytest.raises(InsufficientSpanError, match=f"series too short: {n} samples"):
+    @pytest.mark.parametrize("count", [3, 6, 7])
+    def test_count_above_two_rejected(self, count):
+        # The closed-form roots and singular values exist for one and two tones;
+        # a larger count is rejected before the series is read.
+        t = np.arange(21) * 0.1
+        with pytest.raises(InvalidConfigError, match="count must be >= 1 and <= 2"):
             wc.measure_temporal_frequencies(t, np.cos(2.0 * t), count)
 
     @pytest.mark.parametrize("count", [0, -1])
@@ -393,19 +409,21 @@ class TestTemporalFrequencies:
             wc.measure_temporal_frequencies(t, series(t), count)
 
     def test_worst_accepted_residual_leaves_no_room_to_reject_a_small_offset(self):
-        # The worst residual found for a series the scenarios accept: 5.9e-7,
-        # 1.7x under the 1e-6 bound, from the boost envelope's spatial solve
-        # at the top corner of its range, where the snapshot rounds its phase
-        # by ~1e-7 rad a sample and k- spans about one period of the grid.
+        # The worst residual found for a series the scenarios accept: 2.0e-7,
+        # 5.1x under the 1e-6 bound, from the boost envelope's spatial solve on
+        # every 16th point at a top corner of its range, where the snapshot
+        # rounds its phase by ~1e-7 rad a sample (6.0e-7 on every point; the
+        # pinned case of test_boost_envelope_gate_sits_above_the_worst_swept_error
+        # reads 1.3e-7 strided, 5.9e-7 on every point).
         # The box-beat series at 1 - v near the 2**20-sample floor, probed
         # near a node of both standing waves, reads 1.3e-8 whole and 4.0e-9
         # on the every-4th-sample solve.  A 1e-3 offset on the 5-and-100
         # rad/s series leaves 3.8e-8, below ten times the worst, so no bound
         # with a 10x margin rejects it; the bound stays at 1e-6.
-        b = wc.boost_standing_wave(1e9, 0.9915305537489627)
+        b = wc.boost_standing_wave(1e9, -0.9903133685390878)
         x = wc.envelope_sampling_grid(b)
-        worst = _relative_residual(wc.evaluate(wc.superposition_of(b), x, 0.3), 2)
-        assert 5e-7 < worst < 1e-6
+        worst = _relative_residual(wc.evaluate(wc.superposition_of(b), x, 0.3)[::16], 2)
+        assert 1.5e-7 < worst < 1e-6
         W = 8.358021686255072e+79
         cfg = bw.BoxConfig(W=W, L=W / 10.0, omega0=6.12063509452773e-76, v=0.9997433729864965)
         field, probe = bw.build_field(cfg), 7.70227878341137e+79
@@ -434,6 +452,66 @@ class TestTemporalFrequencies:
         two = np.cos(5 * t) + np.cos(100 * t + 0.4)
         assert np.array_equal(wc.measure_temporal_frequencies(t, 2.0**power * two, 2),
                               wc.measure_temporal_frequencies(t, two, 2))
+
+    @settings(deadline=None, max_examples=80)
+    @given(
+        n=st.integers(64, 8000),
+        t0=st.floats(-100.0, 100.0),
+        count=st.sampled_from([1, 2]),
+        tones=st.tuples(st.floats(0.05, 0.45), st.floats(0.05, 0.45)),
+        phase=st.floats(0.0, 2.0 * math.pi),
+    )
+    def test_matches_the_lstsq_and_companion_solve(self, n, t0, count, tones, phase):
+        # Tones in cycles per sample, two at least 12 FFT bins apart.  Over 3,000
+        # seeded draws the QR solve and the lstsq + eigvals solve differed by at
+        # most 1.1e-15 for one tone and 4.2e-13 for two; the bound is 10x that.
+        assume(count == 1 or (abs(tones[0] - tones[1]) * n >= 12 and min(tones) * n >= 12))
+        t = t0 + np.arange(n) * 0.01
+        k = np.arange(n)
+        v = np.cos(2 * math.pi * tones[0] * k + phase)
+        if count == 2:
+            v += 0.5 * np.cos(2 * math.pi * tones[1] * k)
+        got = wc.measure_temporal_frequencies(t, v, count)
+        assert got == pytest.approx(_lstsq_companion_tones(t, v, count), rel=5e-12)
+
+    def test_double_root_at_zero_matches_the_companion_solve(self):
+        # k*cos(pi*k/2), exact in floats: the target column is 0, so both
+        # coefficients and the quadratic's q are 0, and c0/q is no root.
+        k = np.arange(64)
+        v = np.where(k % 2 == 0, k * (-1.0) ** (k // 2), 0.0)
+        t = k * 0.1
+        got = wc.measure_temporal_frequencies(t, v, 2)
+        assert np.array_equal(got, _lstsq_companion_tones(t, v, 2))
+        assert got == pytest.approx([math.pi / 2 / 0.1] * 2, rel=1e-15)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-12, 1e-15])
+    def test_closed_form_singular_values_match_svd(self, scale):
+        # The second column is 0.7 of the first plus `scale` of noise, so
+        # s_min / s_max falls with the scale down to the rank rule's eps * rows.
+        # Over 200 seeds both singular values matched to 4.4e-16; s_min taken
+        # as (s_max + s_min - (s_max - s_min))/2 cancels and missed by 4e-2 at 1e-15.
+        rng = np.random.default_rng(36)
+        cols = rng.standard_normal((500, 2))
+        cols[:, 1] = 0.7 * cols[:, 0] + scale * cols[:, 1]
+        (a, b), (_, d) = np.linalg.qr(cols, mode="r").tolist()
+        s_max, s_min = wc._triangle_singular_values(a, b, d)
+        want = np.linalg.svd(cols, compute_uv=False)
+        assert s_max == pytest.approx(want[0], rel=1e-14)
+        assert s_min == pytest.approx(want[1], rel=1e-14, abs=0.0)
+
+    def test_one_tone_as_two_is_rank_deficient_by_svd_too(self):
+        # The prediction columns of one tone asked for as two: s_min / s_max is
+        # ~5e-15, below the rank rule's eps * rows in closed form and by SVD.
+        t = np.arange(0, 50, 0.005)
+        cols, rhs = _prediction_columns(np.cos(5 * t), 2)
+        (a, b, _), (_, d, _), _ = np.linalg.qr(np.column_stack([cols, rhs]), mode="r").tolist()
+        s_max, s_min = wc._triangle_singular_values(a, b, d)
+        want = np.linalg.svd(cols, compute_uv=False)
+        rule = np.finfo(float).eps * len(cols)
+        assert s_min <= rule * s_max and want[1] <= rule * want[0]
+        assert s_max == pytest.approx(want[0], rel=1e-14)
+        with pytest.raises(InsufficientSpanError, match="fewer than 2 tones"):
+            wc.measure_temporal_frequencies(t, np.cos(5 * t), 2)
 
 
 class TestTonePair:
