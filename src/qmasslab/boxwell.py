@@ -248,15 +248,17 @@ def trace_states_vs_position(cfg: BoxConfig, n_positions: int = 160) -> Internal
 
 
 def _bisect_speed(target: float, omega0: float) -> float:
-    """Solve gamma(beta)*beta*omega0 = target for beta by bisection to a 1e-14 bracket."""
-    f = lambda b: gamma_of(b) * b * omega0 - target
+    """Solve gamma(beta)*beta*omega0 = target for beta by bisection to a 1e-14 bracket.
+
+    Each step inlines ``gamma_of``'s arithmetic: the bracket stays in [0, BETA_MAX].
+    """
     lo, hi = 0.0, BETA_MAX
-    if f(hi) < 0:
+    if gamma_of(hi) * hi * omega0 - target < 0:
         raise InvalidConfigError(
             f"no admissible cavity speed below {BETA_MAX}c for target {target}")
     while hi - lo > 1e-14:
         mid = 0.5 * (lo + hi)
-        if f(mid) < 0:
+        if 1.0 / math.sqrt(1.0 - mid * mid) * mid * omega0 - target < 0:
             lo = mid
         else:
             hi = mid

@@ -241,9 +241,10 @@ def fringe_gap_predicted(cfg: SlitConfig, D: float, screen: str = "arc") -> floa
 
 
 def screen_intensity(cfg: SlitConfig, points) -> np.ndarray:
-    """Time-averaged two-source intensity with the 1/r amplitude law."""
-    rel = np.asarray(points, dtype=float)[..., None, :] - cfg.slits
-    r1, r2 = np.moveaxis(np.hypot(rel[..., 0], rel[..., 1]), -1, 0)
+    """Time-averaged intensity at (x, y) points, 1/r amplitudes, r = hypot(x, y -+ d/2)."""
+    points = np.asarray(points, dtype=float)
+    x, y, h = points[..., 0], points[..., 1], cfg.d / 2.0
+    r1, r2 = np.hypot(x, y - h), np.hypot(x, y + h)
     a1, a2 = 1.0 / r1, 1.0 / r2
     return a1**2 + a2**2 + 2.0 * a1 * a2 * np.cos(cfg.omega * (r1 - r2))
 

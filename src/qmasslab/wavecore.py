@@ -156,14 +156,21 @@ def superposition_of(b: BidirectionalWave) -> Superposition:
 
 
 def evaluate(s: Superposition, x, t):
-    """Field value at positions (x, 0) and times t; x and t broadcast."""
+    """Field value at positions (x, 0) and times t; x and t broadcast.
+
+    Summed in place from +0.0, which no -0.0 term changes: a zero phase is skipped.
+    """
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
     out = np.zeros(np.broadcast_shapes(x.shape, t.shape))
+    arg = np.empty_like(out)
     for w in s.waves:
-        kx = w.omega * w.direction[0]
-        out = out + np.sin(kx * x - w.omega * t + w.phase)
-    return out
+        np.multiply(t, w.omega, out=arg)
+        np.subtract(w.omega * w.direction[0] * x, arg, out=arg)
+        if w.phase:
+            arg += w.phase
+        out += np.sin(arg, out=arg)
+    return out[()]  # a numpy scalar, not a 0-d array, when x and t are scalars
 
 
 def factor_carrier_envelope(b: BidirectionalWave) -> CarrierEnvelopePair:
@@ -260,11 +267,11 @@ def measure_temporal_frequencies(times, values, count: int) -> np.ndarray:
     in that neighbour sum whose roots are the tones' u (Prony's linear
     prediction).  Columns y_0 = s and y_{j+1} = y_j[:-2] + y_j[2:], each
     trimmed to the last one's length, go into one Householder QR with the
-    target y_count last: R's leading count x count block is the columns'
-    own, its last column holds the target's projections, and its last
-    diagonal is the least-squares residual (Golub & Van Loan, Matrix
-    Computations, 5.3).  The block's singular values come in closed form,
-    the coefficients by back-substitution and the roots from the stable
+    target y_count last; R is the upper triangle of the transposed raw array.
+    Its leading count x count block is the columns' own, its last column the
+    target's projections, its last diagonal the residual (Golub & Van Loan,
+    Matrix Computations, 5.3).  The block's singular values come in closed
+    form, the coefficients by back-substitution and the roots from the stable
     quadratic formula.  The raw series is used: removing its mean or
     differencing it would bias the slow tones.  A series that is not
     ``count`` tones raises ``InsufficientSpanError``: fewer leave the
@@ -284,19 +291,19 @@ def measure_temporal_frequencies(times, values, count: int) -> np.ndarray:
     if t.ndim != 1 or t.shape != v.shape:
         raise InvalidConfigError(
             f"times and values must be 1-D of one length, got {t.shape} and {v.shape}")
-    if not (np.isfinite(t).all() and np.isfinite(v).all()):
+    top, bottom = (float(v.max()), float(v.min())) if len(v) else (0.0, 0.0)
+    if not (np.isfinite(t).all() and math.isfinite(top) and math.isfinite(bottom)):
         raise InvalidConfigError("times and values must be finite")
     if len(t) < 16:
         raise InsufficientSpanError(f"series too short: {len(t)} samples")
     dt = float(_uniform_step("time", t))
-    top, bottom = float(v.max()), float(v.min())
     if top == bottom:
         raise InsufficientSpanError("constant series has no spectral peaks")
     v = np.ldexp(v, -math.frexp(max(top, -bottom))[1])  # exact: no norm over- or underflows
     cols = [v]
     for _ in range(count):
         cols = [c[1:-1] for c in cols] + [cols[-1][:-2] + cols[-1][2:]]
-    r = np.linalg.qr(np.stack(cols, axis=1), mode="r").tolist()
+    r = np.linalg.qr(np.stack(cols, axis=1), mode="raw")[0][:, :count + 1].T.tolist()
     a = r[0][0]
     if count == 1:
         s_max = s_min = abs(a)

@@ -155,6 +155,22 @@ class TestTraceStatesVsPosition:
         assert np.max(modulus) / np.min(modulus) - 1.0 < 1e-3
 
 
+def _bisect_speed_reference(target, omega0):
+    """The mode bisection through a ``gamma_of`` lambda, range check included."""
+    f = lambda b: wc.gamma_of(b) * b * omega0 - target
+    lo, hi = 0.0, bw.BETA_MAX
+    if f(hi) < 0:
+        raise InvalidConfigError(
+            f"no admissible cavity speed below {bw.BETA_MAX}c for target {target}")
+    while hi - lo > 1e-14:
+        mid = 0.5 * (lo + hi)
+        if f(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 class TestQuantization:
     @pytest.mark.parametrize("W, omega0", [(1.0, 1.0000001e5), (2.0, 6e4)])
     def test_mode_speed_rejects_a_carrier_phase_above_cap(self, W, omega0):
@@ -221,6 +237,26 @@ class TestQuantization:
         # 0 and return a speed of 3.5e-15; the mode speed takes a checked Well.
         with pytest.raises(InvalidConfigError):
             bw.speed_for_mode(bw.Well(W=W, omega0=omega0), 1)
+
+    def test_bisection_matches_the_gamma_of_bisection_bit_for_bit(self):
+        # 2,000 seeded (n, Well) pairs over the whole Well range: W log-uniform
+        # over [1e-100, 1e100], omega0*W over [20, 1e5], n up to ~300, beyond
+        # the last admissible mode when omega0*W is small.
+        rng = np.random.default_rng(37)
+        rejected = 0
+        for _ in range(2000):
+            W = 10.0 ** rng.uniform(-100.0, 100.0)
+            well = bw.Well(W=W, omega0=10.0 ** rng.uniform(math.log10(20.0), 5.0) / W)
+            target = int(10.0 ** rng.uniform(0.0, 2.5)) * math.pi / well.W
+            try:
+                want = _bisect_speed_reference(target, well.omega0)
+            except InvalidConfigError as e:
+                rejected += 1
+                with pytest.raises(InvalidConfigError, match=re.escape(str(e))):
+                    bw._bisect_speed(target, well.omega0)
+                continue
+            assert bw._bisect_speed(target, well.omega0) == want
+        assert 0 < rejected < 100
 
     def test_bad_mode_index(self):
         with pytest.raises(InvalidConfigError):

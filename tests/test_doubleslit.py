@@ -155,6 +155,14 @@ def test_non_finite_point_rejected(call, point, cfg):
         call(point, cfg)
 
 
+def _screen_intensity_reference(cfg, points):
+    """``screen_intensity`` through the slit array, one broadcast over both slits."""
+    rel = np.asarray(points, dtype=float)[..., None, :] - cfg.slits
+    r1, r2 = np.moveaxis(np.hypot(rel[..., 0], rel[..., 1]), -1, 0)
+    a1, a2 = 1.0 / r1, 1.0 / r2
+    return a1**2 + a2**2 + 2.0 * a1 * a2 * np.cos(cfg.omega * (r1 - r2))
+
+
 class TestFringeSpacing:
     def test_predicted_reference(self):
         # D*lambda/d = 1 at the scenario defaults; the path-difference form adds
@@ -235,6 +243,28 @@ class TestFringeSpacing:
         cfg = ds.SlitConfig(d=0.5, omega=2 * math.pi / 0.01)
         report = ds.fringe_spacing_measured(cfg, 50.0, screen="line")
         assert report.measured == pytest.approx(report.predicted, rel=0.01)
+
+    @pytest.mark.parametrize("screen", ["arc", "line"])
+    def test_intensity_matches_the_slit_array_form_bit_for_bit(self, screen):
+        # hypot(x, y -+ d/2) directly: y - (-d/2) is y + d/2, and hypot ignores
+        # the sign of x - 0.0, so the screen intensity keeps every bit.
+        rng = np.random.default_rng(37)
+        for _ in range(50):
+            d = 10.0 ** rng.uniform(-6.0, 6.0)
+            ratio = rng.uniform(1e-3, 0.2 if screen == "line" else 0.44)
+            cfg = ds.SlitConfig(d=d, omega=2.0 * math.pi / (ratio * d))
+            D = d * rng.uniform(2.0, 200.0)
+            report = ds.fringe_spacing_measured(cfg, D, screen=screen)
+            s = report.s
+            if screen == "arc":
+                pts = np.stack([D * np.cos(s / D), D * np.sin(s / D)], axis=-1)
+            else:
+                pts = np.stack([np.full_like(s, D), s], axis=-1)
+            assert np.array_equal(report.intensity, _screen_intensity_reference(cfg, pts))
+            pts = d * rng.standard_normal((3, 5, 2))
+            pts[0, :, 0] = [0.0, -0.0, 0.0, -0.0, 1.0]
+            assert np.array_equal(ds.screen_intensity(cfg, pts),
+                                  _screen_intensity_reference(cfg, pts))
 
     def test_too_small_screen_errors(self, monkeypatch):
         cfg = ds.SlitConfig(d=0.5, omega=2 * math.pi / 0.01)

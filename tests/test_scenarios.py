@@ -266,6 +266,16 @@ def test_energy_gate_passes_at_large_carrier_phase(params, tmp_path):
     assert summary.passed, [m.name for m in summary.metrics if not m.passed]
 
 
+@pytest.mark.parametrize("carrier_phase", [20.0, 1e5])
+@pytest.mark.parametrize("W", [1e-100, 1e100])
+def test_box_quantize_passes_at_the_corners_of_the_well_range(W, carrier_phase, tmp_path):
+    # W and omega0*W at both ends of the Well's range.  The worst momentum
+    # error reads 1.7e-14 at omega0*W = 20 and 5.6e-11 at 1e5.
+    summary = scenarios.run("box-quantize", {"W": W, "omega0": carrier_phase / W}, tmp_path)
+    assert summary.passed, [m.name for m in summary.metrics if not m.passed]
+    assert max(m.rel_error for m in summary.metrics if m.name.startswith("momentum_n")) <= 1e-10
+
+
 @pytest.mark.parametrize(
     "kind, params",
     [

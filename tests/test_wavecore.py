@@ -143,6 +143,36 @@ class TestBoostStandingWave:
         assert b.omega_plus == pytest.approx(2.0, rel=1e-12)
 
 
+def _evaluate_reference(s, x, t):
+    """``evaluate`` as one new array per wave, its phase added even when it is 0."""
+    x = np.asarray(x, dtype=float)
+    t = np.asarray(t, dtype=float)
+    out = np.zeros(np.broadcast_shapes(x.shape, t.shape))
+    for w in s.waves:
+        kx = w.omega * w.direction[0]
+        out = out + np.sin(kx * x - w.omega * t + w.phase)
+    return out
+
+
+_AXES = [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)]
+_WAVES = st.lists(
+    st.builds(
+        wc.PlaneWave,
+        st.floats(1e-3, 1e3),
+        st.one_of(st.sampled_from(_AXES),
+                  st.floats(0.0, 2.0 * math.pi).map(lambda a: (math.cos(a), math.sin(a)))),
+        st.one_of(st.sampled_from([0.0, -0.0, math.pi]), st.floats(-10.0, 10.0)),
+    ),
+    min_size=1, max_size=4)
+
+
+def _axis_with_zeros(rng, n):
+    """``n`` points in [-50, 50] with +0.0 and -0.0 among them, so zero arguments occur."""
+    a = rng.uniform(-50.0, 50.0, n)
+    a[: min(n, 2)] = [0.0, -0.0][: min(n, 2)]
+    return a
+
+
 class TestEvaluate:
     def test_single_wave_origin(self):
         s = wc.Superposition((wc.PlaneWave(1.0),))
@@ -170,6 +200,26 @@ class TestEvaluate:
     def test_empty_superposition_rejected(self):
         with pytest.raises(InvalidConfigError, match="at least one wave"):
             wc.Superposition(())
+
+    @settings(deadline=None, max_examples=300)
+    @given(waves=_WAVES, layout=st.sampled_from(["scalar", "1-D", "grid"]),
+           n=st.integers(1, 40), m=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_per_wave_sum_bit_for_bit(self, waves, layout, n, m, seed):
+        # Summed in place with a zero phase skipped, every bit and the sign of
+        # every zero are those of one new array per wave with the phase added.
+        rng = np.random.default_rng(seed)
+        x, t = _axis_with_zeros(rng, n), _axis_with_zeros(rng, m)
+        if layout == "scalar":
+            x, t = float(x[seed % n]), float(t[seed % m])
+        elif layout == "1-D":
+            t = t[0]
+        else:
+            x, t = x[:, None], t[None, :]
+        s = wc.Superposition(tuple(waves))
+        got, want = wc.evaluate(s, x, t), _evaluate_reference(s, x, t)
+        assert type(got) is type(want) and np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestFactorCarrierEnvelope:
@@ -351,6 +401,43 @@ class TestTemporalFrequencies:
             warnings.simplefilter("error")
             with pytest.raises(InvalidConfigError, match="must be finite"):
                 wc.measure_temporal_frequencies(t, v, 2)
+
+    def test_short_series_with_a_nan_is_invalid_and_an_empty_one_short(self):
+        # Finiteness is checked before length: a NaN among 10 values is bad
+        # input, not a short series, while an empty series is only too short.
+        t = np.arange(10) * 0.05
+        v = np.cos(2.0 * t)
+        v[3] = NAN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidConfigError, match="must be finite"):
+                wc.measure_temporal_frequencies(t, v, 2)
+            with pytest.raises(InsufficientSpanError, match="series too short: 0 samples"):
+                wc.measure_temporal_frequencies([], [], 2)
+
+    @pytest.mark.parametrize("count", [1, 2])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_reads_r_from_the_raw_householder_array_bit_for_bit(self, count, seed,
+                                                                monkeypatch):
+        # The solve reads R from the transposed array of qr(mode="raw"); its
+        # upper triangle equals triu(qr(mode="r")) of the same matrix.
+        rng = np.random.default_rng(seed)
+        t = np.arange(int(rng.integers(16, 3000))) * 0.01
+        tones = rng.uniform(0.3, 2.9, count) / 0.01
+        v = sum(rng.uniform(0.1, 10.0) * np.cos(w * t + rng.uniform(0, 7)) for w in tones)
+        qr, seen = np.linalg.qr, []
+
+        def spy(a, mode="reduced"):
+            seen.append((a.copy(), mode))
+            return qr(a, mode=mode)
+
+        monkeypatch.setattr(np.linalg, "qr", spy)
+        wc.measure_temporal_frequencies(t, v, count)
+        [(a, mode)] = seen
+        assert mode == "raw" and a.shape[1] == count + 1
+        r = np.triu(qr(a, mode="raw")[0][:, :count + 1].T)
+        want = qr(a, mode="r")
+        assert np.array_equal(r, want) and np.array_equal(np.signbit(r), np.signbit(want))
 
     @pytest.mark.parametrize("shape", [(999,), (2, 500)])
     def test_times_and_values_of_other_shapes_rejected(self, shape):
