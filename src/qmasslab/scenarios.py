@@ -43,9 +43,6 @@ _BOOST_OMEGA0_MAX = 1e9
 #: strided.
 _ENVELOPE_SOLVE_STRIDE = 16
 
-#: Radius, in slit separations, beyond which a streamline must run radially.
-_FAR_FIELD_RADIUS = 20.0
-
 #: Rows of a series CSV formatted per write; bounds the text held in memory.
 _CSV_BLOCK_ROWS = 4096
 
@@ -276,23 +273,18 @@ def _run_doubleslit_traj(out: Path, summary: RunSummary, *, d=1.0, wavelength=0.
                  f"|y| <= {cfg.y_half:g}")
     trajectories = [doubleslit.integrate_trajectory(start, cfg, max_steps=max_steps)
                     for start in starts]
-    far_deviations = []
+    # The momentum is the field of two equal point charges at the slits, so a
+    # streamline keeps its start's Stokes flux I = (y - h)/r1 + (y + h)/r2.
+    # A run whose trajectories all stop at their start would gate nothing.
+    _require(any(len(traj.points) > 1 for traj in trajectories),
+             "no trajectory took a step, so the streamline invariant cannot be measured")
+    h = cfg.d / 2.0
+    drift = 0.0
     for traj in trajectories:
-        r = np.hypot(traj.points[:, 0], traj.points[:, 1])
-        far = r > _FAR_FIELD_RADIUS * cfg.d
-        if np.any(far[:-1]):
-            steps = np.diff(traj.points, axis=0)
-            radial = traj.points[:-1] / r[:-1, None]
-            cosang = np.sum(steps * radial, axis=1) / np.hypot(steps[:, 0], steps[:, 1])
-            dev = np.arccos(np.clip(cosang, -1.0, 1.0))
-            far_deviations.append(float(np.max(dev[far[:-1]])))
-    # Whether a streamline gets out there depends on how it curves, so only the
-    # integration can tell; the starts and max_steps are the input at fault.
-    _require(bool(far_deviations),
-             f"no trajectory steps beyond {_FAR_FIELD_RADIUS:g}*d, so the far-field "
-             "direction cannot be measured; start farther out or raise max_steps")
-    summary.metrics.append(Metric("far_field_radial_deviation_rad", 0.0, max(far_deviations),
-                                  1e-3, "oracle"))
+        x, y = traj.points.T
+        flux = (y - h) / np.hypot(x, y - h) + (y + h) / np.hypot(x, y + h)
+        drift = max(drift, float(np.max(np.abs(flux - flux[0]))))
+    summary.metrics.append(Metric("streamline_invariant_drift", 0.0, drift, 2e-5, "oracle"))
     for i, traj in enumerate(trajectories):
         summary.files.append(export_series(out / f"trajectory_{i:03d}.csv", "x,y,value",
                                            traj.points, traj.times))

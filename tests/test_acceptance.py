@@ -73,35 +73,39 @@ def test_04_fringe_spacing_sweep():
     )
 
 
+def _streamline_flux(points, d):
+    """Stokes flux (y - h)/r1 + (y + h)/r2 of two equal charges at (0, +-h), h = d/2."""
+    x, y = points.T
+    h = d / 2.0
+    return (y - h) / np.hypot(x, y - h) + (y + h) / np.hypot(x, y + h)
+
+
 def test_05_trajectory_geometry():
     cfg = ds.SlitConfig(d=1.0, omega=2.0 * math.pi / 0.05)
-    worst_far = 0.0
+    worst_drift = 0.0
     for ang in (0.0, 0.5, -0.7):
         start = 25.0 * np.array([math.cos(ang), math.sin(ang)])
         traj = ds.integrate_trajectory(start, cfg, max_steps=500)
-        steps = np.diff(traj.points, axis=0)
-        r = np.hypot(*traj.points[:-1].T)
-        keep = r > 20.0
-        radial = traj.points[:-1] / r[:, None]
-        cosang = np.sum(steps * radial, axis=1) / np.hypot(*steps.T)
-        dev = np.arccos(np.clip(cosang, -1.0, 1.0))
-        worst_far = max(worst_far, float(np.max(dev[keep])))
+        flux = _streamline_flux(traj.points, cfg.d)
+        worst_drift = max(worst_drift, float(np.max(np.abs(flux - flux[0]))))
     worst_near = 0.0
     slit = np.array([0.0, 0.5])
     for ang in (-0.3, -1.0, -2.0):
         start = slit + 0.01 * np.array([math.cos(ang), math.sin(ang)])
         traj = ds.integrate_trajectory(start, cfg, max_steps=4)
+        flux = _streamline_flux(traj.points, cfg.d)
+        worst_drift = max(worst_drift, float(np.max(np.abs(flux - flux[0]))))
         step = traj.points[1] - traj.points[0]
         radial = (traj.points[0] - slit) / np.hypot(*(traj.points[0] - slit))
         worst_near = max(
             worst_near,
             math.acos(float(np.clip(np.dot(step / np.hypot(*step), radial), -1, 1))),
         )
-    ok = worst_far < 1e-3 and worst_near < 1e-2
+    ok = worst_drift < 2e-5 and worst_near < 1e-2
     _report(
         "trajectory geometry",
         ok,
-        f"far-field dev {worst_far:.3g} rad (tol 1e-3), "
+        f"streamline invariant drift {worst_drift:.3g} (tol 2e-5), "
         f"near-slit dev {worst_near:.3g} rad (tol 1e-2)",
     )
 

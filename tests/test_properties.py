@@ -272,23 +272,19 @@ def test_box_scenarios_pass_or_reject_at_any_width(W, carrier_phase, kind, tmp_p
                                  st.floats(min_value=-50.0, max_value=50.0)),
                        min_size=1, max_size=3),
        max_steps=st.integers(min_value=1, max_value=3000))
-@example(log_d=0.0, log_ratio=math.log10(0.05), starts=[(2.0, 0.0)], max_steps=10)
+@example(log_d=0.0, log_ratio=math.log10(0.05), starts=[(2.0, 0.5)], max_steps=10)
 def test_doubleslit_traj_passes_or_rejects(log_d, log_ratio, starts, max_steps,
                                            tmp_path_factory):
-    # The far-field gate passes on the correct streamlines, or the input is
-    # rejected, as it must be when no start can get beyond 20*d by arc length.
-    # No input fails the gate.
+    # Every accepted input passes the flux-invariant gate on the correct
+    # streamlines, however few steps they take and wherever they start.
     d = 10.0**log_d
     params = {"d": d, "wavelength": 10.0**log_ratio * d,
               "starts": [[fx * d, fy * d] for fx, fy in starts], "max_steps": max_steps}
     out = tmp_path_factory.mktemp("traj")
-    reachable = any(math.hypot(x, y) + (max_steps - 1) * d / 100.0 > 20.0 * d
-                    for x, y in params["starts"])
     try:
         summary = scenarios.run("doubleslit-traj", params, out)
     except InvalidConfigError:
         return
-    assert reachable
     assert summary.passed, [(m.name, m.rel_error) for m in summary.metrics]
 
 

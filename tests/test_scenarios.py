@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from qmasslab import boxwell, cli, doubleslit, qmass, scenarios, wavecore
-from qmasslab.errors import InsufficientSpanError, InvalidConfigError, QmassError
+from qmasslab.errors import (InsufficientSpanError, InvalidConfigError, QmassError,
+                             SingularPointError)
 
 # fast overrides keeping every scenario well under a second
 FAST_PARAMS = {
@@ -351,8 +352,9 @@ def test_demo_runs(demo, tmp_path):
 GATES = {
     "boost": ([], ["quantum_rest_mass", "group_speed", "envelope_wavelength"]),
     "doubleslit-map": (["nx=21", "ny=21"], ["slit_plane_mass", "axis_monotone_violations"]),
-    "doubleslit-traj": (["starts=[[25.0,0.0]]", "max_steps=200"],
-                        ["far_field_radial_deviation_rad"]),
+    # Off the axis: on it the flux invariant is 0 under every weighting.
+    "doubleslit-traj": (["starts=[[0.01,0.5]]", "max_steps=200"],
+                        ["streamline_invariant_drift"]),
     "doubleslit-fringes": ([], ["fringe_spacing"]),
     "box-beat": ([], ["fast_frequency", "slow_frequency"]),
     "box-states": (["n_positions=16"], ["envelope_wavenumber", "helix_modulus_flatness"]),
@@ -404,7 +406,7 @@ def _kinked_path(integrate):
     def kinked(start, cfg, max_steps):
         traj = integrate(start, cfg, max_steps=max_steps)
         points = traj.points.copy()
-        points[-1, 1] += cfg.d / 100.0  # the last far-field step turns sideways
+        points[-1, 1] += cfg.d / 100.0  # the last point leaves its streamline sideways
         return dataclasses.replace(traj, points=points)
     return kinked
 
@@ -421,7 +423,7 @@ def _unequal_states(trace_states):
 ZERO_GATES = {
     "slit_plane_mass": ("doubleslit-map", doubleslit, "mass_map", _heavier_mass),
     "axis_monotone_violations": ("doubleslit-map", doubleslit, "mass_map", _rising_axis),
-    "far_field_radial_deviation_rad": (
+    "streamline_invariant_drift": (
         "doubleslit-traj", doubleslit, "integrate_trajectory", _kinked_path),
     "helix_modulus_flatness": (
         "box-states", boxwell, "trace_states_vs_position", _unequal_states),
@@ -465,6 +467,63 @@ def test_map_with_energy_weights_passes(tmp_path, monkeypatch):
     # The look-alike builder above with the paper's weights r**-2 is the real map.
     monkeypatch.setattr(doubleslit, "mass_map", _mass_map_weighted(2))
     assert cli.main(["doubleslit-map", "--out", str(tmp_path)]) == 0
+
+
+def _momentum_weighted(k):
+    """``doubleslit._momentum`` with source weights r**-k in place of the energy weights r**-2."""
+    def momentum(x, y, h, r_min):
+        y1, y2 = y - h, y + h
+        r1, r2 = math.hypot(x, y1), math.hypot(x, y2)
+        if r1 < r_min or r2 < r_min:
+            raise SingularPointError(f"point {(x, y)} coincides with a slit")
+        w1, w2 = r1 ** -k, r2 ** -k
+        w = w1 + w2
+        return (w1 * x / r1 + w2 * x / r2) / w, (w1 * y1 / r1 + w2 * y2 / r2) / w
+    return momentum
+
+
+@pytest.mark.parametrize("k", [0, 1, 3], ids=["no-weights", "amplitude-weights", "cubic-weights"])
+def test_traj_gate_catches_look_alike_weights(k, tmp_path, monkeypatch, capsys):
+    # The near-slit start (0.01, 0.5) drifts by 0.98 (k = 0), 0.41 (k = 1) and
+    # 0.19 (k = 3), (17.7, 17.7) by 1.9e-4 to 9.7e-5, and the on-axis start by
+    # 0 under any weighting.  A far-field radial bound passes k = 0 and k = 1.
+    monkeypatch.setattr(doubleslit, "_momentum", _momentum_weighted(k))
+    _assert_only_gate_fails("doubleslit-traj", "streamline_invariant_drift", tmp_path, capsys,
+                            overrides=[])
+    drift = json.loads((tmp_path / "summary.json").read_text())["metrics"][0]["measured"]
+    assert drift > 0.1
+
+
+def test_traj_with_energy_weights_passes(tmp_path, monkeypatch):
+    # The look-alike builder above with the paper's weights r**-2 is the real field.
+    monkeypatch.setattr(doubleslit, "_momentum", _momentum_weighted(2))
+    assert cli.main(["doubleslit-traj", "--out", str(tmp_path)]) == 0
+
+
+def test_traj_gate_tolerance_is_ten_times_the_worst_swept_drift(tmp_path):
+    # 100 seeded starts per slit separation, half of them 1e-3*d to 0.1*d from a
+    # slit (log-uniform, on the side x >= 1e-3*d), the rest anywhere in the domain.
+    rng = np.random.default_rng(20)
+    worst = 0.0
+    for d in (1e-3, 1.0, 1e3):
+        near = []
+        for _ in range(50):
+            rho = 10.0 ** rng.uniform(-3.0, -1.0)
+            edge = math.acos(1e-3 / rho)
+            angle = rng.uniform(-edge, edge)
+            slit = rng.choice([-0.5, 0.5])
+            near.append([max(rho * math.cos(angle), 1e-3) * d,
+                         (slit + rho * math.sin(angle)) * d])
+        anywhere = np.column_stack((rng.uniform(1e-3, 50.0, 50), rng.uniform(-50.0, 50.0, 50)))
+        starts = near + (anywhere * d).tolist()
+        summary = scenarios.run("doubleslit-traj", {"d": d, "wavelength": 0.05 * d,
+                                                    "starts": starts, "max_steps": 3000},
+                                tmp_path / f"d{d:g}")
+        (metric,) = summary.metrics
+        assert metric.passed
+        worst = max(worst, metric.measured)
+    assert worst >= 1e-7  # the near-slit starts bend within a step
+    assert metric.tolerance >= 10.0 * worst, worst  # worst 1.8e-6
 
 
 def _field_without_gamma(cfg):
@@ -723,31 +782,25 @@ class TestCli:
         assert cli.main(["boost", "--out", str(tmp_path)]) == 3
         assert capsys.readouterr().err == "qmass-lab: boost: series holds fewer than 2 tones\n"
 
-    def test_far_field_out_of_reach_exit_2(self, tmp_path, capsys):
-        # From r = 2d, 10 steps of d/100 cannot get beyond 20*d.
-        argv = ["doubleslit-traj", "--set", "starts=[[2.0,0.0]]", "--set", "max_steps=10"]
-        assert cli.main(argv + ["--out", str(tmp_path)]) == 2
-        assert "far-field" in capsys.readouterr().err
-        assert not list(tmp_path.glob("trajectory_*.csv"))
+    def test_short_run_near_the_slits_is_gated(self, tmp_path, capsys):
+        # 10 steps from r = 2d stay far inside the domain; the flux invariant
+        # needs no far field, so the run is gated and written.
+        argv = ["doubleslit-traj", "--set", "starts=[[2.0,0.5]]", "--set", "max_steps=10"]
+        assert cli.main(argv + ["--out", str(tmp_path)]) == 0
+        assert "PASS streamline_invariant_drift" in capsys.readouterr().out
+        assert (tmp_path / "summary.json").is_file()
+        assert [p.name for p in tmp_path.glob("trajectory_*.csv")] == ["trajectory_000.csv"]
 
     def test_trajectories_that_stop_short_exit_2(self, tmp_path, monkeypatch, capsys):
-        # Within reach by arc length, but every trajectory stagnates at once.
+        # Every trajectory stagnates at once, so no drift can be measured.
         def integrate_trajectory(start, cfg, max_steps):
             return doubleslit.Trajectory(np.array([start]), np.array([0.0]), "stagnation")
 
         monkeypatch.setattr(doubleslit, "integrate_trajectory", integrate_trajectory)
         argv = ["doubleslit-traj", "--set", "starts=[[2.0,0.0]]"]
         assert cli.main(argv + ["--out", str(tmp_path)]) == 2
-        assert "far-field" in capsys.readouterr().err
+        assert "no trajectory took a step" in capsys.readouterr().err
         assert not list(tmp_path.glob("trajectory_*.csv"))
-
-    @pytest.mark.parametrize("max_steps, code", [(1969, 2), (1990, 2), (2014, 2), (2020, 0)])
-    def test_curved_streamline_needs_more_than_arc_length(self, max_steps, code, tmp_path):
-        # From near a slit the streamline curves: it needs ~2,020 steps to get
-        # beyond 20*d, where the arc-length bound asks for ~1,970.
-        argv = ["doubleslit-traj", "--set", "d=1.0", "--set", "wavelength=0.0031",
-                "--set", "starts=[[0.04,-0.325]]", "--set", f"max_steps={max_steps}"]
-        assert cli.main(argv + ["--out", str(tmp_path)]) == code
 
     def test_grid_too_large_for_memory_exit_2(self, tmp_path, monkeypatch, capsys):
         # The grid itself is streamed; the first map that runs out of memory
