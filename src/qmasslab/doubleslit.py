@@ -11,6 +11,7 @@ the exact two-source intensity.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,7 +73,11 @@ class LocalInterferenceState:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Streamline of the local velocity field, arc-length parameterized."""
+    """Streamline of the local velocity field, arc-length parameterized.
+
+    ``termination`` is ``"boundary"`` (the last point left the domain) or
+    ``"max_steps"``.
+    """
 
     points: np.ndarray
     times: np.ndarray
@@ -102,27 +107,23 @@ def _point(p) -> tuple[float, float]:
     return x, y
 
 
-def _hypot(x: float, y: float) -> float:
-    """libm ``hypot``, the one ``np.hypot`` calls; ``math.hypot`` differs in the last bit."""
-    return abs(complex(x, y))
-
-
-def _momentum(x: float, y: float, h: float, r_min: float):
-    """Unit momentum n = (w1*u1 + w2*u2)/(w1 + w2) at (x, y), slits at (0, +-h).
+def _momentum(z: complex, ih: complex) -> complex:
+    """Unit momentum n = (w1*u1 + w2*u2)/(w1 + w2) at z = x + iy, slits at +-ih.
 
     u_i is the unit vector from slit i to the point and w_i = 1/r_i**2 its
-    energy weight.  Plain floats, with r_i from libm ``hypot`` (``_hypot``
-    inlined: each RK4 stage calls this).  The operation order is pinned by
-    the trajectory digests of ``tests/test_golden.py``, ``traj-5x2000``
-    included.  Raises ``SingularPointError`` within r_min of a slit.
+    energy weight, with r_i = abs(z -+ ih), libm ``hypot``.  For x > 0 each
+    complex sum, product with a real and quotient by a real rounds exactly as
+    its two real components do (the zero terms of the real's r + 0j leave a
+    nonzero component alone, and x and the real part of n stay positive), so
+    this is bit for bit the plain-float kernel on (x, y) whose operation order
+    the trajectory digests of ``tests/test_golden.py`` pin.  No slit check:
+    ``integrate_trajectory``'s domain keeps x >= 1e-3*d, and
+    ``weighted_local_state`` checks its point first.
     """
-    y1, y2 = y - h, y + h
-    r1, r2 = abs(complex(x, y1)), abs(complex(x, y2))
-    if r1 < r_min or r2 < r_min:
-        raise SingularPointError(f"point {(x, y)} coincides with a slit")
+    z1, z2 = z - ih, z + ih
+    r1, r2 = abs(z1), abs(z2)
     w1, w2 = 1.0 / (r1 * r1), 1.0 / (r2 * r2)
-    w = w1 + w2
-    return (w1 * (x / r1) + w2 * (x / r2)) / w, (w1 * (y1 / r1) + w2 * (y2 / r2)) / w
+    return (w1 * (z1 / r1) + w2 * (z2 / r2)) / (w1 + w2)
 
 
 def intersection_angle(p, cfg: SlitConfig) -> float:
@@ -158,64 +159,60 @@ def weighted_local_state(p, cfg: SlitConfig) -> LocalInterferenceState:
     ``local_speed``; a vanishing weight gives a massless radial wave.
     """
     x, y = _point(p)
-    n = _momentum(x, y, cfg.d / 2.0, 1e-12 * cfg.d)
-    speed = _hypot(*n)
-    m = cfg.omega * math.sqrt(max(0.0, 1.0 - speed**2))
-    return LocalInterferenceState(m=m, v=np.array(n))
-
-
-#: Stagnation threshold on |v| for trajectory termination.
-STAGNATION_SPEED = 1e-6
+    z, ih = complex(x, y), complex(0.0, cfg.d / 2.0)
+    if min(abs(z - ih), abs(z + ih)) < 1e-12 * cfg.d:
+        raise SingularPointError(f"point {p} coincides with a slit")
+    n = _momentum(z, ih)
+    m = cfg.omega * math.sqrt(max(0.0, 1.0 - abs(n)**2))
+    return LocalInterferenceState(m=m, v=np.array([n.real, n.imag]))
 
 
 def integrate_trajectory(start, cfg: SlitConfig, max_steps: int = 10_000) -> Trajectory:
     """Fixed-step RK4 streamline of the local velocity direction field.
 
     Arc-length parameterized with step d/100; elapsed time accumulates as
-    step/|v|.  Terminates at the domain boundary, on stagnation
-    (|v| < 1e-6, or an RK4 stage at a slit) or at ``max_steps``; a start at
-    a slit raises ``SingularPointError``, a non-finite one
-    ``InvalidConfigError``.  Each stage is one call of the plain-float
-    ``_momentum`` kernel with the slit geometry and step constants fixed
-    once per trajectory.
+    step/|v|.  Terminates at the domain boundary or at ``max_steps``.  A start
+    outside x_min <= x <= x_max, |y| <= y_half, a non-finite one or a
+    ``max_steps`` that is not a non-negative int raises ``InvalidConfigError``.
+    Each RK4 stage's direction has a positive x, so x only grows from
+    x_min = 1e-3*d: no stage reaches a slit, and |v| >= x/max(r1, r2) > 1e-5
+    keeps every stage off a stagnation point.  The RK4 runs on complex points,
+    one ``_momentum`` call per stage, bit for bit the plain-float loop on (x, y).
     """
-    d = cfg.d
-    h, r_min = d / 2.0, 1e-12 * d
-    step = d / 100.0
-    half, sixth = 0.5 * step, step / 6.0
-
-    def direction(x, y):
-        nx, ny = _momentum(x, y, h, r_min)
-        n_mag = abs(complex(nx, ny))
-        if n_mag < STAGNATION_SPEED:
-            raise SingularPointError(f"flow stagnates at {(x, y)}: |v| = {n_mag:.3g}")
-        return nx / n_mag, ny / n_mag, n_mag
-
     x, y = _point(start)
-    _momentum(x, y, h, r_min)  # raises at a slit
     x_min, x_max, y_half = cfg.x_min, cfg.x_max, cfg.y_half
-    xs, ys, times = [x], [y], [0.0]
+    if not (x_min <= x <= x_max and abs(y) <= y_half):
+        raise InvalidConfigError(f"start ({x}, {y}) lies outside {x_min:g} <= x <= {x_max:g}, "
+                                 f"|y| <= {y_half:g}")
+    if isinstance(max_steps, bool) or not isinstance(max_steps, numbers.Integral) \
+            or max_steps < 0:
+        raise InvalidConfigError(f"max_steps must be a non-negative int, got {max_steps!r}")
+    # A numpy d would make each product with the step numpy complex arithmetic,
+    # whose quotient by a real rounds twice (it multiplies by the reciprocal).
+    step = float(cfg.d) / 100.0
+    half, sixth = 0.5 * step, step / 6.0
+    z, ih = complex(x, y), complex(0.0, cfg.d / 2.0)
+    points, times = [z], [0.0]
     t = 0.0
     termination = "max_steps"
     for _ in range(max_steps):
-        try:
-            ax, ay, n_mag = direction(x, y)
-            bx, by, _ = direction(x + half * ax, y + half * ay)
-            cx, cy, _ = direction(x + half * bx, y + half * by)
-            dx, dy, _ = direction(x + step * cx, y + step * cy)
-        except SingularPointError:
-            termination = "stagnation"
-            break
-        x = x + sixth * (ax + 2.0 * bx + 2.0 * cx + dx)
-        y = y + sixth * (ay + 2.0 * by + 2.0 * cy + dy)
+        n = _momentum(z, ih)
+        n_mag = abs(n)
+        a = n / n_mag
+        n = _momentum(z + half * a, ih)
+        b = n / abs(n)
+        n = _momentum(z + half * b, ih)
+        c = n / abs(n)
+        n = _momentum(z + step * c, ih)
+        z = z + sixth * (a + 2.0 * b + 2.0 * c + n / abs(n))
         t = t + step / n_mag
-        xs.append(x)
-        ys.append(y)
+        points.append(z)
         times.append(t)
-        if not (x_min <= x <= x_max and abs(y) <= y_half):
+        if not (x_min <= z.real <= x_max and abs(z.imag) <= y_half):
             termination = "boundary"
             break
-    return Trajectory(np.column_stack((xs, ys)), np.array(times), termination)
+    points = np.array(points)
+    return Trajectory(np.column_stack((points.real, points.imag)), np.array(times), termination)
 
 
 def fringe_gap_predicted(cfg: SlitConfig, D: float, screen: str = "arc") -> float:

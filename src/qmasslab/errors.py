@@ -14,7 +14,7 @@ class InvalidConfigError(QmassError):
 
 
 class SingularPointError(InvalidConfigError):
-    """Evaluation point is a field singularity: a slit or a stagnation point of the flow."""
+    """Evaluation point coincides with a slit, where the field is singular."""
 
 
 class InsufficientSpanError(QmassError):

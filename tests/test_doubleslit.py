@@ -5,6 +5,7 @@ import pytest
 
 from qmasslab import doubleslit as ds
 from qmasslab import qmass as qm
+from qmasslab import scenarios
 from qmasslab.errors import InsufficientSpanError, InvalidConfigError, SingularPointError
 
 
@@ -133,15 +134,148 @@ class TestTrajectories:
         traj = ds.integrate_trajectory((49.9, 0.0), cfg, max_steps=10_000)
         assert traj.termination == "boundary"
 
-    def test_midpoint_start_stagnates(self, cfg):
-        # The two equal-weight unit vectors cancel on the slit midpoint.
-        traj = ds.integrate_trajectory((0.0, 0.0), cfg)
-        assert traj.termination == "stagnation"
-        assert len(traj.points) == 1
+    def test_midpoint_start_rejected(self, cfg):
+        # The two equal-weight unit vectors cancel on the slit midpoint, which
+        # lies behind the domain's x >= 1e-3*d.
+        with pytest.raises(InvalidConfigError, match="lies outside"):
+            ds.integrate_trajectory((0.0, 0.0), cfg)
 
     def test_start_at_slit_rejected(self, cfg):
-        with pytest.raises(SingularPointError):
+        with pytest.raises(InvalidConfigError, match="lies outside"):
             ds.integrate_trajectory((0.0, 0.5), cfg)
+
+    @pytest.mark.parametrize("start", [(100.0, 0.5), (-1.0, 0.0), (5e-4, 0.2), (1.0, -50.5),
+                                       (0.0, 0.0)])
+    def test_start_outside_domain_rejected(self, start, cfg):
+        # (100.0, 0.5) once came back as a 2-point "boundary" trajectory.
+        with pytest.raises(InvalidConfigError, match="lies outside"):
+            ds.integrate_trajectory(start, cfg, max_steps=5)
+
+    def test_start_on_domain_edge_accepted(self, cfg):
+        for start in [(cfg.x_min, 0.0), (cfg.x_max, cfg.y_half), (cfg.x_min, -cfg.y_half)]:
+            assert len(ds.integrate_trajectory(start, cfg, max_steps=1).points) == 2
+
+    @pytest.mark.parametrize("max_steps", [2.5, -3, "10", None, True])
+    def test_bad_max_steps_rejected(self, max_steps, cfg):
+        # 2.5 once raised a bare TypeError, -3 returned the start alone.
+        with pytest.raises(InvalidConfigError, match="max_steps"):
+            ds.integrate_trajectory((2.0, 0.5), cfg, max_steps=max_steps)
+
+    def test_zero_steps_return_the_start(self, cfg):
+        traj = ds.integrate_trajectory((2.0, 0.5), cfg, max_steps=np.int32(0))
+        assert traj.points.tolist() == [[2.0, 0.5]] and traj.times.tolist() == [0.0]
+        assert traj.termination == "max_steps"
+
+
+def _momentum_reference(x, y, h, r_min):
+    """The plain-float kernel that the complex ``_momentum`` replaced, verbatim."""
+    y1, y2 = y - h, y + h
+    r1, r2 = abs(complex(x, y1)), abs(complex(x, y2))
+    if r1 < r_min or r2 < r_min:
+        raise SingularPointError(f"point {(x, y)} coincides with a slit")
+    w1, w2 = 1.0 / (r1 * r1), 1.0 / (r2 * r2)
+    w = w1 + w2
+    return (w1 * (x / r1) + w2 * (x / r2)) / w, (w1 * (y1 / r1) + w2 * (y2 / r2)) / w
+
+
+def _trajectory_reference(start, cfg, max_steps):
+    """The plain-float RK4 loop that the complex one replaced, verbatim.
+
+    Its slit test and stagnation stop are kept, so a sweep that matches its
+    terminations shows that neither fires inside the domain.
+    """
+    d = cfg.d
+    h, r_min = d / 2.0, 1e-12 * d
+    step = d / 100.0
+    half, sixth = 0.5 * step, step / 6.0
+
+    def direction(x, y):
+        nx, ny = _momentum_reference(x, y, h, r_min)
+        n_mag = abs(complex(nx, ny))
+        if n_mag < 1e-6:
+            raise SingularPointError(f"flow stagnates at {(x, y)}: |v| = {n_mag:.3g}")
+        return nx / n_mag, ny / n_mag, n_mag
+
+    x, y = map(float, start)
+    x_min, x_max, y_half = cfg.x_min, cfg.x_max, cfg.y_half
+    xs, ys, times = [x], [y], [0.0]
+    t = 0.0
+    termination = "max_steps"
+    for _ in range(max_steps):
+        try:
+            ax, ay, n_mag = direction(x, y)
+            bx, by, _ = direction(x + half * ax, y + half * ay)
+            cx, cy, _ = direction(x + half * bx, y + half * by)
+            dx, dy, _ = direction(x + step * cx, y + step * cy)
+        except SingularPointError:
+            termination = "stagnation"
+            break
+        x = x + sixth * (ax + 2.0 * bx + 2.0 * cx + dx)
+        y = y + sixth * (ay + 2.0 * by + 2.0 * cy + dy)
+        t = t + step / n_mag
+        xs.append(x)
+        ys.append(y)
+        times.append(t)
+        if not (x_min <= x <= x_max and abs(y) <= y_half):
+            termination = "boundary"
+            break
+    return ds.Trajectory(np.column_stack((xs, ys)), np.array(times), termination)
+
+
+def _assert_same_bits(traj, ref):
+    assert traj.termination == ref.termination
+    assert traj.points.shape == ref.points.shape
+    assert traj.points.tobytes() == ref.points.tobytes()
+    assert traj.times.tobytes() == ref.times.tobytes()
+    assert np.array_equal(np.signbit(traj.points), np.signbit(ref.points))
+
+
+def _swept_starts(rng, d):
+    """Seeded starts at separation d: near a slit, on the axis, at x_min and at the corners."""
+    cfg = ds.SlitConfig(d=d, omega=1.0)
+    starts = []
+    for _ in range(4):
+        r = d * 10.0 ** rng.uniform(-3.0, -1.0)  # 1e-3*d to 0.1*d from a slit
+        angle = rng.uniform(-1.0, 1.0) * math.acos(cfg.x_min / r)
+        slit = rng.choice([-0.5, 0.5]) * d
+        starts.append((r * math.cos(angle), slit + r * math.sin(angle)))
+    starts.append((rng.uniform(1e-3, 50.0) * d, 0.0))
+    starts.append((rng.uniform(1e-3, 50.0) * d, -0.0))
+    starts.append((cfg.x_min, rng.uniform(-50.0, 50.0) * d))
+    starts += [(x, y) for x in (cfg.x_min, cfg.x_max) for y in (-cfg.y_half, cfg.y_half)]
+    return cfg, [(max(x, cfg.x_min), y) for x, y in starts]
+
+
+def test_trajectory_is_the_plain_float_loop_bit_for_bit():
+    # d alternates between a Python float and a numpy one.
+    rng = np.random.default_rng(41)
+    for i, log_d in enumerate(np.linspace(-50.0, 50.0, 11)):
+        d = 10.0**log_d
+        cfg, starts = _swept_starts(rng, float(d) if i % 2 else d)
+        for start in starts:
+            _assert_same_bits(ds.integrate_trajectory(start, cfg, max_steps=300),
+                              _trajectory_reference(start, cfg, 300))
+
+
+@pytest.mark.parametrize("params", [
+    {"starts": [[25.0, 0.0]], "max_steps": 3000},
+    {"max_steps": 2500},
+    {"starts": [[25.0, 0.0], [17.7, 17.7], [0.01, 0.5], [10.0, -3.0], [5.0, 1.0]],
+     "max_steps": 2000},
+], ids=["traj-1x3000", "traj-3x2500", "traj-5x2000"])
+def test_benchmark_trajectories_are_the_plain_float_loop_bit_for_bit(params, tmp_path,
+                                                                     monkeypatch):
+    integrate, runs = ds.integrate_trajectory, []
+
+    def recorded(start, cfg, max_steps):
+        runs.append((start, cfg, max_steps, integrate(start, cfg, max_steps)))
+        return runs[-1][-1]
+
+    monkeypatch.setattr(ds, "integrate_trajectory", recorded)
+    assert scenarios.run("doubleslit-traj", params, tmp_path).passed
+    assert len(runs) == len(params.get("starts", scenarios.DEFAULTS["doubleslit-traj"]["starts"]))
+    for start, cfg, max_steps, traj in runs:
+        _assert_same_bits(traj, _trajectory_reference(start, cfg, max_steps))
 
 
 @pytest.mark.parametrize("point", [(math.nan, 0.0), (1.0, math.inf), (-math.inf, math.nan)])

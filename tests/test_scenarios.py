@@ -18,8 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from qmasslab import boxwell, cli, doubleslit, qmass, scenarios, wavecore
-from qmasslab.errors import (InsufficientSpanError, InvalidConfigError, QmassError,
-                             SingularPointError)
+from qmasslab.errors import InsufficientSpanError, InvalidConfigError, QmassError
 
 # fast overrides keeping every scenario well under a second
 FAST_PARAMS = {
@@ -471,14 +470,11 @@ def test_map_with_energy_weights_passes(tmp_path, monkeypatch):
 
 def _momentum_weighted(k):
     """``doubleslit._momentum`` with source weights r**-k in place of the energy weights r**-2."""
-    def momentum(x, y, h, r_min):
-        y1, y2 = y - h, y + h
-        r1, r2 = math.hypot(x, y1), math.hypot(x, y2)
-        if r1 < r_min or r2 < r_min:
-            raise SingularPointError(f"point {(x, y)} coincides with a slit")
+    def momentum(z, ih):
+        z1, z2 = z - ih, z + ih
+        r1, r2 = abs(z1), abs(z2)
         w1, w2 = r1 ** -k, r2 ** -k
-        w = w1 + w2
-        return (w1 * x / r1 + w2 * x / r2) / w, (w1 * y1 / r1 + w2 * y2 / r2) / w
+        return (w1 * z1 / r1 + w2 * z2 / r2) / (w1 + w2)
     return momentum
 
 
@@ -791,15 +787,11 @@ class TestCli:
         assert (tmp_path / "summary.json").is_file()
         assert [p.name for p in tmp_path.glob("trajectory_*.csv")] == ["trajectory_000.csv"]
 
-    def test_trajectories_that_stop_short_exit_2(self, tmp_path, monkeypatch, capsys):
-        # Every trajectory stagnates at once, so no drift can be measured.
-        def integrate_trajectory(start, cfg, max_steps):
-            return doubleslit.Trajectory(np.array([start]), np.array([0.0]), "stagnation")
-
-        monkeypatch.setattr(doubleslit, "integrate_trajectory", integrate_trajectory)
-        argv = ["doubleslit-traj", "--set", "starts=[[2.0,0.0]]"]
+    @pytest.mark.parametrize("start", ["[[100.0,0.5]]", "[[0,0]]", "[[25,0],[0.0005,0.2]]"])
+    def test_start_outside_domain_exit_2(self, start, tmp_path, capsys):
+        argv = ["doubleslit-traj", "--set", f"starts={start}"]
         assert cli.main(argv + ["--out", str(tmp_path)]) == 2
-        assert "no trajectory took a step" in capsys.readouterr().err
+        assert "lies outside 0.001 <= x <= 50, |y| <= 50" in capsys.readouterr().err
         assert not list(tmp_path.glob("trajectory_*.csv"))
 
     def test_grid_too_large_for_memory_exit_2(self, tmp_path, monkeypatch, capsys):
