@@ -43,14 +43,189 @@ _BOOST_OMEGA0_MAX = 1e9
 #: strided.
 _ENVELOPE_SOLVE_STRIDE = 16
 
-#: Rows of a series CSV formatted per write; bounds the text held in memory.
-_CSV_BLOCK_ROWS = 4096
+#: Rows of a series CSV formatted per write; bounds the text and the number
+#: kernel's temporaries (~250 B a value) held in memory.  The five traj-5x2000
+#: files (2,001 rows of 3 values) write as fast in blocks of 512 or 1,024 rows
+#: and ~10% slower in blocks of 2,048; a two-column series peaks at 0.54 MB
+#: traced (1.0 MB with 2,048 rows).
+_CSV_BLOCK_ROWS = 1024
 
-#: Cells per block of rows that ``export_grid`` asks for at a time.  A
-#: ``doubleslit-map`` block's ~10 float temporaries (~0.3 MB) stay in cache; its
-#: traced peak is ~0.4 MB at any nx (~1.5 MB with 16k-cell blocks, which map a
-#: 401**2 grid no faster) and grows by ~200 B per y column once ny exceeds ~4k.
-_MAP_BLOCK_CELLS = 1 << 12
+#: Cells per block of rows that ``export_grid`` asks for at a time.  A block's
+#: mass-map and kernel temporaries (~250 B a cell) stay in cache: a 401**2
+#: ``doubleslit-map`` writes as fast with 4,096-cell blocks and 15-25% slower
+#: with 1,024.  The run's traced peak is ~0.77 MB at any nx (1.43 MB with
+#: 4,096-cell blocks) and grows by ~370 B per y column once ny exceeds ~2k.
+_MAP_BLOCK_CELLS = 1 << 11
+
+_COMMA, _NEWLINE = ord(","), ord("\n")
+
+
+def _words(texts) -> np.ndarray:
+    """Each ASCII text of at most 4 bytes as one little-endian word, NUL-padded."""
+    return np.array([t.encode() for t in texts], dtype="S4").view("<u4")
+
+
+def _digit_words() -> np.ndarray:
+    """The word table of ``_render``.
+
+    Entry ``q`` (0 <= q < 10**4) of its first three blocks of 10**4 holds the
+    four digits of q with its trailing zeros NUL, with every zero kept, and
+    with its leading zeros NUL.  Then come the sign words "," and ",-", the
+    dot's words "", "" and "." (``_DOTS`` starts exponents below 0 at the first
+    blank, the others at the second), "inf", "nan", "0." and, at
+    ``_ZEROS + 10*z + d``, z zeros followed by the digit d.
+    """
+    quads = np.empty((3, 10, 10, 10, 10, 4), np.uint8)  # [block, d0, d1, d2, d3, byte]
+    chars = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    for place in range(4):
+        quads[..., place] = chars.reshape([10 if p == place else 1 for p in range(4)])
+    trail, lead = quads[0], quads[2]
+    trail[:, :, :, 0, 3] = trail[:, :, 0, 0, 2] = trail[:, 0, 0, 0, 1] = trail[0, 0, 0, 0, 0] = 0
+    lead[0, :, :, :, 0] = lead[0, 0, :, :, 1] = lead[0, 0, 0, :, 2] = lead[0, 0, 0, 0, 3] = 0
+    others = [",", ",-", "", "", ".", "inf", "nan", "0."]
+    others += ["0" * z + str(d) for z in range(4) for d in range(10)]
+    return np.concatenate([quads.view("<u4").ravel(), _words(others)])
+
+
+_DIGIT_WORDS = _digit_words()
+_TRAIL, _FULL, _LEAD, _SIGN = 0, 10**4, 2 * 10**4, 3 * 10**4
+_INF, _NAN, _ZERO_DOT, _ZEROS = _SIGN + 5, _SIGN + 6, _SIGN + 7, _SIGN + 8
+
+#: Row ``k % 20`` of these tables serves the decimal exponents -4 <= k <= 15 of
+#: fixed notation.  A value's 17 digits D split into an integer part
+#: ``D // _SPLIT_AT`` and a fraction ``D % _SPLIT_AT * _SHIFT``, left-aligned in
+#: 16 digits; below 1 the integer part is the first digit, written after "0."
+#: and -k-1 zeros.  ``_INT_WORDS`` holds the table blocks of the integer part's
+#: four words (a word keeps its leading zeros when a digit stands before it),
+#: and ``_DOTS`` those of the dot's word, written when a fraction digit follows
+#: a non-zero integer part.
+_EXPONENTS = list(range(16)) + list(range(-4, 0))
+_SPLIT_AT = np.array([10 ** (16 - max(k, 0)) for k in _EXPONENTS], dtype=np.int64)
+_SHIFT = np.array([10 ** max(k, 0) for k in _EXPONENTS], dtype=np.int64)
+_INT_WORDS = np.array([[_LEAD, _LEAD, _ZERO_DOT, _ZEROS + 10 * (-1 - k)] if k < 0 else
+                       [_FULL if k + 1 > 16 - 4 * j else _LEAD for j in range(4)]
+                       for k in _EXPONENTS], dtype=np.intp)
+_DOTS = np.array([_SIGN + 3 if k >= 0 else _SIGN + 2 for k in _EXPONENTS], dtype=np.intp)
+
+#: 10**p (0 <= p <= 22, each exact) and its split into two halves of at most 26
+#: significant bits, so each product of halves in ``_digits`` is exact.
+_POW10 = np.array([float(10**p) for p in range(23)])
+_VELTKAMP = 2.0**27 + 1.0
+_POW10_HI = _POW10 * _VELTKAMP - (_POW10 * _VELTKAMP - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+
+
+def _digits(a, k):
+    """``a * 10**(16 - k)`` rounded half to even, exactly, as int64.
+
+    Dekker's product (no FMA): ``hi + lo`` is the exact product, ``hi`` an even
+    integer above 2**53 wherever the result has 17 digits, so rounding ``lo``
+    half to even rounds the sum as dtoa does.
+    """
+    p = 16 - k
+    hi = a * _POW10.take(p)
+    c = a * _VELTKAMP
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    p_hi, p_lo = _POW10_HI.take(p), _POW10_LO.take(p)
+    lo = a_hi * p_hi
+    lo -= hi
+    lo += a_hi * p_lo
+    lo += a_lo * p_hi
+    lo += a_lo * p_lo
+    d = hi.astype(np.int64)
+    d += np.rint(lo, out=lo).astype(np.int64)
+    return d
+
+
+def _render(values, words) -> int:
+    """Lay out ``"," + "%.17g" % v`` for each float64 ``v`` of ``values``.
+
+    ``words`` is a C-contiguous ``(10, len(values))`` array of ``"<u4"``; the
+    bytes of its column i, with their NULs removed, are value i's text.
+    Returns how many values were formatted one at a time.
+
+    For ``1e-4 <= |v| < 1e16``, ``%.17g`` writes ``v`` in fixed notation from its
+    17-digit decimal significand D = round(|v| * 10**(16 - k)), k the decimal
+    exponent.  ``_digits`` computes D exactly; where log10 put k off by one, D
+    falls outside [1e16, 1e17) and is computed again.  The sign, the integer
+    part (right-aligned in four words), the dot and the fraction (four words,
+    trailing zeros NUL) come from ``_DIGIT_WORDS``.  0, -0, inf, -inf and nan
+    are fixed texts; any other value is formatted with ``%``.
+    """
+    n = len(values)
+    if n == 0:
+        return 0
+    a = np.abs(values)
+    fast = None
+    if not (a.min() >= 1e-4 and a.max() < 1e16):
+        fast = (a >= 1e-4) & (a < 1e16)
+        a = np.where(fast, a, 1.0)
+    k = np.floor(np.log10(a)).astype(np.intp)
+    d = _digits(a, k)
+    if d.min() < 10**16 or d.max() >= 10**17:
+        k += d >= 10**17
+        k -= d < 10**16
+        d = _digits(a, k)
+    # The integer part, then the fraction's digits, in four-digit groups.
+    parts = np.empty((2, n), np.int64)
+    split_at = _SPLIT_AT.take(k, mode="wrap")
+    np.floor_divide(d, split_at, out=parts[0])
+    np.subtract(d, parts[0] * split_at, out=parts[1])
+    parts[1] *= _SHIFT.take(k, mode="wrap")
+    # Table indices of the ten words: sign, four integer-part words, dot, four fraction words.
+    index = np.empty((2, 5, n), np.intp)
+    np.add(np.signbit(values), _SIGN, out=index[0, 0])
+    np.add(parts[1] != 0, _DOTS.take(k, mode="wrap"), out=index[1, 0])
+    high = parts // 10**8
+    parts -= high * 10**8
+    quads = index[:, 1:]
+    np.floor_divide(high, 10**4, out=quads[:, 0])
+    np.subtract(high, quads[:, 0] * 10**4, out=quads[:, 1])
+    np.floor_divide(parts, 10**4, out=quads[:, 2])
+    np.subtract(parts, quads[:, 2] * 10**4, out=quads[:, 3])
+    # A fraction group keeps its trailing zeros when a later group is non-zero.
+    later = quads[1, 1:] != 0
+    later[1] |= later[2]
+    later[0] |= later[1]
+    np.add(quads[1, :3], _FULL, out=quads[1, :3], where=later)
+    quads[0] += _INT_WORDS.take(k, axis=0, mode="wrap").T
+    if fast is not None:
+        # 0, inf and nan were laid out as 1; their last integer word becomes their
+        # text, and nan loses its sign.
+        nan = np.isnan(values)
+        for word, hit in ((_ZEROS, values == 0), (_INF, np.isinf(values)), (_NAN, nan)):
+            quads[0, 3][hit] = word
+            fast |= hit
+        index[0, 0][nan] = _SIGN
+    _DIGIT_WORDS.take(index.reshape(10, n), out=words, mode="wrap")
+    slow = (d < 10**16) | (d >= 10**17)
+    if fast is not None:
+        slow |= ~fast
+    if not slow.any():
+        return 0
+    texts = [(",%.17g" % v).encode().ljust(40, b"\0") for v in values[slow].tolist()]
+    words[:, slow] = np.frombuffer(b"".join(texts), "<u4").reshape(len(texts), 10).T
+    return len(texts)
+
+
+def _texts_of(words) -> list[bytes]:
+    """The value texts laid out in ``words`` by ``_render``."""
+    return words.T.tobytes().translate(None, b"\0").split(b",")[1:]
+
+
+def _padded_words(texts) -> np.ndarray:
+    """The texts as the columns of a ``(words, len(texts))`` array, NUL-padded to whole words."""
+    width = (max(map(len, texts), default=0) + 3) // 4
+    words = np.frombuffer(b"".join(t.ljust(4 * width, b"\0") for t in texts), "<u4")
+    return words.reshape(len(texts), width).T
+
+
+def _texts(values) -> list[bytes]:
+    """``b"%.17g" % v`` for each float64 ``v`` of ``values``."""
+    words = np.empty((10, len(values)), "<u4")
+    _render(values, words)
+    return _texts_of(words)
 
 
 @dataclass(frozen=True)
@@ -99,21 +274,26 @@ class RunSummary:
 def export_series(path: Path, header: str, *columns) -> str:
     """Write equal-length columns as CSV, 17 significant digits; return ``path.name``.
 
-    A column is a 1-D array or a 2-D array of several columns.  Rows are
-    formatted ``_CSV_BLOCK_ROWS`` at a time by one ``%`` call over plain
-    Python floats, from a block stacked out of slices of the columns, so
-    neither a copy of the whole table nor its text is held in memory.
+    A column is a 1-D array or a 2-D array of several columns.  Every number
+    is written as ``"%.17g" % v`` writes it, byte for byte (``_render`` holds
+    the argument).  Rows are formatted ``_CSV_BLOCK_ROWS`` at a time from a
+    block stacked out of slices of the columns, so neither a copy of the whole
+    table nor its text is held in memory.
     """
     columns = [np.asarray(c) for c in columns]
     n = len(columns[0])
     if any(len(c) != n for c in columns):
         raise ValueError(f"columns must have equal length, got {[len(c) for c in columns]}")
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
+    with open(path, "wb") as fh:
+        fh.write(header.encode())
         for start in range(0, n, _CSV_BLOCK_ROWS):
             block = np.column_stack([c[start:start + _CSV_BLOCK_ROWS] for c in columns])
-            line = ",".join(["%.17g"] * block.shape[1]) + "\n"
-            fh.write(line * len(block) % tuple(block.ravel().tolist()))
+            words = np.empty((10, block.size), "<u4")
+            _render(np.asarray(block, dtype=float).ravel(), words)
+            # Each row's first value starts a line: its separator is a newline.
+            words[0].reshape(block.shape)[:, 0] ^= _COMMA ^ _NEWLINE
+            fh.write(words.T.tobytes().translate(None, b"\0"))
+        fh.write(b"\n")
     return path.name
 
 
@@ -127,24 +307,32 @@ def export_grid(path: Path, x, y, rows_of) -> str:
     order and writes each before it asks for the next, so a caller that
     computes its rows on request never holds the grid.
 
-    Every number is written with 17 significant digits, as ``export_series``
-    writes them, but each coordinate is formatted once: y becomes one list of
-    ``",<y[j]>,%.17g\\n"`` templates, each x is joined in front of them, and
-    each row's values go through one ``%`` call.
+    Every number is written as ``"%.17g" % v`` writes it, as in
+    ``export_series``, but each coordinate is formatted once: each y as the
+    start ``"\\n,<y[j]>"`` of its cells, laid out beside every block's values,
+    and each x, rendered with its block, after every newline of its row.
     """
     x, y = (np.asarray(a, dtype=float) for a in (x, y))
-    pieces = [",%.17g,%%.17g\n" % yj for yj in y.tolist()]
+    y_words = _padded_words([b"\n," + text for text in _texts(y)])
+    width = len(y_words)
     step = max(1, _MAP_BLOCK_CELLS // max(1, len(y)))
-    with open(path, "w") as fh:
-        fh.write("x,y,value\n")
+    with open(path, "wb") as fh:
+        fh.write(b"x,y,value")
         for start in range(0, len(x), step):
             rows = slice(start, start + step)
             block = np.asarray(rows_of(rows), dtype=float)
             shape = (len(x[rows]), len(y))
             if block.shape != shape:
                 raise ValueError(f"rows from {start} must have shape {shape}, got {block.shape}")
-            for xi, row in zip(x[rows].tolist(), block):
-                fh.write(("%.17g" % xi).join([""] + pieces) % tuple(row.tolist()))
+            # Each cell's y start and value, then the block's x values.
+            words = np.empty((width + 10, block.size + shape[0]), "<u4")
+            cells = words[:, :block.size].reshape(width + 10, *shape)
+            cells[:width] = y_words[:, None, :]
+            _render(np.concatenate([block.ravel(), x[rows]]), words[width:])
+            x_texts = _texts_of(words[width:, block.size:])
+            for xi, row in zip(x_texts, cells.transpose(1, 2, 0)):
+                fh.write(row.tobytes().translate(None, b"\0").replace(b"\n", b"\n" + xi))
+        fh.write(b"\n")
     return path.name
 
 

@@ -304,9 +304,9 @@ def test_doubleslit_traj_passes_or_rejects(log_d, log_ratio, starts, max_steps,
          cuts=[])
 @example(log_d=0.0, log_ratio=math.log10(0.05), nx=500, ny=1, log_x_span=1.0, log_y_span=0.0,
          cuts=[])
-# The default map's stream: blocks of 20 rows, the last of one.
+# The default map's stream: blocks of 10 rows, the last of one.
 @example(log_d=0.0, log_ratio=math.log10(0.05), nx=201, ny=201, log_x_span=math.log10(5.0),
-         log_y_span=math.log10(2.5), cuts=list(range(20, 201, 20)))
+         log_y_span=math.log10(2.5), cuts=list(range(10, 201, 10)))
 def test_mass_map_blocks_change_no_bit(log_d, log_ratio, nx, ny, log_x_span, log_y_span, cuts):
     # The map streamed one block of rows per call holds the bits of one call
     # over the whole grid, NaN cells included.

@@ -76,7 +76,7 @@ def test_export_grid_layout(tmp_path):
 
 
 def _format_17g(v) -> str:
-    # The per-value formatter the CSV writers used before np.savetxt: the reference.
+    # The per-value formatter the CSV writers used before their numpy kernel: the reference.
     return format(float(v), ".17g")
 
 
