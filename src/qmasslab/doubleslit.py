@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientSpanError, InvalidConfigError, SingularPointError
+from .errors import InsufficientSpanError, InvalidConfigError
 
 
 @dataclass(frozen=True)
@@ -135,7 +135,7 @@ def intersection_angle(p, cfg: SlitConfig) -> float:
     rel = np.array(_point(p)) - cfg.slits
     r = np.hypot(rel[:, 0], rel[:, 1])
     if r.min() < 1e-12 * cfg.d:
-        raise SingularPointError(f"point {p} coincides with a slit")
+        raise InvalidConfigError(f"point {p} coincides with a slit")
     u1, u2 = rel / r[:, None]
     return math.acos(min(max(float(np.dot(u1, u2)), -1.0), 1.0))
 
@@ -161,7 +161,7 @@ def weighted_local_state(p, cfg: SlitConfig) -> LocalInterferenceState:
     x, y = _point(p)
     z, ih = complex(x, y), complex(0.0, cfg.d / 2.0)
     if min(abs(z - ih), abs(z + ih)) < 1e-12 * cfg.d:
-        raise SingularPointError(f"point {p} coincides with a slit")
+        raise InvalidConfigError(f"point {p} coincides with a slit")
     n = _momentum(z, ih)
     m = cfg.omega * math.sqrt(max(0.0, 1.0 - abs(n)**2))
     return LocalInterferenceState(m=m, v=np.array([n.real, n.imag]))

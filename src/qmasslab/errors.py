@@ -13,9 +13,5 @@ class InvalidConfigError(QmassError):
     """Bad input: a parameter out of range, of the wrong type or of no physical meaning."""
 
 
-class SingularPointError(InvalidConfigError):
-    """Evaluation point coincides with a slit, where the field is singular."""
-
-
 class InsufficientSpanError(QmassError):
     """Signal does not span enough structure for the requested measurement."""

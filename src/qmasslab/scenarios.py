@@ -448,13 +448,15 @@ def _run_doubleslit_map(out: Path, summary: RunSummary, *, d=1.0, wavelength=0.0
                                      lambda rows: doubleslit.mass_map(cfg, x[rows], y)))
 
 
-def _run_doubleslit_traj(out: Path, summary: RunSummary, *, d=1.0, wavelength=0.05,
+def _run_doubleslit_traj(out: Path, summary: RunSummary, *, d=1.0,
                          starts=[[25.0, 0.0], [17.7, 17.7], [0.01, 0.5]],
                          max_steps=2000) -> None:
     from . import doubleslit
 
     _require(max_steps >= 1, f"max_steps must be >= 1, got {max_steps}")
-    cfg = _slit_config(d, wavelength)
+    # integrate_trajectory and the flux invariant read only d; omega = 1 passes
+    # SlitConfig's check.
+    cfg = doubleslit.SlitConfig(d=d, omega=1.0)
     # integrate_trajectory rejects a start outside the domain, so each
     # trajectory takes at least one step.
     trajectories = [doubleslit.integrate_trajectory(start, cfg, max_steps=max_steps)

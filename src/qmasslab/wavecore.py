@@ -2,10 +2,10 @@
 
 Natural units throughout (c = hbar = 1).  All waves are lightlike scalars:
 the wavenumber always equals omega and is never stored independently.
-Measurement utilities (tone frequencies by linear prediction, solved from one
-Householder QR with the rank, residual and roots of one or two tones in closed
-form, with a two-tone kernel in time and the envelope wavelength in space built
-on them, and finite-difference residuals) are the numerical oracles used to
+Measurement utilities (the two tones of a series by linear prediction, solved
+from one Householder QR with the rank, residual and roots in closed form, with
+a two-tone kernel in time and the envelope wavelength in space built on it,
+and finite-difference residuals) are the numerical oracles used to
 verify the closed forms elsewhere; they need numpy only.
 """
 
@@ -257,35 +257,33 @@ def _triangle_singular_values(a: float, b: float, d: float) -> tuple[float, floa
     return s_max, abs(a * d) / s_max if s_max else 0.0
 
 
-def measure_temporal_frequencies(times, values, count: int) -> np.ndarray:
-    """Angular frequencies of a series that is a sum of ``count`` tones, highest first.
+def measure_temporal_frequencies(times, values) -> np.ndarray:
+    """Angular frequencies of a series that is a sum of two tones, highest first.
 
-    ``count`` is 1 or 2.  ``times`` must be finite, uniform and increasing,
-    ``values`` finite and of the same length, at least 16 samples.  A tone w
-    obeys s[k-1] + s[k+1] = u*s[k] with u = 2*cos(w*dt), so a sum of
-    ``count`` tones is annihilated by a monic polynomial of degree ``count``
-    in that neighbour sum whose roots are the tones' u (Prony's linear
-    prediction).  Columns y_0 = s and y_{j+1} = y_j[:-2] + y_j[2:], each
-    trimmed to the last one's length, go into one Householder QR with the
-    target y_count last; R is the upper triangle of the transposed raw array.
-    Its leading count x count block is the columns' own, its last column the
-    target's projections, its last diagonal the residual (Golub & Van Loan,
-    Matrix Computations, 5.3).  The block's singular values come in closed
-    form, the coefficients by back-substitution and the roots from the stable
-    quadratic formula.  The raw series is used: removing its mean or
-    differencing it would bias the slow tones.  A series that is not
-    ``count`` tones raises ``InsufficientSpanError``: fewer leave the
-    columns rank deficient (s_min <= eps * rows * s_max, lstsq's own rule),
-    more tones or a sizeable offset leave a residual above 1e-6 of
-    2**count * ||s||, and a root that is not real and inside (-2, 2) is no
-    tone.  Each neighbour sum at most doubles a norm, so 2**count * ||s||
-    bounds the target column whatever the tones: the residual is measured
-    against the input, not against that column, which all but vanishes
-    when the fastest tone is sampled a few times per period (at four,
-    ``measure_tone_pair``'s spacing, its u is ~0).
+    ``times`` must be finite, uniform and increasing, ``values`` finite and
+    of the same length, at least 16 samples.  A tone w obeys
+    s[k-1] + s[k+1] = u*s[k] with u = 2*cos(w*dt), so a sum of two tones is
+    annihilated by a monic quadratic in that neighbour sum whose roots are
+    the tones' u (Prony's linear prediction).  Columns y_0 = s,
+    y_1 = y_0[:-2] + y_0[2:] and y_2 = y_1[:-2] + y_1[2:], each trimmed to
+    y_2's length, go into one Householder QR with the target y_2 last; R is
+    the upper triangle of the transposed raw array.  Its leading 2 x 2 block
+    is the columns' own, its last column the target's projections, its last
+    diagonal the residual (Golub & Van Loan, Matrix Computations, 5.3).  The
+    block's singular values come in closed form, the coefficients by
+    back-substitution and the roots from the stable quadratic formula.  The
+    raw series is used: removing its mean or differencing it would bias the
+    slow tones.  A series that is not two tones raises
+    ``InsufficientSpanError``: one tone leaves the columns rank deficient
+    (s_min <= eps * rows * s_max, lstsq's own rule) unless its samples round
+    a large phase w*t, whose noise can pass as a second tone; more tones or
+    a sizeable offset leave a residual above 1e-6 of 4 * ||s||, and a root
+    that is not real and inside (-2, 2) is no tone.  Each neighbour sum at
+    most doubles a norm, so 4 * ||s|| bounds the target column whatever the
+    tones: the residual is measured against the input, not against that
+    column, which all but vanishes when the fastest tone is sampled a few
+    times per period (at four, ``measure_tone_pair``'s spacing, its u is ~0).
     """
-    if count not in (1, 2):
-        raise InvalidConfigError(f"count must be >= 1 and <= 2, got {count}")
     t = np.asarray(times, dtype=float)
     v = np.asarray(values, dtype=float)
     if t.ndim != 1 or t.shape != v.shape:
@@ -300,33 +298,25 @@ def measure_temporal_frequencies(times, values, count: int) -> np.ndarray:
     if top == bottom:
         raise InsufficientSpanError("constant series has no spectral peaks")
     v = np.ldexp(v, -math.frexp(max(top, -bottom))[1])  # exact: no norm over- or underflows
-    cols = [v]
-    for _ in range(count):
-        cols = [c[1:-1] for c in cols] + [cols[-1][:-2] + cols[-1][2:]]
-    r = np.linalg.qr(np.stack(cols, axis=1), mode="raw")[0][:, :count + 1].T.tolist()
-    a = r[0][0]
-    if count == 1:
-        s_max = s_min = abs(a)
-    else:
-        b, d = r[0][1], r[1][1]
-        s_max, s_min = _triangle_singular_values(a, b, d)
-    if s_min <= np.finfo(float).eps * len(cols[0]) * s_max:
-        raise InsufficientSpanError(f"series holds fewer than {count} tones")
-    if not abs(r[count][count]) <= 1e-6 * 2.0**count * math.sqrt(v @ v):
-        raise InsufficientSpanError(f"series is not a sum of {count} tones")
-    if count == 1:
-        u = [r[0][1] / a]
-    else:
-        # Back-substitution gives u**2 + c1*u + c0.  q never cancels, and it
-        # is 0 only when both roots are.
-        c1 = -r[1][2] / d
-        c0 = -(r[0][2] + b * c1) / a
-        discriminant = c1 * c1 - 4.0 * c0
-        if discriminant < 0.0:
-            raise InsufficientSpanError(f"series holds a component that is not a tone: "
-                                        f"u**2 + {c1:.6g}*u + {c0:.6g} has complex roots")
-        q = -(c1 + math.copysign(math.sqrt(discriminant), c1)) / 2.0
-        u = [q, c0 / q if q else 0.0]
+    y1 = v[:-2] + v[2:]
+    cols = np.stack([v[2:-2], y1[1:-1], y1[:-2] + y1[2:]], axis=1)
+    r = np.linalg.qr(cols, mode="raw")[0][:, :3].T.tolist()
+    a, b, d = r[0][0], r[0][1], r[1][1]
+    s_max, s_min = _triangle_singular_values(a, b, d)
+    if s_min <= np.finfo(float).eps * len(cols) * s_max:
+        raise InsufficientSpanError("series holds fewer than 2 tones")
+    if not abs(r[2][2]) <= 1e-6 * 4.0 * math.sqrt(v @ v):
+        raise InsufficientSpanError("series is not a sum of 2 tones")
+    # Back-substitution gives u**2 + c1*u + c0.  q never cancels, and it is 0
+    # only when both roots are.
+    c1 = -r[1][2] / d
+    c0 = -(r[0][2] + b * c1) / a
+    discriminant = c1 * c1 - 4.0 * c0
+    if discriminant < 0.0:
+        raise InsufficientSpanError(f"series holds a component that is not a tone: "
+                                    f"u**2 + {c1:.6g}*u + {c0:.6g} has complex roots")
+    q = -(c1 + math.copysign(math.sqrt(discriminant), c1)) / 2.0
+    u = [q, c0 / q if q else 0.0]
     if not all(abs(root) < 2.0 for root in u):
         raise InsufficientSpanError(f"series holds a component that is not a tone: u = {u}")
     return np.array([math.acos(root / 2.0) / dt for root in sorted(u)])
@@ -339,7 +329,7 @@ def measure_envelope_wavelength(x, values) -> float:
     two spatial tones, k_plus and k_minus; ``measure_temporal_frequencies``
     finds both, and the envelope factor's wavenumber is their half-difference.
     """
-    k_plus, k_minus = measure_temporal_frequencies(x, values, 2)
+    k_plus, k_minus = measure_temporal_frequencies(x, values)
     return float(4.0 * math.pi / (k_plus - k_minus))
 
 
@@ -376,7 +366,7 @@ def measure_tone_pair(field: Superposition, x: float, beat: float):
                                  f"{slowest:g} need more than 2**20 samples")
     t = np.arange(0.0, duration, dt)
     solved = t[::_TONE_SOLVE_STRIDE]
-    hi, lo = measure_temporal_frequencies(solved, evaluate(field, x, solved), count=2)
+    hi, lo = measure_temporal_frequencies(solved, evaluate(field, x, solved))
     return t, hi, lo
 
 

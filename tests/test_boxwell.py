@@ -216,15 +216,6 @@ class TestQuantization:
             exact = omega0 * x2 / (math.sqrt(1.0 + x2) + 1.0)
             assert rep.kinetic_energy == pytest.approx(exact, rel=1e-7)
 
-    def test_measured_envelope_wavelength(self):
-        # the envelope of mode 4 is one spatial tone, two periods across the well
-        v = bw.speed_for_mode(WELL, 4)
-        cfg = bw.BoxConfig(W=1.0, L=0.1, omega0=100.0, v=v)
-        x = np.linspace(0.0, 1.0, 2001)
-        env = bw.quantized_envelope(cfg.delta_omega, x)
-        lam = 2 * math.pi / wc.measure_temporal_frequencies(x, env, 1)[0]
-        assert lam == pytest.approx(2 * math.pi / cfg.delta_omega, rel=1e-3)
-
     def test_mode_out_of_range(self):
         with pytest.raises(InvalidConfigError, match="no admissible cavity speed"):
             bw.speed_for_mode(WELL, 10_000)

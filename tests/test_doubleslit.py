@@ -6,7 +6,7 @@ import pytest
 from qmasslab import doubleslit as ds
 from qmasslab import qmass as qm
 from qmasslab import scenarios
-from qmasslab.errors import InsufficientSpanError, InvalidConfigError, SingularPointError
+from qmasslab.errors import InsufficientSpanError, InvalidConfigError
 
 
 @pytest.fixture
@@ -29,7 +29,7 @@ class TestIntersectionAngle:
         assert math.sin(theta / 2) == pytest.approx(cfg.d / (2 * D), rel=1e-4)
 
     def test_slit_position_singular(self, cfg):
-        with pytest.raises(SingularPointError):
+        with pytest.raises(InvalidConfigError, match="coincides with a slit"):
             ds.intersection_angle((0.0, 0.5), cfg)
 
     def test_y_reflection_symmetry(self, cfg):
@@ -172,7 +172,7 @@ def _momentum_reference(x, y, h, r_min):
     y1, y2 = y - h, y + h
     r1, r2 = abs(complex(x, y1)), abs(complex(x, y2))
     if r1 < r_min or r2 < r_min:
-        raise SingularPointError(f"point {(x, y)} coincides with a slit")
+        raise InvalidConfigError(f"point {(x, y)} coincides with a slit")
     w1, w2 = 1.0 / (r1 * r1), 1.0 / (r2 * r2)
     w = w1 + w2
     return (w1 * (x / r1) + w2 * (x / r2)) / w, (w1 * (y1 / r1) + w2 * (y2 / r2)) / w
@@ -193,7 +193,7 @@ def _trajectory_reference(start, cfg, max_steps):
         nx, ny = _momentum_reference(x, y, h, r_min)
         n_mag = abs(complex(nx, ny))
         if n_mag < 1e-6:
-            raise SingularPointError(f"flow stagnates at {(x, y)}: |v| = {n_mag:.3g}")
+            raise InvalidConfigError(f"flow stagnates at {(x, y)}: |v| = {n_mag:.3g}")
         return nx / n_mag, ny / n_mag, n_mag
 
     x, y = map(float, start)
@@ -207,7 +207,7 @@ def _trajectory_reference(start, cfg, max_steps):
             bx, by, _ = direction(x + half * ax, y + half * ay)
             cx, cy, _ = direction(x + half * bx, y + half * by)
             dx, dy, _ = direction(x + step * cx, y + step * cy)
-        except SingularPointError:
+        except InvalidConfigError:
             termination = "stagnation"
             break
         x = x + sixth * (ax + 2.0 * bx + 2.0 * cx + dx)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import inspect
 import itertools
 import json
@@ -169,7 +170,7 @@ def test_map_stream_writes_the_whole_grid_bytes(cells, tmp_path, monkeypatch):
 
 def test_map_memory_does_not_grow_with_the_grid(tmp_path):
     # Holding the grid cost 8 bytes a cell plus a block of temporaries, 2.3 MB
-    # on this 1201 x 101 grid (12.85 MB at 1201**2); streamed, ~0.42 MB at any size.
+    # on this 1201 x 101 grid (12.85 MB at 1201**2); streamed, ~0.77 MB at any size.
     scenarios.run("doubleslit-map", {"nx": 3, "ny": 3}, tmp_path)
     tracemalloc.start()
     try:
@@ -318,6 +319,46 @@ def test_readme_parameter_table_matches_defaults():
         table.append((kind, [(name, json.loads(value)) for name, value in pairs]))
     assert table == [(kind, list(defaults.items()))
                      for kind, defaults in scenarios.DEFAULTS.items()]
+
+
+#: One valid value for every scenario parameter, other than its ``FAST_PARAMS`` one.
+ALTERNATIVES = {
+    "boost": {"omega0": 2.0, "beta": 0.3},
+    "doubleslit-map": {"d": 2.0, "wavelength": 0.1, "nx": 31, "ny": 31, "x_span": 4.0,
+                       "y_span": 2.0},
+    "doubleslit-traj": {"d": 2.0, "starts": [[20.0, 1.0]], "max_steps": 300},
+    "doubleslit-fringes": {"d": 1.0, "wavelength": 0.02, "D": 40.0, "screen": "line"},
+    "box-beat": {"W": 2.0, "omega0": 120.0, "v": 0.1, "probe": 0.3},
+    "box-states": {"W": 1.1, "L": 0.08, "omega0": 110.0, "v": 0.07, "n_positions": 40},
+    "box-quantize": {"W": 1.1, "omega0": 110.0, "n_max": 4},
+}
+
+#: Parameters that move no output.  box-beat's four-wave field has its only wall
+#: at x = 0: W bounds probe < W and omega0*W and nothing else.
+UNREAD = {("box-beat", "W")}
+
+
+def test_alternatives_cover_every_parameter():
+    assert {kind: set(alts) for kind, alts in ALTERNATIVES.items()} == {
+        kind: set(defaults) for kind, defaults in scenarios.DEFAULTS.items()}
+
+
+def _outputs(kind, params, out):
+    """A run's CSV digests and each metric's (predicted, measured)."""
+    summary = scenarios.run(kind, params, out)
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in summary.files}
+    return digests, [(m.predicted, m.measured) for m in summary.metrics]
+
+
+@pytest.mark.parametrize("kind, key", [(kind, key) for kind, alts in ALTERNATIVES.items()
+                                       for key in alts])
+def test_every_parameter_is_read(kind, key, tmp_path):
+    assert ALTERNATIVES[kind][key] != FAST_PARAMS[kind].get(key, scenarios.DEFAULTS[kind][key])
+    base = _outputs(kind, FAST_PARAMS[kind], tmp_path / "base")
+    changed = _outputs(kind, {**FAST_PARAMS[kind], key: ALTERNATIVES[kind][key]},
+                       tmp_path / "changed")
+    assert (changed != base) == ((kind, key) not in UNREAD)
 
 
 @pytest.mark.parametrize("kind", scenarios.SCENARIOS)
@@ -512,8 +553,8 @@ def test_traj_gate_tolerance_is_ten_times_the_worst_swept_drift(tmp_path):
                          (slit + rho * math.sin(angle)) * d])
         anywhere = np.column_stack((rng.uniform(1e-3, 50.0, 50), rng.uniform(-50.0, 50.0, 50)))
         starts = near + (anywhere * d).tolist()
-        summary = scenarios.run("doubleslit-traj", {"d": d, "wavelength": 0.05 * d,
-                                                    "starts": starts, "max_steps": 3000},
+        summary = scenarios.run("doubleslit-traj", {"d": d, "starts": starts,
+                                                    "max_steps": 3000},
                                 tmp_path / f"d{d:g}")
         (metric,) = summary.metrics
         assert metric.passed
@@ -698,8 +739,7 @@ class TestCli:
             ["box-states", "--set", "L=1e-14"],
             ["boost", "--set", "beta=0.995"],
             ["boost", "--set", "beta=-0.9999"],
-            ["doubleslit-traj", "--set", "d=1e-170", "--set", "wavelength=1e-175",
-             "--set", "starts=[[2e-169,0]]"],
+            ["doubleslit-traj", "--set", "d=1e-170", "--set", "starts=[[2e-169,0]]"],
             ["doubleslit-traj", "--set", "d=1e300", "--set", "starts=[[2e301,0]]"],
             ["doubleslit-map", "--set", "d=1e-300", "--set", "nx=3", "--set", "ny=3"],
             ["doubleslit-fringes", "--set", "d=5e-324"],
@@ -724,6 +764,7 @@ class TestCli:
             ["box-states", "--set", f"n_positions={10**30}"],
             ["doubleslit-traj", "--set", f"max_steps={10**30}"],
             ["boost", "--set", "foo"],
+            ["doubleslit-traj", "--set", "wavelength=0.05"],
         ],
     )
     def test_mistyped_override_exit_2(self, argv, tmp_path, capsys):

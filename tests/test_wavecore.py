@@ -270,13 +270,6 @@ class TestFactorCarrierEnvelope:
 
 
 class TestSpatialWavelength:
-    def test_spectral_cross_check(self):
-        lam = 1.9
-        x = np.arange(0, 8 * lam, lam / 64)
-        v = np.sin(2 * math.pi * x / lam)
-        k = wc.measure_temporal_frequencies(x, v, 1)[0]
-        assert 2 * math.pi / k == pytest.approx(lam, rel=1e-3)
-
     def test_envelope_of_boosted_pair(self):
         b = wc.BidirectionalWave(2.0, 0.5)
         pair = wc.factor_carrier_envelope(b)
@@ -309,26 +302,26 @@ def _two_tone_residual(omegas):
     return basis @ np.linalg.lstsq(basis, _TWO_TONE_SERIES, rcond=None)[0] - _TWO_TONE_SERIES
 
 
-def _prediction_columns(values, count):
-    """The prediction solve's ``count`` columns and its target column."""
+def _prediction_columns(values):
+    """The two-tone prediction solve's two columns and its target column."""
     cols = [values]
-    for _ in range(count):
+    for _ in range(2):
         cols = [c[1:-1] for c in cols] + [cols[-1][:-2] + cols[-1][2:]]
     return np.stack(cols[:-1], axis=1), cols[-1]
 
 
-def _relative_residual(values, count):
-    """The prediction solve's residual over 2**count * ||values||, as the solve bounds it."""
-    cols, rhs = _prediction_columns(values, count)
+def _relative_residual(values):
+    """The prediction solve's residual over 4 * ||values||, as the solve bounds it."""
+    cols, rhs = _prediction_columns(values)
     residual = np.linalg.lstsq(cols, -rhs, rcond=None)[1]
-    return math.sqrt(residual[0]) / (2.0**count * np.linalg.norm(values))
+    return math.sqrt(residual[0]) / (4.0 * np.linalg.norm(values))
 
 
-def _lstsq_companion_tones(times, values, count):
+def _lstsq_companion_tones(times, values):
     """Reference tones: lstsq for the coefficients, eigvals of the companion matrix for u."""
     values = np.ldexp(values, -np.frexp(np.max(np.abs(values)))[1])
-    coef = np.linalg.lstsq(*_prediction_columns(values, count), rcond=None)[0]
-    companion = np.eye(count, k=-1)
+    coef = np.linalg.lstsq(*_prediction_columns(values), rcond=None)[0]
+    companion = np.eye(2, k=-1)
     companion[0] = coef[::-1]  # a fit to +target gives minus the polynomial's coefficients
     u = np.linalg.eigvals(companion)
     return np.sort(np.arccos(u / 2.0) / (times[1] - times[0]))[::-1]
@@ -338,14 +331,29 @@ class TestTemporalFrequencies:
     def test_two_tone(self):
         t = np.arange(0, 50, 0.005)
         v = np.cos(5 * t) + np.cos(100 * t + 0.4)
-        got = np.sort(wc.measure_temporal_frequencies(t, v, 2))
+        got = np.sort(wc.measure_temporal_frequencies(t, v))
         assert got[0] == pytest.approx(5.0, rel=5e-3)
         assert got[1] == pytest.approx(100.0, rel=5e-3)
+
+    def test_one_tone_rejected(self):
+        # One tone sampled from t = 0 leaves the prediction columns rank
+        # deficient.  Far from 0 each sample rounds its phase w*t, and that
+        # noise can read as a second tone: from t0 in [-100, 100], 114 of
+        # these 500 draws were accepted.
+        rng = np.random.default_rng(43)
+        for _ in range(500):
+            n = int(rng.integers(16, 4000))
+            dt = 10.0 ** rng.uniform(-3.0, 1.0)
+            t = np.arange(n) * dt
+            w = rng.uniform(0.002, 0.498) * 2.0 * math.pi / dt
+            v = 10.0 ** rng.uniform(-5.0, 5.0) * np.cos(w * t + rng.uniform(0.0, 2.0 * math.pi))
+            with pytest.raises(InsufficientSpanError, match="series holds fewer than 2 tones"):
+                wc.measure_temporal_frequencies(t, v)
 
     def test_constant_errors(self):
         t = np.linspace(0, 1, 64)
         with pytest.raises(InsufficientSpanError, match="constant series has no spectral peaks"):
-            wc.measure_temporal_frequencies(t, np.full_like(t, 2.5), 1)
+            wc.measure_temporal_frequencies(t, np.full_like(t, 2.5))
 
     def test_series_flat_to_rounding_has_no_peaks(self):
         # A phase of 3e19 absorbs every 100*t < 2048 (half its ulp): all samples
@@ -354,42 +362,28 @@ class TestTemporalFrequencies:
         v = np.cos(3e19 + 100.0 * t)
         assert np.ptp(v) == 0.0
         with pytest.raises(InsufficientSpanError, match="no spectral peaks"):
-            wc.measure_temporal_frequencies(t, v, 2)
+            wc.measure_temporal_frequencies(t, v)
 
     def test_short_series_errors(self):
         with pytest.raises(InsufficientSpanError):
-            wc.measure_temporal_frequencies(np.arange(8), np.arange(8.0), 1)
-
-    @pytest.mark.parametrize("count", [3, 6, 7])
-    def test_count_above_two_rejected(self, count):
-        # The closed-form roots and singular values exist for one and two tones;
-        # a larger count is rejected before the series is read.
-        t = np.arange(21) * 0.1
-        with pytest.raises(InvalidConfigError, match="count must be >= 1 and <= 2"):
-            wc.measure_temporal_frequencies(t, np.cos(2.0 * t), count)
-
-    @pytest.mark.parametrize("count", [0, -1])
-    def test_count_below_one_rejected(self, count):
-        t = np.arange(0, 50, 0.005)
-        with pytest.raises(InvalidConfigError, match="count must be >= 1"):
-            wc.measure_temporal_frequencies(t, np.cos(5 * t), count)
+            wc.measure_temporal_frequencies(np.arange(8), np.arange(8.0))
 
     @pytest.mark.parametrize("times", [np.arange(0, 50, 0.005)[::-1], np.zeros(10000)])
     def test_step_not_positive_rejected(self, times):
         v = np.cos(5 * times) + np.cos(100 * times + 0.4)
         with pytest.raises(InvalidConfigError, match="time step must be positive"):
-            wc.measure_temporal_frequencies(times, v, 2)
+            wc.measure_temporal_frequencies(times, v)
 
     @pytest.mark.parametrize("jitter, uniform", [(0.9e-9, True), (1.1e-9, False)])
     def test_steps_must_agree_to_1e_9(self, jitter, uniform):
         t = np.arange(1000) * 0.05
         t[500:] += jitter * 0.05  # one step off by jitter*dt
-        v = np.cos(2.0 * t)
+        v = np.cos(2.0 * t) + np.cos(5.0 * t)
         if uniform:
-            assert wc.measure_temporal_frequencies(t, v, 1)[0] == pytest.approx(2.0, rel=1e-3)
+            assert wc.measure_temporal_frequencies(t, v) == pytest.approx([5.0, 2.0], rel=1e-3)
         else:
             with pytest.raises(InvalidConfigError, match="time steps must be uniform"):
-                wc.measure_temporal_frequencies(t, v, 1)
+                wc.measure_temporal_frequencies(t, v)
 
     @pytest.mark.parametrize("where", ["values", "times"])
     @pytest.mark.parametrize("bad", [INF, -INF, NAN])
@@ -400,7 +394,7 @@ class TestTemporalFrequencies:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InvalidConfigError, match="must be finite"):
-                wc.measure_temporal_frequencies(t, v, 2)
+                wc.measure_temporal_frequencies(t, v)
 
     def test_short_series_with_a_nan_is_invalid_and_an_empty_one_short(self):
         # Finiteness is checked before length: a NaN among 10 values is bad
@@ -411,19 +405,17 @@ class TestTemporalFrequencies:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InvalidConfigError, match="must be finite"):
-                wc.measure_temporal_frequencies(t, v, 2)
+                wc.measure_temporal_frequencies(t, v)
             with pytest.raises(InsufficientSpanError, match="series too short: 0 samples"):
-                wc.measure_temporal_frequencies([], [], 2)
+                wc.measure_temporal_frequencies([], [])
 
-    @pytest.mark.parametrize("count", [1, 2])
     @pytest.mark.parametrize("seed", range(5))
-    def test_reads_r_from_the_raw_householder_array_bit_for_bit(self, count, seed,
-                                                                monkeypatch):
+    def test_reads_r_from_the_raw_householder_array_bit_for_bit(self, seed, monkeypatch):
         # The solve reads R from the transposed array of qr(mode="raw"); its
         # upper triangle equals triu(qr(mode="r")) of the same matrix.
         rng = np.random.default_rng(seed)
         t = np.arange(int(rng.integers(16, 3000))) * 0.01
-        tones = rng.uniform(0.3, 2.9, count) / 0.01
+        tones = rng.uniform(0.3, 2.9, 2) / 0.01
         v = sum(rng.uniform(0.1, 10.0) * np.cos(w * t + rng.uniform(0, 7)) for w in tones)
         qr, seen = np.linalg.qr, []
 
@@ -432,10 +424,10 @@ class TestTemporalFrequencies:
             return qr(a, mode=mode)
 
         monkeypatch.setattr(np.linalg, "qr", spy)
-        wc.measure_temporal_frequencies(t, v, count)
+        wc.measure_temporal_frequencies(t, v)
         [(a, mode)] = seen
-        assert mode == "raw" and a.shape[1] == count + 1
-        r = np.triu(qr(a, mode="raw")[0][:, :count + 1].T)
+        assert mode == "raw" and a.shape[1] == 3
+        r = np.triu(qr(a, mode="raw")[0][:, :3].T)
         want = qr(a, mode="r")
         assert np.array_equal(r, want) and np.array_equal(np.signbit(r), np.signbit(want))
 
@@ -444,7 +436,7 @@ class TestTemporalFrequencies:
         t = np.arange(1000) * 0.05
         v = np.cos(np.arange(np.prod(shape)) * 0.5).reshape(shape)
         with pytest.raises(InvalidConfigError, match="1-D of one length"):
-            wc.measure_temporal_frequencies(t, v, 1)
+            wc.measure_temporal_frequencies(t, v)
 
     @settings(deadline=None, max_examples=60)
     @given(
@@ -462,7 +454,7 @@ class TestTemporalFrequencies:
         t = t0 + np.arange(n) * dt
         k = np.arange(n)
         v = np.cos(2 * math.pi * tones[0] * k + phase) + 0.5 * np.cos(2 * math.pi * tones[1] * k)
-        got = wc.measure_temporal_frequencies(t, v, 2)
+        got = wc.measure_temporal_frequencies(t, v)
         assert got == pytest.approx(sorted(2 * math.pi * np.array(tones) / dt, reverse=True),
                                     rel=2e-11)
 
@@ -479,21 +471,21 @@ class TestTemporalFrequencies:
         start = np.array([2.9, 1.3]) + np.array(offsets) * 2.0 * math.pi / 40.0
         fit = optimize.least_squares(_two_tone_residual, start, xtol=1e-15, ftol=1e-15,
                                      gtol=1e-15)
-        got = wc.measure_temporal_frequencies(_TWO_TONE_TIMES, _TWO_TONE_SERIES, 2)
+        got = wc.measure_temporal_frequencies(_TWO_TONE_TIMES, _TWO_TONE_SERIES)
         assert got == pytest.approx(fit.x, rel=1e-9)
 
-    @pytest.mark.parametrize("series, count, match", [
-        (lambda t: np.cos(5 * t), 2, "fewer than 2 tones"),
-        (lambda t: np.cos(5 * t) + np.cos(100 * t + 0.4) + 0.5 * np.cos(40 * t), 2,
+    @pytest.mark.parametrize("series, match", [
+        (lambda t: np.cos(5 * t), "fewer than 2 tones"),
+        (lambda t: np.cos(5 * t) + np.cos(100 * t + 0.4) + 0.5 * np.cos(40 * t),
          "not a sum of 2 tones"),
-        (lambda t: np.cos(5 * t) + np.cos(100 * t + 0.4) + 0.3, 2, "not a sum of 2 tones"),
-        (lambda t: np.exp(4.0 * t / 50.0), 1, "not a tone"),
-        (lambda t: np.exp(-2.0 * t) * np.cos(100 * t), 2, "not a tone"),
+        (lambda t: np.cos(5 * t) + np.cos(100 * t + 0.4) + 0.3, "not a sum of 2 tones"),
+        (lambda t: np.exp(4.0 * t / 50.0) + np.cos(100 * t), r"not a tone: u = \[2\.0"),
+        (lambda t: np.exp(-2.0 * t) * np.cos(100 * t), "not a tone: .* complex roots"),
     ], ids=["one-tone", "three-tones", "two-tones-and-an-offset", "growing", "damped"])
-    def test_series_that_is_not_count_tones_rejected(self, series, count, match):
+    def test_series_that_is_not_two_tones_rejected(self, series, match):
         t = np.arange(0, 50, 0.005)
         with pytest.raises(InsufficientSpanError, match=match):
-            wc.measure_temporal_frequencies(t, series(t), count)
+            wc.measure_temporal_frequencies(t, series(t))
 
     def test_worst_accepted_residual_leaves_no_room_to_reject_a_small_offset(self):
         # The worst residual found for a series the scenarios accept: 2.0e-7,
@@ -509,15 +501,15 @@ class TestTemporalFrequencies:
         # with a 10x margin rejects it; the bound stays at 1e-6.
         b = wc.boost_standing_wave(1e9, -0.9903133685390878)
         x = wc.envelope_sampling_grid(b)
-        worst = _relative_residual(wc.evaluate(wc.superposition_of(b), x, 0.3)[::16], 2)
+        worst = _relative_residual(wc.evaluate(wc.superposition_of(b), x, 0.3)[::16])
         assert 1.5e-7 < worst < 1e-6
         W = 8.358021686255072e+79
         cfg = bw.BoxConfig(W=W, L=W / 10.0, omega0=6.12063509452773e-76, v=0.9997433729864965)
         field, probe = bw.build_field(cfg), 7.70227878341137e+79
         t, _, _ = wc.measure_tone_pair(field, probe, cfg.delta_omega)
-        assert _relative_residual(wc.evaluate(field, probe, t), 2) < worst / 10.0
+        assert _relative_residual(wc.evaluate(field, probe, t)) < worst / 10.0
         t = np.arange(0, 50, 0.005)
-        offset = _relative_residual(np.cos(5 * t) + np.cos(100 * t + 0.4) + 1e-3, 2)
+        offset = _relative_residual(np.cos(5 * t) + np.cos(100 * t + 0.4) + 1e-3)
         assert offset < 10.0 * worst
 
     @pytest.mark.parametrize("amplitude", [1e160, 1e-300])
@@ -527,39 +519,36 @@ class TestTemporalFrequencies:
         # an overflow warning at 1e160.
         t = np.arange(0, 50, 0.005)
         two = np.cos(5 * t) + np.cos(100 * t + 0.4)
-        got = wc.measure_temporal_frequencies(t, amplitude * two, 2)
+        got = wc.measure_temporal_frequencies(t, amplitude * two)
         assert got == pytest.approx([100.0, 5.0], rel=5e-3)
         with pytest.raises(InsufficientSpanError, match="not a sum of 2 tones"):
-            wc.measure_temporal_frequencies(t, amplitude * (two + np.cos(40 * t)), 2)
+            wc.measure_temporal_frequencies(t, amplitude * (two + np.cos(40 * t)))
 
     @pytest.mark.parametrize("power", [-1000, 1000])
     def test_power_of_two_amplitude_changes_no_bit(self, power):
         # The series is scaled by the power of two of its largest sample.
         t = np.arange(0, 50, 0.005)
         two = np.cos(5 * t) + np.cos(100 * t + 0.4)
-        assert np.array_equal(wc.measure_temporal_frequencies(t, 2.0**power * two, 2),
-                              wc.measure_temporal_frequencies(t, two, 2))
+        assert np.array_equal(wc.measure_temporal_frequencies(t, 2.0**power * two),
+                              wc.measure_temporal_frequencies(t, two))
 
     @settings(deadline=None, max_examples=80)
     @given(
         n=st.integers(64, 8000),
         t0=st.floats(-100.0, 100.0),
-        count=st.sampled_from([1, 2]),
         tones=st.tuples(st.floats(0.05, 0.45), st.floats(0.05, 0.45)),
         phase=st.floats(0.0, 2.0 * math.pi),
     )
-    def test_matches_the_lstsq_and_companion_solve(self, n, t0, count, tones, phase):
-        # Tones in cycles per sample, two at least 12 FFT bins apart.  Over 3,000
+    def test_matches_the_lstsq_and_companion_solve(self, n, t0, tones, phase):
+        # Tones in cycles per sample, at least 12 FFT bins apart.  Over 3,000
         # seeded draws the QR solve and the lstsq + eigvals solve differed by at
-        # most 1.1e-15 for one tone and 4.2e-13 for two; the bound is 10x that.
-        assume(count == 1 or (abs(tones[0] - tones[1]) * n >= 12 and min(tones) * n >= 12))
+        # most 4.2e-13; the bound is 10x that.
+        assume(abs(tones[0] - tones[1]) * n >= 12 and min(tones) * n >= 12)
         t = t0 + np.arange(n) * 0.01
         k = np.arange(n)
-        v = np.cos(2 * math.pi * tones[0] * k + phase)
-        if count == 2:
-            v += 0.5 * np.cos(2 * math.pi * tones[1] * k)
-        got = wc.measure_temporal_frequencies(t, v, count)
-        assert got == pytest.approx(_lstsq_companion_tones(t, v, count), rel=5e-12)
+        v = np.cos(2 * math.pi * tones[0] * k + phase) + 0.5 * np.cos(2 * math.pi * tones[1] * k)
+        got = wc.measure_temporal_frequencies(t, v)
+        assert got == pytest.approx(_lstsq_companion_tones(t, v), rel=5e-12)
 
     def test_double_root_at_zero_matches_the_companion_solve(self):
         # k*cos(pi*k/2), exact in floats: the target column is 0, so both
@@ -567,8 +556,8 @@ class TestTemporalFrequencies:
         k = np.arange(64)
         v = np.where(k % 2 == 0, k * (-1.0) ** (k // 2), 0.0)
         t = k * 0.1
-        got = wc.measure_temporal_frequencies(t, v, 2)
-        assert np.array_equal(got, _lstsq_companion_tones(t, v, 2))
+        got = wc.measure_temporal_frequencies(t, v)
+        assert np.array_equal(got, _lstsq_companion_tones(t, v))
         assert got == pytest.approx([math.pi / 2 / 0.1] * 2, rel=1e-15)
 
     @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-12, 1e-15])
@@ -590,7 +579,7 @@ class TestTemporalFrequencies:
         # The prediction columns of one tone asked for as two: s_min / s_max is
         # ~5e-15, below the rank rule's eps * rows in closed form and by SVD.
         t = np.arange(0, 50, 0.005)
-        cols, rhs = _prediction_columns(np.cos(5 * t), 2)
+        cols, rhs = _prediction_columns(np.cos(5 * t))
         (a, b, _), (_, d, _), _ = np.linalg.qr(np.column_stack([cols, rhs]), mode="r").tolist()
         s_max, s_min = wc._triangle_singular_values(a, b, d)
         want = np.linalg.svd(cols, compute_uv=False)
@@ -598,7 +587,7 @@ class TestTemporalFrequencies:
         assert s_min <= rule * s_max and want[1] <= rule * want[0]
         assert s_max == pytest.approx(want[0], rel=1e-14)
         with pytest.raises(InsufficientSpanError, match="fewer than 2 tones"):
-            wc.measure_temporal_frequencies(t, np.cos(5 * t), 2)
+            wc.measure_temporal_frequencies(t, np.cos(5 * t))
 
 
 class TestTonePair:
@@ -636,7 +625,7 @@ class TestTonePair:
         t, hi, lo = wc.measure_tone_pair(field, x, beat)
         assert t[1] - t[0] == 2.0 * math.pi / field.omega_max / 16.0
         whole = wc.evaluate(field, x, t)
-        assert np.array_equal([hi, lo], wc.measure_temporal_frequencies(t[::4], whole[::4], 2))
+        assert np.array_equal([hi, lo], wc.measure_temporal_frequencies(t[::4], whole[::4]))
 
     def test_solves_every_4th_sample(self, monkeypatch):
         # The field is evaluated only where the tones are solved: a quarter of
@@ -662,7 +651,7 @@ class TestTonePair:
         cfg = bw.BoxConfig(W=1.0, L=0.1, omega0=100.0, v=1.3e-4)
         res = bw.analyze_beats(cfg, 0.275)
         series = wc.evaluate(bw.build_field(cfg), 0.275, res.times)
-        hi, lo = wc.measure_temporal_frequencies(res.times[::4], series[::4], 2)
+        hi, lo = wc.measure_temporal_frequencies(res.times[::4], series[::4])
         assert (hi, lo) == pytest.approx(
             (cfg.omega_bar + cfg.delta_omega, cfg.omega_bar - cfg.delta_omega), rel=1e-9)
         assert (hi - lo) / 2.0 == pytest.approx(cfg.delta_omega, rel=1e-9)
