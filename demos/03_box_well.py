@@ -31,7 +31,7 @@ print(f"  fast measured {beats.fast:.6f}  (rel error {abs(beats.fast / cfg.omega
 print(f"  slow measured {beats.slow:.6f}  (rel error {abs(beats.slow / cfg.delta_omega - 1):.2e})")
 print()
 
-trace = bw.trace_states_vs_position(cfg)
+trace = bw.trace_states_vs_position(cfg, n_positions=160)
 p = qmass.four_momentum_of(wavecore.boost_standing_wave(cfg.omega0, cfg.v)).p
 modulus = np.hypot(trace.a_cos, trace.a_sin)
 print("State helix as the cavity crosses the well:")

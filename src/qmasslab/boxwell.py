@@ -20,14 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfigError
+from .errors import InvalidConfigError, require_count
 from .wavecore import PlaneWave, Superposition, evaluate, gamma_of, measure_tone_pair
 
 #: Minimum carrier cycles across the well, enforcing omega0*W >> 1.
 MIN_CARRIER_PHASE = 20.0
 
 #: Maximum omega0*W of every box oracle.  Beyond it the mode speeds, bisected
-#: to an absolute 1e-14, miss the 1e-9 momentum gate, the margin of the sweep
+#: to an absolute 1e-14, miss the momentum gate, the margin of the sweep
 #: at SWEEP_SPEED_MIN was measured only up to it, and from ~1e17 the probe
 #: series of ``analyze_beats`` rounds the time phase away.
 MAX_CARRIER_PHASE = 1e5
@@ -183,7 +183,7 @@ SWEEP_LEVER_MIN = 1e3
 SWEEP_WINDOW_PHASE_MIN = 1e-9
 
 
-def trace_states_vs_position(cfg: BoxConfig, n_positions: int = 160) -> InternalStateTrace:
+def trace_states_vs_position(cfg: BoxConfig, n_positions: int) -> InternalStateTrace:
     """Internal-state amplitudes as the cavity sweeps the well at speed v.
 
     For each cavity center x_c (reached at t = x_c/v) the field restricted
@@ -198,8 +198,7 @@ def trace_states_vs_position(cfg: BoxConfig, n_positions: int = 160) -> Internal
     """
     kb = wb = cfg.omega_bar  # lightlike waves: k = omega
     dk = dw = cfg.delta_omega
-    if n_positions < 2:
-        raise InvalidConfigError(f"n_positions must be >= 2, got {n_positions}")
+    require_count("n_positions", n_positions, 2)
     if cfg.v < SWEEP_SPEED_MIN:
         raise InvalidConfigError(f"cavity speed must be >= {SWEEP_SPEED_MIN:g}, got {cfg.v}")
     if cfg.omega0 * cfg.L < SWEEP_WINDOW_PHASE_MIN:
@@ -267,8 +266,7 @@ def _bisect_speed(target: float, omega0: float) -> float:
 
 def speed_for_mode(well: Well, n: int) -> float:
     """Cavity speed whose de Broglie wavenumber satisfies dk*W = n*pi."""
-    if n < 1:
-        raise InvalidConfigError(f"mode index must be >= 1, got {n}")
+    require_count("mode index", n, 1)
     return _bisect_speed(n * math.pi / well.W, well.omega0)
 
 
@@ -285,8 +283,7 @@ def quantize(cfg: Well, n_max: int) -> list[QuantizationReport]:
     compared with n*pi/W, and the relativistic kinetic energy (gamma-1)*m
     with the infinite-well n**2*pi**2/(2*m*W**2), where m = omega0.
     """
-    if n_max < 1:
-        raise InvalidConfigError(f"n_max must be >= 1, got {n_max}")
+    require_count("n_max", n_max, 1)
     m = cfg.omega0
     reports = []
     for n in range(1, n_max + 1):

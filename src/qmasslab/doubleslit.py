@@ -11,12 +11,11 @@ the exact two-source intensity.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientSpanError, InvalidConfigError
+from .errors import InsufficientSpanError, InvalidConfigError, require_count
 
 
 @dataclass(frozen=True)
@@ -167,7 +166,7 @@ def weighted_local_state(p, cfg: SlitConfig) -> LocalInterferenceState:
     return LocalInterferenceState(m=m, v=np.array([n.real, n.imag]))
 
 
-def integrate_trajectory(start, cfg: SlitConfig, max_steps: int = 10_000) -> Trajectory:
+def integrate_trajectory(start, cfg: SlitConfig, max_steps: int) -> Trajectory:
     """Fixed-step RK4 streamline of the local velocity direction field.
 
     Arc-length parameterized with step d/100; elapsed time accumulates as
@@ -184,9 +183,7 @@ def integrate_trajectory(start, cfg: SlitConfig, max_steps: int = 10_000) -> Tra
     if not (x_min <= x <= x_max and abs(y) <= y_half):
         raise InvalidConfigError(f"start ({x}, {y}) lies outside {x_min:g} <= x <= {x_max:g}, "
                                  f"|y| <= {y_half:g}")
-    if isinstance(max_steps, bool) or not isinstance(max_steps, numbers.Integral) \
-            or max_steps < 0:
-        raise InvalidConfigError(f"max_steps must be a non-negative int, got {max_steps!r}")
+    require_count("max_steps", max_steps, 0)
     # A numpy d would make each product with the step numpy complex arithmetic,
     # whose quotient by a real rounds twice (it multiplies by the reciprocal).
     step = float(cfg.d) / 100.0

@@ -1,8 +1,10 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the check of a count argument.
 
 The command line maps an ``InvalidConfigError`` to exit code 2 and any other
 ``QmassError`` to exit code 3.
 """
+
+import numbers
 
 
 class QmassError(Exception):
@@ -15,3 +17,11 @@ class InvalidConfigError(QmassError):
 
 class InsufficientSpanError(QmassError):
     """Signal does not span enough structure for the requested measurement."""
+
+
+def require_count(name: str, value, minimum: int) -> None:
+    """InvalidConfigError unless ``value`` is an int, not a bool, of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidConfigError(f"{name} must be an int, got {value!r}")
+    if value < minimum:
+        raise InvalidConfigError(f"{name} must be >= {minimum}, got {value}")

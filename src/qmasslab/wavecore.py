@@ -275,10 +275,10 @@ def measure_temporal_frequencies(times, values) -> np.ndarray:
     raw series is used: removing its mean or differencing it would bias the
     slow tones.  A series that is not two tones raises
     ``InsufficientSpanError``: one tone leaves the columns rank deficient
-    (s_min <= eps * rows * s_max, lstsq's own rule) unless its samples round
-    a large phase w*t, whose noise can pass as a second tone; more tones or
-    a sizeable offset leave a residual above 1e-6 of 4 * ||s||, and a root
-    that is not real and inside (-2, 2) is no tone.  Each neighbour sum at
+    (s_min <= eps * rows * s_max, lstsq's own rule, with pi*max|t|/dt >= |w*t|
+    in place of rows where larger: rounding w*t adds noise ~eps*|w*t|); more
+    tones or a sizeable offset leave a residual above 1e-6 of 4 * ||s||, and
+    a root that is not real and inside (-2, 2) is no tone.  Each neighbour sum at
     most doubles a norm, so 4 * ||s|| bounds the target column whatever the
     tones: the residual is measured against the input, not against that
     column, which all but vanishes when the fastest tone is sampled a few
@@ -303,7 +303,8 @@ def measure_temporal_frequencies(times, values) -> np.ndarray:
     r = np.linalg.qr(cols, mode="raw")[0][:, :3].T.tolist()
     a, b, d = r[0][0], r[0][1], r[1][1]
     s_max, s_min = _triangle_singular_values(a, b, d)
-    if s_min <= np.finfo(float).eps * len(cols) * s_max:
+    scale = max(len(cols), math.pi * max(abs(t[0]), abs(t[-1])) / dt)
+    if s_min <= np.finfo(float).eps * scale * s_max:
         raise InsufficientSpanError("series holds fewer than 2 tones")
     if not abs(r[2][2]) <= 1e-6 * 4.0 * math.sqrt(v @ v):
         raise InsufficientSpanError("series is not a sum of 2 tones")

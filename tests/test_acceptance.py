@@ -2,13 +2,12 @@
 pass/fail line (visible with ``pytest -s`` or on failure).
 
 Where a scenario gates the same quantity, the tolerance is that gate's, read
-from a run at the scenario's defaults.
+from ``scenarios.GATES``.
 """
 
 import math
 
 import numpy as np
-import pytest
 
 from qmasslab import boxwell as bw
 from qmasslab import cli
@@ -18,12 +17,8 @@ from qmasslab import scenarios
 from qmasslab import wavecore as wc
 
 
-@pytest.fixture(scope="module")
-def gates(tmp_path_factory):
-    """Each scenario's metric tolerances by name, from a run at its defaults."""
-    out = tmp_path_factory.mktemp("defaults")
-    return {kind: {m.name: m.tolerance for m in scenarios.run(kind, {}, out / kind).metrics}
-            for kind in scenarios.SCENARIOS}
+def _tolerance(kind: str, row: str) -> float:
+    return scenarios.GATES[kind][row][0]
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -31,10 +26,10 @@ def _report(name: str, ok: bool, detail: str) -> None:
     assert ok, f"{name}: {detail}"
 
 
-def test_01_superluminal_envelope_wavelength(gates):
+def test_01_superluminal_envelope_wavelength():
     # Solved as the boost runner solves it, on every 16th point of the grid.
     stride = scenarios._ENVELOPE_SOLVE_STRIDE
-    tol = gates["boost"]["envelope_wavelength"]
+    tol = _tolerance("boost", "envelope_wavelength")
     worst = 0.0
     for beta in (0.1, 0.3, 0.6, 0.9):
         b = wc.boost_standing_wave(1.0, beta)
@@ -74,8 +69,8 @@ def test_03_standing_wave_rest_case():
     _report("standing-wave rest case", ok, f"(m, v) = ({state.m}, {state.v})")
 
 
-def test_04_fringe_spacing_sweep(gates):
-    tol = gates["doubleslit-fringes"]["fringe_spacing"]
+def test_04_fringe_spacing_sweep():
+    tol = _tolerance("doubleslit-fringes", "fringe_spacing")
     worst = 0.0
     for ratio_D in (50.0, 100.0, 200.0):
         for ratio_lam in (0.01, 0.02, 0.05):
@@ -97,8 +92,8 @@ def _streamline_flux(points, d):
     return (y - h) / np.hypot(x, y - h) + (y + h) / np.hypot(x, y + h)
 
 
-def test_05_trajectory_geometry(gates):
-    tol = gates["doubleslit-traj"]["streamline_invariant_drift"]
+def test_05_trajectory_geometry():
+    tol = _tolerance("doubleslit-traj", "streamline_invariant_drift")
     cfg = ds.SlitConfig(d=1.0, omega=2.0 * math.pi / 0.05)
     worst_drift = 0.0
     for ang in (0.0, 0.5, -0.7):
@@ -149,8 +144,8 @@ def test_06_mass_map_structure():
     )
 
 
-def test_07_box_beat_frequencies(gates):
-    tol_fast, tol_slow = (gates["box-beat"][name] for name in ("fast_frequency", "slow_frequency"))
+def test_07_box_beat_frequencies():
+    tol_fast, tol_slow = (_tolerance("box-beat", row) for row in ("fast_frequency", "slow_frequency"))
     worst_fast = worst_slow = 0.0
     for v in (0.02, 0.0627080, 0.15):
         cfg = bw.BoxConfig(W=1.0, L=0.1, omega0=100.0, v=v)
@@ -165,12 +160,12 @@ def test_07_box_beat_frequencies(gates):
     )
 
 
-def test_08_de_broglie_envelope_trace(gates):
-    tol_k, tol_flat = (gates["box-states"][name]
-                       for name in ("envelope_wavenumber", "helix_modulus_flatness"))
+def test_08_de_broglie_envelope_trace():
+    tol_k, tol_flat = (_tolerance("box-states", row)
+                       for row in ("envelope_wavenumber", "helix_modulus_flatness"))
     v = bw.speed_for_mode(bw.Well(W=1.0, omega0=100.0), 2)
     cfg = bw.BoxConfig(W=1.0, L=0.1, omega0=100.0, v=v)
-    trace = bw.trace_states_vs_position(cfg)
+    trace = bw.trace_states_vs_position(cfg, n_positions=160)
     p = qm.four_momentum_of(wc.boost_standing_wave(cfg.omega0, cfg.v)).p
     k_err = abs(trace.envelope_wavenumber - p) / p
     modulus = trace.a_cos**2 + trace.a_sin**2
@@ -184,8 +179,8 @@ def test_08_de_broglie_envelope_trace(gates):
     )
 
 
-def test_09_well_quantization(gates):
-    tol_k = gates["box-quantize"]["momentum_n1"]
+def test_09_well_quantization():
+    tol_k = _tolerance("box-quantize", "momentum_n")
     cfg = bw.Well(W=1.0, omega0=100.0)
     worst_k = worst_wall = 0.0
     energy_ok = True

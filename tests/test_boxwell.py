@@ -124,7 +124,7 @@ class TestAnalyzeBeats:
 
 class TestTraceStatesVsPosition:
     def test_envelope_wavenumber_and_flatness(self, cfg):
-        trace = bw.trace_states_vs_position(cfg)
+        trace = bw.trace_states_vs_position(cfg, n_positions=160)
         assert trace.envelope_wavenumber == pytest.approx(cfg.delta_omega, rel=1e-9)
         r = np.hypot(trace.a_cos, trace.a_sin)
         assert (np.max(r) - np.min(r)) / np.mean(r) < 1e-9
@@ -141,6 +141,11 @@ class TestTraceStatesVsPosition:
         cfg = bw.BoxConfig(W=1.0, L=0.1, omega0=100.0, v=v)
         trace = bw.trace_states_vs_position(cfg, n_positions=24)
         assert trace.envelope_wavenumber == pytest.approx(cfg.delta_omega, rel=1e-6)
+
+    @pytest.mark.parametrize("n_positions", [40.0, 40.5, True, "40", None])
+    def test_position_count_must_be_an_int(self, n_positions, cfg):
+        with pytest.raises(InvalidConfigError, match="n_positions must be an int"):
+            bw.trace_states_vs_position(cfg, n_positions=n_positions)
 
     def test_center_at_time_factor_node_rejected(self):
         # Center 62 falls where cos(dw*x/v) ~ 6e-8 and dk*L is ~4 carrier-phase
@@ -254,3 +259,17 @@ class TestQuantization:
             bw.speed_for_mode(WELL, 0)
         with pytest.raises(InvalidConfigError):
             bw.quantize(WELL, 0)
+
+    @pytest.mark.parametrize("n", [1.5, 2.0, True, "2", None])
+    def test_mode_index_must_be_an_int(self, n):
+        # 1.5 once returned the speed of a half mode, True that of n = 1.
+        with pytest.raises(InvalidConfigError, match="mode index must be an int"):
+            bw.speed_for_mode(WELL, n)
+        assert bw.speed_for_mode(WELL, np.int64(2)) == bw.speed_for_mode(WELL, 2)
+
+    @pytest.mark.parametrize("n_max", [2.5, 3.0, True, "3", None])
+    def test_mode_count_must_be_an_int(self, n_max):
+        # 2.5 once raised a bare TypeError, True ran one mode.
+        with pytest.raises(InvalidConfigError, match="n_max must be an int"):
+            bw.quantize(WELL, n_max)
+        assert bw.quantize(WELL, np.int64(2)) == bw.quantize(WELL, 2)

@@ -21,6 +21,8 @@ from hypothesis.extra import numpy as hnp
 from qmasslab import boxwell, cli, doubleslit, qmass, scenarios, wavecore
 from qmasslab.errors import InsufficientSpanError, InvalidConfigError, QmassError
 
+import test_acceptance
+
 # fast overrides keeping every scenario well under a second
 FAST_PARAMS = {
     "boost": {},
@@ -31,6 +33,11 @@ FAST_PARAMS = {
     "box-states": {"n_positions": 32},
     "box-quantize": {"n_max": 3},
 }
+
+
+def _row(name):
+    """The ``scenarios.GATES`` row of metric ``name``: a per-mode metric drops its n."""
+    return name.rstrip("0123456789")
 
 
 @pytest.mark.parametrize("kind", scenarios.SCENARIOS)
@@ -361,6 +368,49 @@ def test_every_parameter_is_read(kind, key, tmp_path):
     assert (changed != base) == ((kind, key) not in UNREAD)
 
 
+@pytest.mark.parametrize("at", ["fast", "defaults"])
+@pytest.mark.parametrize("kind", scenarios.SCENARIOS)
+def test_summary_lists_exactly_its_gates_rows(kind, at, tmp_path):
+    assert list(scenarios.GATES) == list(scenarios.SCENARIOS)
+    summary = scenarios.run(kind, FAST_PARAMS[kind] if at == "fast" else {}, tmp_path)
+    rows = scenarios.GATES[kind]
+    modes = range(1, summary.params["n_max"] + 1) if kind == "box-quantize" else [""]
+    assert [m.name for m in summary.metrics] == [f"{row}{n}" for n in modes for row in rows]
+    for m in summary.metrics:
+        tolerance, source = rows[_row(m.name)]
+        assert m.source == source
+        # Only the energy bound is computed by its runner.
+        assert m.tolerance == tolerance or (tolerance is None and m.name.startswith("energy_n"))
+
+
+#: The acceptance test that gates its own sweep at each row's tolerance.
+ACCEPTANCE = {
+    "envelope_wavelength": test_acceptance.test_01_superluminal_envelope_wavelength,
+    "fringe_spacing": test_acceptance.test_04_fringe_spacing_sweep,
+    "streamline_invariant_drift": test_acceptance.test_05_trajectory_geometry,
+    "fast_frequency": test_acceptance.test_07_box_beat_frequencies,
+    "slow_frequency": test_acceptance.test_07_box_beat_frequencies,
+    "envelope_wavenumber": test_acceptance.test_08_de_broglie_envelope_trace,
+    "helix_modulus_flatness": test_acceptance.test_08_de_broglie_envelope_trace,
+    "momentum_n": test_acceptance.test_09_well_quantization,
+}
+
+
+# A row at 0 cannot tighten, and the energy bound (None) is its runner's.
+@pytest.mark.parametrize("kind, row", [(kind, row) for kind, rows in scenarios.GATES.items()
+                                       for row, (tolerance, _) in rows.items() if tolerance])
+def test_tightening_a_row_tightens_every_check_of_its_gate(kind, row, tmp_path, monkeypatch):
+    # At 0 the row fails every metric whose rel_error is not 0, as each is at the
+    # defaults, and every acceptance sweep that reads it (their bounds are strict).
+    monkeypatch.setitem(scenarios.GATES[kind], row, (0.0, scenarios.GATES[kind][row][1]))
+    summary = scenarios.run(kind, {}, tmp_path)
+    assert {m.name: m.passed for m in summary.metrics} == {
+        m.name: _row(m.name) != row for m in summary.metrics}
+    if row in ACCEPTANCE:
+        with pytest.raises(AssertionError):
+            ACCEPTANCE[row]()
+
+
 @pytest.mark.parametrize("kind", scenarios.SCENARIOS)
 def test_every_data_file_goes_through_the_public_writers(kind, tmp_path, monkeypatch):
     written = []
@@ -388,47 +438,34 @@ def test_demo_runs(demo, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
-# Every metric of every scenario, with overrides that keep each run small.
-GATES = {
-    "boost": ([], ["quantum_rest_mass", "group_speed", "envelope_wavelength"]),
-    "doubleslit-map": (["nx=21", "ny=21"], ["slit_plane_mass", "axis_monotone_violations"]),
-    # Off the axis: on it the flux invariant is 0 under every weighting.
-    "doubleslit-traj": (["starts=[[0.01,0.5]]", "max_steps=200"],
-                        ["streamline_invariant_drift"]),
-    "doubleslit-fringes": ([], ["fringe_spacing"]),
-    "box-beat": ([], ["fast_frequency", "slow_frequency"]),
-    "box-states": (["n_positions=16"], ["envelope_wavenumber", "helix_modulus_flatness"]),
-    "box-quantize": (["n_max=2"], [f"{gate}_n{n}" for n in (1, 2)
-                                   for gate in ("momentum", "energy")]),
-}
-
-
-def _assert_only_gate_fails(kind, gate, tmp_path, capsys, overrides=None):
-    default_overrides, gates = GATES[kind]
-    overrides = default_overrides if overrides is None else overrides
+def _assert_only_gate_fails(kind, row, tmp_path, capsys, params=None):
+    """The CLI run of ``kind`` on ``params`` (its ``FAST_PARAMS`` if None) exits 1,
+    lists every ``GATES`` row and fails the metrics of ``row`` alone."""
+    params = FAST_PARAMS[kind] if params is None else params
     argv = [kind, "--out", str(tmp_path)]
-    for item in overrides:
-        argv += ["--set", item]
+    for key, value in params.items():
+        argv += ["--set", f"{key}={json.dumps(value)}"]
     assert cli.main(argv) == 1
     lines = re.findall(r"^(PASS|FAIL) (\S+): predicted=", capsys.readouterr().out, re.M)
-    status = {name: word for word, name in lines}
-    assert status == {name: "FAIL" if name == gate else "PASS" for name in gates}
+    assert {_row(name) for _, name in lines} == set(scenarios.GATES[kind])
+    assert {name: word for word, name in lines} == {
+        name: "FAIL" if _row(name) == row else "PASS" for _, name in lines}
 
 
 @pytest.mark.parametrize(
-    "kind, gate", [(kind, gate) for kind, (_, gates) in GATES.items() for gate in gates]
+    "kind, row", [(kind, row) for kind, rows in scenarios.GATES.items() for row in rows]
 )
-def test_every_gate_can_fail(kind, gate, tmp_path, monkeypatch, capsys):
-    # The named metric misses by twice its tolerance plus 1e-6; all others run as is.
+def test_every_gate_can_fail(kind, row, tmp_path, monkeypatch, capsys):
+    # The row's metrics miss by twice their tolerance plus 1e-6; all others run as is.
     metric = scenarios.Metric
 
     def missing(name, predicted, measured, tolerance, source):
-        if name == gate:
+        if _row(name) == row:
             measured = predicted + (2 * tolerance + 1e-6) * (abs(predicted) or 1.0)
         return metric(name, predicted, measured, tolerance, source)
 
     monkeypatch.setattr(scenarios, "Metric", missing)
-    _assert_only_gate_fails(kind, gate, tmp_path, capsys)
+    _assert_only_gate_fails(kind, row, tmp_path, capsys)
 
 
 def _rising_axis(mass_map):
@@ -500,7 +537,7 @@ def test_map_gate_catches_look_alike_weights(k, tmp_path, monkeypatch, capsys):
     # plane, where the waves counter-propagate, tells these maps apart: they
     # miss its closed form by 0.38 (k = 1) and 0.94 (k = 0) at the defaults.
     monkeypatch.setattr(doubleslit, "mass_map", _mass_map_weighted(k))
-    _assert_only_gate_fails("doubleslit-map", "slit_plane_mass", tmp_path, capsys, overrides=[])
+    _assert_only_gate_fails("doubleslit-map", "slit_plane_mass", tmp_path, capsys, params={})
 
 
 def test_map_with_energy_weights_passes(tmp_path, monkeypatch):
@@ -526,7 +563,7 @@ def test_traj_gate_catches_look_alike_weights(k, tmp_path, monkeypatch, capsys):
     # 0 under any weighting.  A far-field radial bound passes k = 0 and k = 1.
     monkeypatch.setattr(doubleslit, "_momentum", _momentum_weighted(k))
     _assert_only_gate_fails("doubleslit-traj", "streamline_invariant_drift", tmp_path, capsys,
-                            overrides=[])
+                            params={})
     drift = json.loads((tmp_path / "summary.json").read_text())["metrics"][0]["measured"]
     assert drift > 0.1
 
@@ -627,13 +664,13 @@ def _box_beat_cases():
         yield cfg, probe
 
 
-def test_box_beat_gates_sit_10x_above_the_worst_swept_error(tmp_path):
-    gates = {m.name: m.tolerance for m in scenarios.run("box-beat", {}, tmp_path).metrics}
+def test_box_beat_gates_sit_10x_above_the_worst_swept_error():
     errors = []
     for cfg, probe in _box_beat_cases():
         beats = boxwell.analyze_beats(cfg, probe)
         errors += [abs(beats.fast / cfg.omega_bar - 1.0), abs(beats.slow / cfg.delta_omega - 1.0)]
-    assert 10.0 * max(errors) <= min(gates["fast_frequency"], gates["slow_frequency"])
+    assert 10.0 * max(errors) <= min(tolerance for tolerance, _ in
+                                     scenarios.GATES["box-beat"].values())
 
 
 def _boost_envelope_cases():
@@ -651,13 +688,12 @@ def _boost_envelope_cases():
         yield 10.0 ** rng.uniform(-9.0, 9.0), rng.choice([1.0, -1.0]) * speed
 
 
-def test_boost_envelope_gate_sits_above_the_worst_swept_error(tmp_path):
+def test_boost_envelope_gate_sits_above_the_worst_swept_error():
     # Solved, as the runner solves it, on every 16th point of the 64-per-period
     # grid, the worst error is 9.5e-9, at the second case; the gate is ten times
     # that.  On every point the first case missed by 9.1e-4: at omega0 = 1e9 the
     # snapshot at t = 0.3 rounds its phase by ~1e-7 rad a sample, and near c the
     # slow tone k- spans about one period of the grid.
-    gate = {m.name: m.tolerance for m in scenarios.run("boost", {}, tmp_path).metrics}
     errors = []
     for omega0, beta in _boost_envelope_cases():
         b = wavecore.boost_standing_wave(omega0, beta)
@@ -667,7 +703,7 @@ def test_boost_envelope_gate_sits_above_the_worst_swept_error(tmp_path):
         measured = wavecore.measure_envelope_wavelength(x[::stride], snapshot[::stride])
         predicted = qmass.de_broglie_wavelength(omega0, abs(beta))
         errors.append(abs(measured / predicted - 1.0))
-    assert 10.0 * max(errors) <= gate["envelope_wavelength"]
+    assert 10.0 * max(errors) <= scenarios.GATES["boost"]["envelope_wavelength"][0]
     assert errors[0] < 1e-10
 
 

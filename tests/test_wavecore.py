@@ -337,14 +337,26 @@ class TestTemporalFrequencies:
 
     def test_one_tone_rejected(self):
         # One tone sampled from t = 0 leaves the prediction columns rank
-        # deficient.  Far from 0 each sample rounds its phase w*t, and that
-        # noise can read as a second tone: from t0 in [-100, 100], 114 of
-        # these 500 draws were accepted.
+        # deficient.
         rng = np.random.default_rng(43)
         for _ in range(500):
             n = int(rng.integers(16, 4000))
             dt = 10.0 ** rng.uniform(-3.0, 1.0)
             t = np.arange(n) * dt
+            w = rng.uniform(0.002, 0.498) * 2.0 * math.pi / dt
+            v = 10.0 ** rng.uniform(-5.0, 5.0) * np.cos(w * t + rng.uniform(0.0, 2.0 * math.pi))
+            with pytest.raises(InsufficientSpanError, match="series holds fewer than 2 tones"):
+                wc.measure_temporal_frequencies(t, v)
+
+    def test_one_tone_far_from_zero_rejected(self):
+        # Far from t = 0 each sample rounds its phase w*t by about eps*|w*t|.
+        # With the rank rule at eps * rows, that noise read as a second tone
+        # in 121 of these 500 draws from t0 in [-100, 100].
+        rng = np.random.default_rng(44)
+        for _ in range(500):
+            n = int(rng.integers(16, 4000))
+            dt = 10.0 ** rng.uniform(-3.0, 1.0)
+            t = rng.uniform(-100.0, 100.0) + np.arange(n) * dt
             w = rng.uniform(0.002, 0.498) * 2.0 * math.pi / dt
             v = 10.0 ** rng.uniform(-5.0, 5.0) * np.cos(w * t + rng.uniform(0.0, 2.0 * math.pi))
             with pytest.raises(InsufficientSpanError, match="series holds fewer than 2 tones"):
