@@ -438,9 +438,10 @@ def test_demo_runs(demo, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
-def _assert_only_gate_fails(kind, row, tmp_path, capsys, params=None):
+def _assert_only_gate_fails(kind, gate, tmp_path, capsys, params=None):
     """The CLI run of ``kind`` on ``params`` (its ``FAST_PARAMS`` if None) exits 1,
-    lists every ``GATES`` row and fails the metrics of ``row`` alone."""
+    lists every ``GATES`` row and fails ``gate`` alone: a row fails each of its
+    metrics, a per-mode metric name (``momentum_n2``) that one metric."""
     params = FAST_PARAMS[kind] if params is None else params
     argv = [kind, "--out", str(tmp_path)]
     for key, value in params.items():
@@ -449,23 +450,27 @@ def _assert_only_gate_fails(kind, row, tmp_path, capsys, params=None):
     lines = re.findall(r"^(PASS|FAIL) (\S+): predicted=", capsys.readouterr().out, re.M)
     assert {_row(name) for _, name in lines} == set(scenarios.GATES[kind])
     assert {name: word for word, name in lines} == {
-        name: "FAIL" if _row(name) == row else "PASS" for _, name in lines}
+        name: "FAIL" if gate in (name, _row(name)) else "PASS" for _, name in lines}
 
 
-@pytest.mark.parametrize(
-    "kind, row", [(kind, row) for kind, rows in scenarios.GATES.items() for row in rows]
-)
-def test_every_gate_can_fail(kind, row, tmp_path, monkeypatch, capsys):
-    # The row's metrics miss by twice their tolerance plus 1e-6; all others run as is.
+# Every row, and each mode of box-quantize's per-mode rows on its own.
+_MODES = range(1, FAST_PARAMS["box-quantize"]["n_max"] + 1)
+_FAILABLE = [(kind, row) for kind, rows in scenarios.GATES.items() for row in rows] + [
+    ("box-quantize", f"{row}{n}") for n in _MODES for row in scenarios.GATES["box-quantize"]]
+
+
+@pytest.mark.parametrize("kind, gate", _FAILABLE)
+def test_every_gate_can_fail(kind, gate, tmp_path, monkeypatch, capsys):
+    # The gate's metrics miss by twice their tolerance plus 1e-6; all others run as is.
     metric = scenarios.Metric
 
     def missing(name, predicted, measured, tolerance, source):
-        if _row(name) == row:
+        if gate in (name, _row(name)):
             measured = predicted + (2 * tolerance + 1e-6) * (abs(predicted) or 1.0)
         return metric(name, predicted, measured, tolerance, source)
 
     monkeypatch.setattr(scenarios, "Metric", missing)
-    _assert_only_gate_fails(kind, row, tmp_path, capsys)
+    _assert_only_gate_fails(kind, gate, tmp_path, capsys)
 
 
 def _rising_axis(mass_map):
